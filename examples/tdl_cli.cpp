@@ -729,6 +729,10 @@ int RunServe(const std::map<std::string, std::string>& flags) {
                static_cast<unsigned long long>(model.num_nodes()),
                static_cast<unsigned long long>(model.dimensions()),
                options.cache_capacity);
+  // Unsynced, untied standard streams read piped requests in bulk; the
+  // loop still flushes every response, so closed-loop clients work.
+  std::ios::sync_with_stdio(false);
+  std::cin.tie(nullptr);
   const auto stats = serve::RunServeLoop(model, std::cin, std::cout);
   std::fprintf(stderr,
                "served %llu queries over %llu requests (%llu malformed)\n",

@@ -34,8 +34,9 @@ cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
 # graph build) at num_threads=4, the SIMD kernel layer (dispatch,
 # scalar-vs-SIMD tolerance sweeps, policy interplay) that all trainers now
 # route their inner loops through, the serving layer (concurrent readers
-# over one mmap'd model through the sharded hot-tie cache), and the
-# streaming-update layer (Hogwild incremental E-step over the affected
+# over one mmap'd model through the sharded hot-tie cache, and the serve
+# loop's in-place tokenizer and value renderer over request bytes), and
+# the streaming-update layer (Hogwild incremental E-step over the affected
 # arc set, warm-start state load/save).
 TARGETS=(train_test checkpoint_test deepdirect_test embedding_test
          walks_test ml_test obs_test trace_test centrality_test graph_test
@@ -47,7 +48,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
 
-FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ProgressReporterTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*'
+FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ProgressReporterTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*'
 for target in "${TARGETS[@]}"; do
   echo "=== $target ($SANITIZER) ==="
   "$BUILD_DIR/tests/$target" --gtest_filter="$FILTER"

@@ -1,11 +1,11 @@
 #include "serve/server.h"
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -14,8 +14,24 @@ namespace deepdirect::serve {
 
 namespace {
 
+/// The whitespace operator>> skips in the C locale: space, then \t, \n,
+/// \v, \f and \r, which are the contiguous codes 9-13.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// Cuts the next token off the front of `rest`, skipping whitespace before
+/// it. An empty result means the line has no more tokens.
+std::string_view NextToken(std::string_view& rest) {
+  size_t begin = 0;
+  while (begin < rest.size() && IsSpace(rest[begin])) ++begin;
+  size_t end = begin;
+  while (end < rest.size() && !IsSpace(rest[end])) ++end;
+  const std::string_view token = rest.substr(begin, end - begin);
+  rest.remove_prefix(end);
+  return token;
+}
+
 /// Strict non-negative base-10 parse that fits a NodeId.
-std::optional<graph::NodeId> ParseNodeId(const std::string& token) {
+std::optional<graph::NodeId> ParseNodeId(std::string_view token) {
   if (token.empty() || token.size() > 10) return std::nullopt;
   uint64_t value = 0;
   for (char c : token) {
@@ -26,21 +42,18 @@ std::optional<graph::NodeId> ParseNodeId(const std::string& token) {
   return static_cast<graph::NodeId>(value);
 }
 
-void WriteValues(const std::vector<double>& values, std::ostream& out) {
-  char buffer[32];
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out << ' ';
-    if (std::isnan(values[i])) {
-      out << "NA";
-    } else {
-      std::snprintf(buffer, sizeof(buffer), "%.6f", values[i]);
-      out << buffer;
-    }
-  }
-  out << '\n';
-}
-
 }  // namespace
+
+char* RenderValue(double value, char* out) {
+  if (std::isnan(value)) {
+    out[0] = 'N';
+    out[1] = 'A';
+    return out + 2;
+  }
+  return std::to_chars(out, out + kMaxValueChars, value,
+                       std::chars_format::fixed, 6)
+      .ptr;
+}
 
 ServeLoopStats RunServeLoop(const ServableModel& model, std::istream& in,
                             std::ostream& out) {
@@ -49,38 +62,21 @@ ServeLoopStats RunServeLoop(const ServableModel& model, std::istream& in,
       obs::Registry::Default().GetHistogram("serve.query.seconds");
 
   ServeLoopStats stats;
+  // Reused across lines; each only grows, to the largest request seen.
   std::string line;
   std::vector<TiePair> ties;
   std::vector<double> values;
+  std::vector<char> response;
   while (std::getline(in, line)) {
-    std::istringstream tokens(line);
-    std::string token;
-    ties.clear();
-    graph::NodeId pending = 0;
-    bool have_pending = false;
-    bool malformed = false;
-    size_t token_count = 0;
-    while (tokens >> token) {
-      ++token_count;
-      if (token_count == 1 && (token == "quit" || token == "stats")) break;
-      const auto id = ParseNodeId(token);
-      if (!id.has_value()) {
-        malformed = true;
-        break;
-      }
-      if (have_pending) {
-        ties.push_back({pending, *id});
-        have_pending = false;
-      } else {
-        pending = *id;
-        have_pending = true;
-      }
-    }
-    if (token_count == 0) continue;  // blank line
+    std::string_view rest = line;
+    std::string_view token = NextToken(rest);
+    if (token.empty()) continue;  // blank or whitespace-only line
     ++stats.lines;
 
-    if (token_count == 1 && token == "quit") break;
-    if (token_count == 1 && token == "stats") {
+    // "quit" and "stats" count only as the first token; the rest of the
+    // line is ignored.
+    if (token == "quit") break;
+    if (token == "stats") {
       const TieCacheStats cache = model.CacheStats();
       out << "stats hits=" << cache.hits << " misses=" << cache.misses
           << " evictions=" << cache.evictions
@@ -88,7 +84,21 @@ ServeLoopStats RunServeLoop(const ServableModel& model, std::istream& in,
       out.flush();
       continue;
     }
-    if (malformed) {
+
+    ties.clear();
+    graph::NodeId pending = 0;
+    bool have_pending = false;
+    for (; !token.empty(); token = NextToken(rest)) {
+      const auto id = ParseNodeId(token);
+      if (!id.has_value()) break;
+      if (have_pending) {
+        ties.push_back({pending, *id});
+      } else {
+        pending = *id;
+      }
+      have_pending = !have_pending;
+    }
+    if (!token.empty()) {  // stopped at a token that is not a node id
       ++stats.errors;
       out << "ERR parse: token '" << token
           << "' is not a node id (expected pairs of node ids, 'stats', or "
@@ -103,19 +113,28 @@ ServeLoopStats RunServeLoop(const ServableModel& model, std::istream& in,
       continue;
     }
 
-    values.assign(ties.size(), 0.0);
+    values.resize(ties.size());
     const Clock::time_point start = Clock::now();
     // kNan cannot fail for span-matched inputs; unknown pairs become NA.
     model.QueryBatch(ties, values, MissingPolicy::kNan);
     const double elapsed =
         std::chrono::duration<double>(Clock::now() - start).count();
-    if (obs::Enabled() && !ties.empty()) {
+    if (obs::Enabled()) {
       // One observation per request line, of the mean per-query latency,
       // keeps histogram cost independent of batch size.
       query_seconds->Observe(elapsed / static_cast<double>(ties.size()));
     }
     stats.queries += ties.size();
-    WriteValues(values, out);
+
+    const size_t bound = values.size() * (kMaxValueChars + 1);
+    if (response.size() < bound) response.resize(bound);
+    char* cursor = response.data();
+    for (const double value : values) {
+      cursor = RenderValue(value, cursor);
+      *cursor++ = ' ';
+    }
+    cursor[-1] = '\n';  // the line has at least one pair
+    out.write(response.data(), cursor - response.data());
     out.flush();
   }
   return stats;

@@ -1,16 +1,18 @@
 // Tests for the serving layer: DDS1 export/open, golden parity against the
 // in-memory model, the hot-tie cache, fault injection over the servable
-// file, the unknown-tie contract, the serve-loop protocol, and concurrent
-// readers (the *Concurrent* test runs under TSan via
-// scripts/check_sanitizers.sh).
+// file, the unknown-tie contract, the serve-loop protocol and its value
+// renderer, and concurrent readers (the *Concurrent* and ServeLoopTest
+// tests run under TSan and ASan via scripts/check_sanitizers.sh).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -69,19 +71,34 @@ Exported Train(size_t num_nodes, size_t dimensions, double epochs,
   return out;
 }
 
+/// A fixture file path of this process. ctest runs every TEST in its own
+/// process and each one rebuilds the shared fixtures, so concurrent
+/// processes must not write one file.
+std::string ProcessPath(const std::string& stem) {
+  return "/tmp/" + stem + "_" + std::to_string(::getpid()) + ".dds";
+}
+
+/// Deletes a per-process fixture file when the process exits.
+struct RemoveAtExit {
+  std::string path;
+  ~RemoveAtExit() { std::remove(path.c_str()); }
+};
+
 /// The parity fixture: trained once per process, shared by every test that
 /// only reads it.
 const Exported& Parity() {
-  static const Exported* cached =
-      new Exported(Train(120, 8, 2.0, "/tmp/deepdirect_serve_parity.dds"));
+  static const Exported* cached = new Exported(
+      Train(120, 8, 2.0, ProcessPath("deepdirect_serve_parity")));
+  static const RemoveAtExit cleanup{cached->path};
   return *cached;
 }
 
 /// A deliberately tiny second model so the every-byte fault-injection
 /// sweeps stay fast even under sanitizers.
 const Exported& Tiny() {
-  static const Exported* cached =
-      new Exported(Train(60, 4, 1.0, "/tmp/deepdirect_serve_tiny.dds", 11));
+  static const Exported* cached = new Exported(
+      Train(60, 4, 1.0, ProcessPath("deepdirect_serve_tiny"), 11));
+  static const RemoveAtExit cleanup{cached->path};
   return *cached;
 }
 
@@ -407,6 +424,133 @@ TEST(ServeLoopTest, ProtocolAnswersMatchesAndSurvivesGarbage) {
   ASSERT_TRUE(std::getline(lines, line));
   EXPECT_EQ(line.rfind("ERR parse", 0), 0u) << line;
   EXPECT_FALSE(std::getline(lines, line)) << "output after quit: " << line;
+}
+
+/// `value` as printf("%.6f") renders it, the reference for the wire format.
+std::string Printf6(double value) {
+  char buffer[kMaxValueChars + 1];
+  const int n = std::snprintf(buffer, sizeof(buffer), "%.6f", value);
+  return std::string(buffer, static_cast<size_t>(n));
+}
+
+TEST(ServeLoopTest, EdgeCasesAnswerByteForByte) {
+  // Pins the protocol's edge cases byte for byte. Each row runs its own
+  // loop over a freshly opened model, so the stats row's counters are
+  // exact.
+  const Exported& fixture = Parity();
+  const TiePair known = AllTies(*fixture.model).front();
+  const std::string u = std::to_string(known.u);
+  const std::string v = std::to_string(known.v);
+  const std::string k = u + ' ' + v;
+  const std::string d =
+      Printf6(fixture.model->Directionality(known.u, known.v));
+  const auto not_an_id = [](const std::string& token) {
+    return "ERR parse: token '" + token +
+           "' is not a node id (expected pairs of node ids, 'stats', or "
+           "'quit')\n";
+  };
+  const std::string odd =
+      "ERR parse: odd token count (queries are u v pairs)\n";
+  std::string long_request;
+  std::string long_response;
+  for (int i = 0; i < 300; ++i) {
+    long_request += k + (i + 1 < 300 ? ' ' : '\n');
+    long_response += d + (i + 1 < 300 ? ' ' : '\n');
+  }
+
+  struct Row {
+    std::string name;
+    std::string request;
+    std::string response;
+    ServeLoopStats stats;  // lines, queries, errors
+  };
+  const std::vector<Row> rows = {
+      {"CRLF line endings", k + "\r\n" + k + ' ' + k + "\r\n",
+       d + '\n' + d + ' ' + d + '\n', {2, 3, 0}},
+      {"tabs and runs of spaces", "\t " + u + " \t  " + v + "  \t\n",
+       d + '\n', {1, 1, 0}},
+      {"vertical tab and form feed", u + '\v' + v + "\f\n", d + '\n',
+       {1, 1, 0}},
+      {"blank and whitespace-only lines are skipped",
+       "\n \t \r\n\v\f\n" + k + '\n', d + '\n', {1, 1, 0}},
+      {"last line without a newline", k, d + '\n', {1, 1, 0}},
+      {"a long batch, then a short one", long_request + k + '\n',
+       long_response + d + '\n', {2, 301, 0}},
+      {"stats with arguments", "stats 1 2\n",
+       "stats hits=0 misses=0 evictions=0 capacity=0\n", {1, 0, 0}},
+      {"largest node id", "4294967295 4294967295\n", "NA\n", {1, 1, 0}},
+      {"node id past 32 bits", "4294967296 1\n", not_an_id("4294967296"),
+       {1, 0, 1}},
+      {"11-digit token", "00000000001 1\n", not_an_id("00000000001"),
+       {1, 0, 1}},
+      {"signed token", "+1 2\n", not_an_id("+1"), {1, 0, 1}},
+      {"the first bad token is named", k + " x y\n", not_an_id("x"),
+       {1, 0, 1}},
+      {"NUL and non-ASCII bytes are not whitespace",
+       std::string("1\0 2\n", 5) + u + "\xa0" + v + '\n',
+       not_an_id(std::string("1\0", 2)) + not_an_id(u + "\xa0" + v),
+       {2, 0, 2}},
+      {"stats and quit only as the first token",
+       k + " stats\n" + u + " quit\n", not_an_id("stats") + not_an_id("quit"),
+       {2, 0, 2}},
+      {"odd token count", k + " 7\n" + u + '\n', odd + odd, {2, 0, 2}},
+      {"quit with arguments ends the loop", "quit now\n" + k + '\n', "",
+       {1, 0, 0}},
+  };
+  for (const Row& row : rows) {
+    auto opened = ServableModel::Open(fixture.path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    std::istringstream in(row.request);
+    std::ostringstream out;
+    const ServeLoopStats stats = RunServeLoop(opened.value(), in, out);
+    EXPECT_EQ(out.str(), row.response) << row.name;
+    EXPECT_EQ(stats.lines, row.stats.lines) << row.name;
+    EXPECT_EQ(stats.queries, row.stats.queries) << row.name;
+    EXPECT_EQ(stats.errors, row.stats.errors) << row.name;
+  }
+}
+
+TEST(ServeLoopTest, RenderValueMatchesPrintfFixed6) {
+  // The wire contract: RenderValue is byte-for-byte printf("%.6f"). The
+  // sweep covers a dense dyadic grid over [0, 1], where d(u, v) lives (it
+  // holds exact six-decimal ties such as 1/128 = 0.0078125); both
+  // neighbours of every six-decimal rounding boundary; a seeded uniform
+  // sample; and the extremes of the double range.
+  size_t checked = 0;
+  size_t mismatches = 0;
+  char rendered[kMaxValueChars];
+  const auto check = [&](double value) {
+    ++checked;
+    const std::string got(rendered, RenderValue(value, rendered));
+    const std::string want = Printf6(value);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "RenderValue(" << std::hexfloat << value << ") = '"
+                    << got << "', printf gives '" << want << "'";
+    }
+  };
+  for (uint32_t k = 0; k <= (1u << 20); ++k) check(k * 0x1.0p-20);
+  for (uint32_t k = 0; k < 1000000; ++k) {
+    const double halfway = (k + 0.5) / 1e6;
+    check(halfway);
+    check(std::nextafter(halfway, 0.0));
+    check(std::nextafter(halfway, 1.0));
+  }
+  util::Rng rng(2024);
+  for (int i = 0; i < 1000000; ++i) check(rng.NextDouble());
+  using Limits = std::numeric_limits<double>;
+  for (const double value :
+       {0.0, -0.0, 1.0, -1.0, 0.9999995, -0.0000004, 123.4567895,
+        Limits::denorm_min(), -Limits::denorm_min(),
+        Limits::min() - Limits::denorm_min(), Limits::min(), Limits::max(),
+        -Limits::max(), Limits::infinity(), -Limits::infinity()}) {
+    check(value);
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << checked << " values";
+
+  char na[kMaxValueChars];
+  EXPECT_EQ(std::string(na, RenderValue(Limits::quiet_NaN(), na)), "NA");
+  EXPECT_EQ(std::string(na, RenderValue(-Limits::quiet_NaN(), na)), "NA");
+  EXPECT_EQ(Printf6(-Limits::max()).size(), kMaxValueChars);
 }
 
 TEST(ServeConcurrencyTest, ConcurrentReadersStayBitIdentical) {

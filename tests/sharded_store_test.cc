@@ -5,6 +5,7 @@
 // shard-affine Hogwild path.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -202,17 +203,30 @@ TEST(ShardedTrainerTest, UnknownTieIsNotFound) {
 // (60 nodes, l = 4) so the every-byte sweeps stay fast under sanitizers.
 // ----------------------------------------------------------------------
 
-/// Trains a tiny sharded model once and shares its sealed store directory
-/// with every fault-injection test (each test works on copies).
+/// Deletes a per-process fixture directory when the process exits.
+struct RemoveAllAtExit {
+  std::string dir;
+  ~RemoveAllAtExit() {
+    std::error_code ignored;
+    fs::remove_all(dir, ignored);
+  }
+};
+
+/// Trains a tiny sharded model once per process and shares its sealed store
+/// directory with every fault-injection test (each test works on copies).
+/// ctest runs every TEST in its own process and each one retrains this
+/// fixture, so the directory name carries the pid.
 const std::string& TinySealedStoreDir() {
   static const std::string* dir = [] {
-    auto* path = new std::string(FreshDir("dd_shard_tiny_store"));
+    auto* path = new std::string(
+        FreshDir("dd_shard_tiny_store_" + std::to_string(::getpid())));
     const auto split = MakeSplit(60, 11);
     auto sharded = ShardedDeepDirectModel::Train(
         split.network, ShardedConfig(BaseConfig(4, 0.5), 2, *path));
     EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
     return path;
   }();
+  static const RemoveAllAtExit cleanup{*dir};
   return *dir;
 }
 
