@@ -192,8 +192,9 @@ std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
   m.FillUniform(rng, -init, init);
   // N starts at zero (skip-gram output-layer convention).
 
-  std::vector<double> w_prime(l, 0.0);
-  double b_prime = 0.0;
+  // The joint classifier (w′, b′) as the driver's dense block: w′ in the
+  // first l slots, b′ in the last.
+  std::vector<double> classifier(l + 1, 0.0);
 
   // Sampling distributions over closure arcs.
   std::vector<double> pc_weights(num_arcs);
@@ -243,8 +244,8 @@ std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
       [&](train::CheckpointWriter& writer) {
         writer.AddVector("m", m.data());
         writer.AddVector("n", n.data());
-        writer.AddVector("w_prime", w_prime);
-        writer.AddPod("b_prime", b_prime);
+        writer.AddSection("w_prime", classifier.data(), l * sizeof(double));
+        writer.AddPod("b_prime", classifier[l]);
         // Binds the snapshot to the training network's closure arcs so a
         // warm-start consumer (train/incremental.h) rejects "same arc
         // count, different network" instead of remapping rows silently.
@@ -260,12 +261,13 @@ std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
         DD_RETURN_NOT_OK(ckpt.ReadPod("b_prime", &saved_b));
         m.data() = std::move(saved_m);
         n.data() = std::move(saved_n);
-        w_prime = std::move(saved_w);
-        b_prime = saved_b;
+        std::copy(saved_w.begin(), saved_w.end(), classifier.begin());
+        classifier[l] = saved_b;
         return util::Status::OK();
       });
   options.start_epoch = checkpointer.Resume(rng);
   options.checkpointer = &checkpointer;
+  options.dense = classifier;
 
   train::SgdDriver driver(options);
 
@@ -279,13 +281,13 @@ std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
   driver.Run(rng, [&](auto access, const train::SgdStep& ctx) -> double {
     using A = decltype(access);
     return internal::EStepStep<A>(env, ctx, config, iterations, track_loss,
-                                  grad_scratch[ctx.worker], w_prime, b_prime,
+                                  grad_scratch[ctx.worker],
                                   tallies[ctx.worker]);
   });
 
   internal::FlushTallies(tallies);
-  model->e_step_weights_ = w_prime;
-  model->e_step_bias_ = b_prime;
+  model->e_step_weights_.assign(classifier.begin(), classifier.begin() + l);
+  model->e_step_bias_ = classifier[l];
 
   // A simulated preemption stopped the E-Step mid-run: a killed process
   // would never have reached the D-Step, so return the partial model here
@@ -304,7 +306,8 @@ std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
     for (size_t k = 0; k < l; ++k) features[k] = row[k];
     data.Add(features, idx.Label(e));
   }
-  model->d_step_ = ml::LogisticRegression(w_prime, b_prime);
+  model->d_step_ =
+      ml::LogisticRegression(model->e_step_weights_, model->e_step_bias_);
   model->d_step_.Train(data, config.d_step);
 
   if (config.d_step_head == DStepHead::kMlp) {

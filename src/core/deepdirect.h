@@ -112,8 +112,9 @@ struct DeepDirectConfig {
   ///    undirected arcs into fixed blocks with per-arc counter-based RNG,
   ///    so its output is bit-identical for every thread count;
   ///  * the E-Step SGD, where 1 runs the deterministic serial path and
-  ///    > 1 runs Hogwild-style lock-free updates, which are fast but not
-  ///    bit-reproducible.
+  ///    > 1 runs Hogwild: lock-free updates on the M and N rows, and a
+  ///    private copy of (w′, b′) per worker merged every 64 of its steps
+  ///    (see train/sgd_driver.h). Fast, but not bit-reproducible.
   size_t num_threads = 1;
   /// D-Step logistic regression settings.
   ml::LogisticRegressionConfig d_step = {

@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/tie_index.h"
@@ -88,13 +89,16 @@ inline void FlushTallies(const std::vector<EStepTally>& tallies) {
 /// One E-step SGD step; returns the step's loss contribution (0.0 when
 /// untracked). `A` is the parameter access policy (SerialAccess or
 /// HogwildAccess), `config` any DeepDirect-shaped config with the E-step
-/// hyperparameters.
+/// hyperparameters. The joint classifier is the driver's dense block
+/// (ctx.dense): w′ in its first l slots, b′ in the last. Nearly every step
+/// reads and rewrites all of it.
 template <typename A, typename Env, typename Config>
 double EStepStep(Env& env, const train::SgdStep& ctx, const Config& config,
                  uint64_t total_iterations, bool track_loss,
-                 std::vector<double>& grad_m, std::vector<double>& w_prime,
-                 double& b_prime, EStepTally& tally) {
+                 std::vector<double>& grad_m, EStepTally& tally) {
   util::Rng& r = ctx.rng;
+  const std::span<double> w_prime = ctx.dense.first(ctx.dense.size() - 1);
+  double& b_prime = ctx.dense.back();
   const double lr = ctx.lr;
   const double progress =
       static_cast<double>(ctx.step) / static_cast<double>(total_iterations);

@@ -225,8 +225,10 @@ util::Result<IncrementalUpdate> DeepDirectModel::ApplyTieBatch(
   }
 
   // --- Incremental E-step over A under the per-batch quota. -------------
-  std::vector<double> w_prime = state.w_prime;
-  double b_prime = state.b_prime;
+  // The joint classifier (w′, b′) as the driver's dense block, laid out
+  // as in the full trainer.
+  std::vector<double> classifier = state.w_prime;
+  classifier.push_back(state.b_prime);
   const uint64_t quota = static_cast<uint64_t>(
       std::ceil(options.epochs_per_batch *
                 static_cast<double>(stats.affected_pair_mass)));
@@ -271,6 +273,7 @@ util::Result<IncrementalUpdate> DeepDirectModel::ApplyTieBatch(
     sgd.progress = config.progress;
     sgd.report_every = config.report_every;
     sgd.metrics_prefix = "update.estep";
+    sgd.dense = classifier;
     train::SgdDriver driver(sgd);
 
     std::vector<std::vector<double>> grad_scratch(
@@ -282,14 +285,14 @@ util::Result<IncrementalUpdate> DeepDirectModel::ApplyTieBatch(
     driver.Run(rng, [&](auto access, const train::SgdStep& ctx) -> double {
       using A = decltype(access);
       return internal::EStepStep<A>(env, ctx, step_config, quota, track_loss,
-                                    grad_scratch[ctx.worker], w_prime,
-                                    b_prime, tallies[ctx.worker]);
+                                    grad_scratch[ctx.worker],
+                                    tallies[ctx.worker]);
     });
     internal::FlushTallies(tallies);
     stats.estep_steps = quota;
   }
-  model->e_step_weights_ = w_prime;
-  model->e_step_bias_ = b_prime;
+  model->e_step_weights_.assign(classifier.begin(), classifier.begin() + l);
+  model->e_step_bias_ = classifier[l];
 
   // --- D-step: full retrain over labeled arcs, warm-started like a full
   // run. The incremental path is self-contained: it neither writes nor
@@ -305,7 +308,8 @@ util::Result<IncrementalUpdate> DeepDirectModel::ApplyTieBatch(
   }
   ml::LogisticRegressionConfig d_config = config.d_step;
   d_config.checkpoint = {};
-  model->d_step_ = ml::LogisticRegression(w_prime, b_prime);
+  model->d_step_ =
+      ml::LogisticRegression(model->e_step_weights_, model->e_step_bias_);
   model->d_step_.Train(data, d_config);
   if (config.d_step_head == DStepHead::kMlp) {
     model->mlp_head_.emplace(l, config.d_step_mlp.hidden_units,
@@ -328,8 +332,8 @@ util::Result<IncrementalUpdate> DeepDirectModel::ApplyTieBatch(
   next.num_arcs = num_arcs;
   next.m = m.data();  // copy: the model keeps its embedding
   next.n = std::move(n.data());
-  next.w_prime = std::move(w_prime);  // the model copied its own above
-  next.b_prime = b_prime;
+  next.w_prime = model->e_step_weights_;
+  next.b_prime = model->e_step_bias_;
   next.tie_hash = HashTieIndex(idx);
   next.epochs_done = state.epochs_done + 1;
   return IncrementalUpdate{std::move(merged), std::move(model),

@@ -147,8 +147,9 @@ ShardedDeepDirectModel::Train(const MixedSocialNetwork& g,
 
   // --- E-Step -------------------------------------------------------------
   phase.emplace("deepdirect.sharded.estep");
-  std::vector<double> w_prime(l, 0.0);
-  double b_prime = 0.0;
+  // The joint classifier (w′, b′) as the driver's dense block, laid out
+  // as in the in-RAM trainer.
+  std::vector<double> classifier(l + 1, 0.0);
 
   // Sampling distributions over closure arcs, built exactly as the in-RAM
   // trainer builds them (same weights, same fallback).
@@ -209,6 +210,7 @@ ShardedDeepDirectModel::Train(const MixedSocialNetwork& g,
   options.report_every = config.report_every;
   options.metrics_prefix = "train.deepdirect.sharded.estep";
   options.shard_plan = std::move(plan);
+  options.dense = classifier;
 
   train::SgdDriver driver(options);
 
@@ -221,7 +223,7 @@ ShardedDeepDirectModel::Train(const MixedSocialNetwork& g,
   driver.Run(rng, [&](auto access, const train::SgdStep& ctx) -> double {
     using A = decltype(access);
     return internal::EStepStep<A>(env, ctx, config, iterations, track_loss,
-                                  grad_scratch[ctx.worker], w_prime, b_prime,
+                                  grad_scratch[ctx.worker],
                                   tallies[ctx.worker]);
   });
 
@@ -233,8 +235,8 @@ ShardedDeepDirectModel::Train(const MixedSocialNetwork& g,
 
   std::unique_ptr<ShardedDeepDirectModel> model(
       new ShardedDeepDirectModel(std::move(store)));
-  model->e_step_weights_ = w_prime;
-  model->e_step_bias_ = b_prime;
+  model->e_step_weights_.assign(classifier.begin(), classifier.begin() + l);
+  model->e_step_bias_ = classifier[l];
 
   // --- D-Step: same warm-started logistic regression as in-RAM, reading
   // labeled rows back out of the store (faulting shards in under the
@@ -248,7 +250,8 @@ ShardedDeepDirectModel::Train(const MixedSocialNetwork& g,
     for (size_t k = 0; k < l; ++k) features[k] = row[k];
     data.Add(features, idx.Label(e));
   }
-  model->d_step_ = ml::LogisticRegression(w_prime, b_prime);
+  model->d_step_ =
+      ml::LogisticRegression(model->e_step_weights_, model->e_step_bias_);
   model->d_step_.Train(data, config.d_step);
 
   return model;

@@ -1,5 +1,6 @@
 #include "ml/logistic_regression.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <utility>
@@ -36,6 +37,12 @@ double LogisticRegression::Train(const Dataset& data,
   const uint64_t total_steps = config.epochs * n;
   double last_epoch_loss = 0.0;
 
+  // The driver's dense block: w followed by b. Every step reads and
+  // rewrites all of it.
+  const size_t d = weights_.size();
+  std::vector<double> params(weights_);
+  params.push_back(bias_);
+
   // Every sample is visited exactly once per epoch, so the normalizer is
   // epoch-invariant.
   double weight_total = 0.0;
@@ -54,7 +61,7 @@ double LogisticRegression::Train(const Dataset& data,
   };
   options.epoch_end = [&](const train::EpochEnd& boundary) {
     double l2_term = 0.0;
-    for (double w : weights_) l2_term += w * w;
+    for (size_t k = 0; k < d; ++k) l2_term += params[k] * params[k];
     last_epoch_loss =
         (weight_total > 0 ? boundary.loss / weight_total : 0.0) +
         0.5 * config.l2 * l2_term;
@@ -69,29 +76,29 @@ double LogisticRegression::Train(const Dataset& data,
       ckpt_options,
       train::RunShape{total_steps, n, config.seed, options.lr},
       [&](train::CheckpointWriter& writer) {
-        writer.AddVector("weights", weights_);
-        writer.AddPod("bias", bias_);
+        writer.AddSection("weights", params.data(), d * sizeof(double));
+        writer.AddPod("bias", params[d]);
         writer.AddVector("order", order);
         writer.AddPod("last_epoch_loss", last_epoch_loss);
       },
       [&](const train::CheckpointData& ckpt) -> util::Status {
         std::vector<double> weights;
-        DD_RETURN_NOT_OK(
-            ckpt.ReadVector("weights", &weights, weights_.size()));
+        DD_RETURN_NOT_OK(ckpt.ReadVector("weights", &weights, d));
         double bias = 0.0;
         DD_RETURN_NOT_OK(ckpt.ReadPod("bias", &bias));
         std::vector<uint64_t> saved_order;
         DD_RETURN_NOT_OK(ckpt.ReadVector("order", &saved_order, n));
         double saved_loss = 0.0;
         DD_RETURN_NOT_OK(ckpt.ReadPod("last_epoch_loss", &saved_loss));
-        weights_ = std::move(weights);
-        bias_ = bias;
+        std::copy(weights.begin(), weights.end(), params.begin());
+        params[d] = bias;
         order = std::move(saved_order);
         last_epoch_loss = saved_loss;
         return util::Status::OK();
       });
   options.start_epoch = checkpointer.Resume(rng);
   options.checkpointer = &checkpointer;
+  options.dense = params;
 
   train::SgdDriver driver(options);
   driver.Run(rng, [&](auto access, const train::SgdStep& ctx) -> double {
@@ -101,18 +108,23 @@ double LogisticRegression::Train(const Dataset& data,
     const double y = data.Label(i);
     const double sample_weight = data.Weight(i);
 
-    const double score = kernels::DotWeights<A>(A::Load(bias_), weights_, x);
+    const std::span<double> w = ctx.dense.first(d);
+    double& b = ctx.dense[d];
+
+    const double score = kernels::DotWeights<A>(A::Load(b), w, x);
     const double p = Sigmoid(score);
     // Gradient of weighted cross-entropy wrt score is weight * (p - y).
     const double gradient = sample_weight * (p - y);
 
-    kernels::LogRegUpdate<A>(weights_, x, ctx.lr, gradient, config.l2);
-    A::Store(bias_, A::Load(bias_) - ctx.lr * gradient);
+    kernels::LogRegUpdate<A>(w, x, ctx.lr, gradient, config.l2);
+    A::Store(b, A::Load(b) - ctx.lr * gradient);
 
     const double eps = 1e-12;
     return -sample_weight *
            (y * std::log(p + eps) + (1.0 - y) * std::log(1.0 - p + eps));
   });
+  weights_.assign(params.begin(), params.begin() + d);
+  bias_ = params[d];
   return last_epoch_loss;
 }
 

@@ -30,8 +30,9 @@ struct LogisticRegressionConfig {
   /// Shuffle example order each epoch.
   bool shuffle = true;
   /// SGD workers (0 = all hardware threads). 1 runs the deterministic
-  /// serial path; > 1 runs Hogwild-style lock-free updates, which are fast
-  /// but not bit-reproducible.
+  /// serial path; > 1 runs Hogwild, where each worker trains a private
+  /// copy of (w, b) merged into the shared one every 64 of its steps (see
+  /// train/sgd_driver.h). Fast, but not bit-reproducible.
   size_t num_threads = 1;
   /// Telemetry prefix for the obs registry (one ".run_loss" entry per
   /// epoch); empty disables recording. Hosts that embed this trainer set a

@@ -12,6 +12,14 @@
 //     float/double load/store compiles to a plain mov, so the policy costs
 //     nothing on the hot path.
 //
+// Only sparse parameters — embedding rows, of which one step touches a
+// few — are shared this way. A block that every step reads and writes in
+// full (a linear classifier's weights and bias) is not: SgdDriver gives
+// each Hogwild worker a private copy of it and merges the copies every
+// 64 worker steps and at each chunk's end (see train/sgd_driver.h). The
+// body still reaches the copy through the policy; only its own worker
+// touches a copy, so those accesses never race.
+//
 // The span helpers are thin forwards into the kernel layer
 // (src/kernels/kernels.h), which dispatches each call between the exact
 // policy-scalar loops (bit-identical to ml::Dot / ml::Axpy) and the SIMD

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "core/applications.h"
 #include "core/deepdirect.h"
@@ -117,6 +119,36 @@ TEST(DeepDirectTest, MultiThreadedTrainingStaysAccurate) {
   const auto model = DeepDirectModel::Train(split.network, config);
   for (float v : model->embeddings().data()) ASSERT_TRUE(std::isfinite(v));
   EXPECT_GT(DirectionDiscoveryAccuracy(split, *model), 0.65);
+}
+
+TEST(DeepDirectTest, MultiThreadedAccuracyWithinSerialSeedSpread) {
+  // Hogwild must not cost accuracy beyond what a change of trainer seed
+  // costs serially: over trainer seeds 1–5, the mean accuracy at nt=2 and
+  // at nt=4 must not fall below the nt=1 mean minus the nt=1 range.
+  const auto split = EasySplit();
+  auto accuracies = [&](size_t threads) {
+    std::vector<double> out;
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      DeepDirectConfig config = FastConfig();
+      config.seed = seed;
+      config.num_threads = threads;
+      config.d_step.num_threads = threads;
+      const auto model = DeepDirectModel::Train(split.network, config);
+      out.push_back(DirectionDiscoveryAccuracy(split, *model));
+    }
+    return out;
+  };
+  auto mean = [](const std::vector<double>& v) {
+    double sum = 0.0;
+    for (double x : v) sum += x;
+    return sum / static_cast<double>(v.size());
+  };
+  const std::vector<double> serial = accuracies(1);
+  const auto [lo, hi] = std::minmax_element(serial.begin(), serial.end());
+  const double bound = mean(serial) - (*hi - *lo);
+  for (const size_t threads : {size_t{2}, size_t{4}}) {
+    EXPECT_GE(mean(accuracies(threads)), bound) << threads << " workers";
+  }
 }
 
 TEST(DeepDirectTest, SeedChangesEmbedding) {

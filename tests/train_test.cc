@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
@@ -344,6 +345,125 @@ TEST(SgdDriverTest, ProgressReportingThreadsThroughTheDriver) {
   EXPECT_EQ(reported, (std::vector<uint64_t>{40, 80, 100}));
 }
 
+TEST(SgdDriverTest, ShardedHogwildStridesSweepTheFullDecay) {
+  // Shard quotas follow shard mass: at 3:1 worker 0 runs 750 of the 1000
+  // steps and worker 1 runs 250. Each must still walk the decay once, in
+  // order, from the top to the floor.
+  SgdOptions options;
+  options.steps = 1000;
+  options.num_threads = 2;
+  options.lr = {1.0, 0.0, LrSchedule::Decay::kInterpolatedLinear};
+  options.shard_plan.num_shards = 2;
+  options.shard_plan.shard_weights = {3.0, 1.0};
+  SgdDriver driver(options);
+  ASSERT_EQ(driver.num_workers(), 2u);
+
+  std::vector<std::vector<uint64_t>> steps(2);
+  std::vector<std::vector<double>> rates(2);
+  util::Rng rng(1);
+  driver.Run(rng, [&](auto, const SgdStep& ctx) -> double {
+    steps[ctx.worker].push_back(ctx.step);
+    rates[ctx.worker].push_back(ctx.lr);
+    return 0.0;
+  });
+  EXPECT_EQ(steps[0].size(), 750u);
+  EXPECT_EQ(steps[1].size(), 250u);
+  for (size_t w = 0; w < 2; ++w) {
+    ASSERT_FALSE(steps[w].empty()) << "worker " << w;
+    EXPECT_TRUE(std::is_sorted(steps[w].begin(), steps[w].end()))
+        << "worker " << w;
+    EXPECT_GT(rates[w].front(), 0.9) << "worker " << w;
+    EXPECT_LT(rates[w].back(), 0.1) << "worker " << w;
+  }
+}
+
+TEST(SgdDriverTest, SerialBodyGetsTheCallersDenseBlock) {
+  std::vector<double> block(5, 0.0);
+  SgdOptions options;
+  options.steps = 10;
+  options.dense = block;
+  SgdDriver driver(options);
+  util::Rng rng(1);
+  driver.Run(rng, [&](auto, const SgdStep& ctx) -> double {
+    EXPECT_EQ(ctx.dense.data(), block.data());
+    EXPECT_EQ(ctx.dense.size(), block.size());
+    ctx.dense[0] += 1.0;
+    return 0.0;
+  });
+  EXPECT_EQ(block[0], 10.0);
+}
+
+TEST(SgdDriverTest, HogwildDenseBlockLosesNoUpdate) {
+  // Every step adds 1.0 to one double of the dense block. Racy Hogwild
+  // increments on a shared double would lose some; merged worker copies
+  // lose none, and the block is exact at every epoch boundary.
+  constexpr uint64_t kSteps = 20'000;
+  for (const size_t threads : {size_t{4}, size_t{8}}) {
+    std::vector<double> block(3, 0.0);
+    SgdOptions options;
+    options.steps = kSteps;
+    options.steps_per_epoch = 100;
+    options.num_threads = threads;
+    options.shard_seed = 5;
+    options.dense = block;
+    uint64_t boundaries = 0;
+    options.epoch_end = [&](const EpochEnd& end) {
+      ++boundaries;
+      EXPECT_EQ(block[0], static_cast<double>(end.next_step))
+          << threads << " workers, epoch " << end.epoch;
+    };
+    SgdDriver driver(options);
+    ASSERT_EQ(driver.num_workers(), threads);
+    util::Rng rng(1);
+    driver.Run(rng, [&](auto access, const SgdStep& ctx) -> double {
+      using A = decltype(access);
+      EXPECT_NE(ctx.dense.data(), block.data());
+      EXPECT_EQ(ctx.dense.size(), block.size());
+      A::Store(ctx.dense[0], A::Load(ctx.dense[0]) + 1.0);
+      return 0.0;
+    });
+    EXPECT_EQ(boundaries, kSteps / 100);
+    EXPECT_EQ(block[0], static_cast<double>(kSteps)) << threads << " workers";
+    EXPECT_EQ(block[1], 0.0);
+    EXPECT_EQ(block[2], 0.0);
+  }
+}
+
+TEST(SgdDriverTest, HogwildDenseCopiesSeeOwnStepsAndMergedOnes) {
+  // One epoch, so only the periodic merges can bring other workers' steps
+  // into a copy. A worker's copy never drops its own steps. The worker
+  // whose first merge comes last refreshes from a block that already holds
+  // every other worker's first merge, so some step sees more than its own
+  // worker's share.
+  constexpr uint64_t kSteps = 40'000;
+  constexpr size_t kWorkers = 4;
+  std::vector<double> block(1, 0.0);
+  SgdOptions options;
+  options.steps = kSteps;
+  options.num_threads = kWorkers;
+  options.dense = block;
+  SgdDriver driver(options);
+  std::vector<uint64_t> own(kWorkers, 0);
+  std::vector<double> seen(kWorkers, 0.0);
+  util::Rng rng(1);
+  driver.Run(rng, [&](auto access, const SgdStep& ctx) -> double {
+    using A = decltype(access);
+    const double before = A::Load(ctx.dense[0]);
+    EXPECT_GE(before, static_cast<double>(own[ctx.worker]));
+    A::Store(ctx.dense[0], before + 1.0);
+    ++own[ctx.worker];
+    seen[ctx.worker] = before + 1.0;
+    return 0.0;
+  });
+  EXPECT_EQ(block[0], static_cast<double>(kSteps));
+  for (size_t w = 0; w < kWorkers; ++w) {
+    EXPECT_EQ(own[w], kSteps / kWorkers);
+    EXPECT_LE(seen[w], static_cast<double>(kSteps));
+  }
+  EXPECT_GT(*std::max_element(seen.begin(), seen.end()),
+            static_cast<double>(kSteps / kWorkers));
+}
+
 TEST(HogwildAccessTest, PoliciesAgreeOnRowHelpers) {
   std::vector<float> a{0.5f, -1.25f, 2.0f};
   std::vector<float> b{1.0f, 0.25f, -0.5f};
@@ -380,6 +500,68 @@ class ScratchDir {
  private:
   std::string path_;
 };
+
+// Hogwild run of a counting trainer: every step adds 1.0 to dense[0], with
+// a checkpoint at every epoch boundary (100 steps). Returns the block.
+std::vector<double> RunCountingTrainer(const std::string& dir, bool resume,
+                                       uint64_t stop_after_epochs) {
+  std::vector<double> block(2, 0.0);
+  SgdOptions options;
+  options.steps = 1000;
+  options.steps_per_epoch = 100;
+  options.num_threads = 4;
+  options.shard_seed = 3;
+  CheckpointOptions ckpt_options;
+  ckpt_options.dir = dir;
+  ckpt_options.trainer = "dense_counter";
+  ckpt_options.policy.keep_last = 0;
+  ckpt_options.resume = resume;
+  ckpt_options.stop_after_epochs = stop_after_epochs;
+  Checkpointer checkpointer(
+      ckpt_options,
+      RunShape{options.steps, options.steps_per_epoch, options.shard_seed,
+               options.lr},
+      [&](CheckpointWriter& writer) { writer.AddVector("dense", block); },
+      [&](const CheckpointData& data) {
+        return data.ReadVector("dense", &block, block.size());
+      });
+  util::Rng rng(9);
+  options.start_epoch = checkpointer.Resume(rng);
+  options.checkpointer = &checkpointer;
+  options.dense = block;
+  SgdDriver driver(options);
+  driver.Run(rng, [](auto access, const SgdStep& ctx) -> double {
+    using A = decltype(access);
+    A::Store(ctx.dense[0], A::Load(ctx.dense[0]) + 1.0);
+    return 0.0;
+  });
+  return block;
+}
+
+TEST(SgdDriverTest, HogwildCheckpointsTheMergedDenseBlockAndResumes) {
+  ScratchDir dir("sgd_driver_dense_ckpt");
+  const std::vector<double> partial =
+      RunCountingTrainer(dir.path(), false, 4);
+  EXPECT_EQ(partial[0], 400.0);
+
+  // Every snapshot holds exactly the steps of the epochs before it.
+  size_t snapshots = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    auto data = CheckpointData::Read(entry.path().string());
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    std::vector<double> saved;
+    ASSERT_TRUE(data.value().ReadVector("dense", &saved, 2).ok());
+    const std::string name = entry.path().filename().string();
+    const uint64_t epochs = std::stoull(name.substr(name.find('-') + 1));
+    EXPECT_EQ(saved[0], 100.0 * static_cast<double>(epochs)) << name;
+    ++snapshots;
+  }
+  EXPECT_EQ(snapshots, 4u);
+
+  const std::vector<double> resumed = RunCountingTrainer(dir.path(), true, 0);
+  EXPECT_EQ(resumed[0], 1000.0);
+  EXPECT_EQ(resumed[1], 0.0);
+}
 
 data::GeneratorConfig SmallNetConfig() {
   data::GeneratorConfig config;
