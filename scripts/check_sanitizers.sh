@@ -37,11 +37,16 @@ cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
 # over one mmap'd model through the sharded hot-tie cache, and the serve
 # loop's in-place tokenizer and value renderer over request bytes), the
 # streaming-update layer (Hogwild incremental E-step over the affected
-# arc set, warm-start state load/save), and the out-of-core trainer
-# (shard-affine Hogwild over mmap'd shard rows).
+# arc set, warm-start state load/save), the out-of-core trainer
+# (shard-affine Hogwild over mmap'd shard rows), and every reader sweep of
+# the aligned section container (the shared reader's truncation, corruption
+# and structure-aware mutation sweeps, and the DDS1 and DDSH sweeps through
+# their public Open), where an over-read on a malformed file is a finding
+# even when a check rejects the file afterwards.
 TARGETS=(train_test checkpoint_test deepdirect_test embedding_test
          walks_test ml_test obs_test trace_test centrality_test graph_test
-         kernels_test serve_test incremental_test sharded_store_test)
+         kernels_test serve_test incremental_test sharded_store_test
+         container_test)
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 
 # Multi-worker + determinism tests exercise the Hogwild path and the serial
@@ -49,7 +54,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
 
-FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ProgressReporterTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*:ShardedTrainerTest.Hogwild*'
+FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ProgressReporterTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*:ShardedTrainerTest.Hogwild*:ContainerTest.*:ServableModelTest.*Sweep*:ServableModelTest.Wrapping*:ShardedStoreTest.*'
 for target in "${TARGETS[@]}"; do
   echo "=== $target ($SANITIZER) ==="
   "$BUILD_DIR/tests/$target" --gtest_filter="$FILTER"

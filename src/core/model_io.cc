@@ -25,7 +25,6 @@
 //    Written with the same atomic temp+fsync+rename primitive.
 
 #include <array>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -70,79 +69,25 @@ util::Status DeepDirectModel::ExportServable(const std::string& path) const {
     return util::Status::FailedPrecondition(
         "models with an MLP D-Step head are not servable");
   }
-  namespace fmt = servable;
-
-  // Flatten the tie index into the CSR arrays the format stores. The
-  // public Neighbors()/Degree() views reproduce the index's own adjacency
-  // arena exactly (sorted destinations grouped by source).
-  const size_t num_nodes = index_.num_nodes();
-  const size_t num_arcs = index_.num_arcs();
-  std::vector<uint64_t> offsets(num_nodes + 1, 0);
-  std::vector<uint32_t> adj;
-  adj.reserve(num_arcs);
-  for (graph::NodeId u = 0; u < num_nodes; ++u) {
-    offsets[u + 1] = offsets[u] + index_.Degree(u);
-    for (graph::NodeId v : index_.Neighbors(u)) adj.push_back(v);
-  }
-
-  fmt::Meta meta{};
-  meta.num_nodes = num_nodes;
-  meta.num_arcs = num_arcs;
+  // The tie index's own CSR arrays are the format's offsets and adj.
+  static_assert(sizeof(size_t) == sizeof(uint64_t));
+  static_assert(sizeof(graph::NodeId) == sizeof(uint32_t));
+  servable::Meta meta{};
+  meta.num_nodes = index_.num_nodes();
+  meta.num_arcs = index_.num_arcs();
   meta.dimensions = embeddings_.cols();
   meta.arc_hash = HashTieIndex(index_);
   const std::vector<double>& weights = d_step_.weights();
   const double bias = d_step_.bias();
-
-  struct Payload {
-    const char* name;
-    const void* data;
-    uint64_t size;
+  const train::container::Payload payloads[servable::kSectionCount] = {
+      {&meta, sizeof(meta)},
+      {index_.Offsets().data(), index_.Offsets().size_bytes()},
+      {index_.Adjacency().data(), index_.Adjacency().size_bytes()},
+      {embeddings_.data().data(), embeddings_.data().size() * sizeof(float)},
+      {weights.data(), weights.size() * sizeof(double)},
+      {&bias, sizeof(bias)},
   };
-  const Payload payloads[fmt::kSectionCount] = {
-      {fmt::kSectionMeta, &meta, sizeof(meta)},
-      {fmt::kSectionOffsets, offsets.data(), offsets.size() * sizeof(uint64_t)},
-      {fmt::kSectionAdj, adj.data(), adj.size() * sizeof(uint32_t)},
-      {fmt::kSectionEmbeddings, embeddings_.data().data(),
-       embeddings_.data().size() * sizeof(float)},
-      {fmt::kSectionDStepW, weights.data(), weights.size() * sizeof(double)},
-      {fmt::kSectionDStepB, &bias, sizeof(bias)},
-  };
-
-  // Lay out: header, table, then each payload at the next aligned offset.
-  fmt::SectionEntry table[fmt::kSectionCount] = {};
-  uint64_t cursor =
-      sizeof(fmt::Header) + fmt::kSectionCount * sizeof(fmt::SectionEntry);
-  for (size_t s = 0; s < fmt::kSectionCount; ++s) {
-    cursor = fmt::AlignUp(cursor);
-    std::strncpy(table[s].name, payloads[s].name,
-                 fmt::kSectionNameSize - 1);
-    table[s].offset = cursor;
-    table[s].size = payloads[s].size;
-    table[s].crc = train::Crc32(payloads[s].data, payloads[s].size);
-    cursor += payloads[s].size;
-  }
-
-  fmt::Header header{};
-  std::memcpy(header.magic, fmt::kMagic.data(), fmt::kMagic.size());
-  header.version = fmt::kVersion;
-  header.section_count = fmt::kSectionCount;
-  header.file_size = cursor;
-
-  // Assemble the image zero-filled, so alignment gaps are zero bytes (the
-  // reader verifies this — every byte of the file is then covered by a
-  // check), then patch in the meta CRC over header + table.
-  std::string bytes(cursor, '\0');
-  std::memcpy(bytes.data(), &header, sizeof(header));
-  std::memcpy(bytes.data() + sizeof(header), table, sizeof(table));
-  for (size_t s = 0; s < fmt::kSectionCount; ++s) {
-    std::memcpy(bytes.data() + table[s].offset, payloads[s].data,
-                payloads[s].size);
-  }
-  const uint32_t meta_crc = train::Crc32(
-      bytes.data(), sizeof(fmt::Header) + sizeof(table));
-  std::memcpy(bytes.data() + offsetof(fmt::Header, meta_crc), &meta_crc,
-              sizeof(meta_crc));
-  return train::AtomicWriteFile(path, bytes);
+  return train::container::WriteFile(servable::kFormat, payloads, path);
 }
 
 util::Result<std::unique_ptr<DeepDirectModel>> DeepDirectModel::Load(

@@ -1,35 +1,7 @@
-// On-disk layout of the servable DeepDirect model ("DDS1").
+// On-disk layout of the servable DeepDirect model ("DDS1"): the aligned
+// section container of train/container.h, read zero-copy through one mmap,
+// with flags 0 and these sections (all required, no others permitted):
 //
-// The training-side container (train/checkpoint.h, magic "DDM2") streams
-// length-prefixed sections back to back, which is ideal for atomic
-// checkpoint writes but hostile to memory-mapping: payload offsets are
-// unaligned and only discoverable by walking the whole file. The serving
-// layer instead uses this layout, designed to be consumed zero-copy
-// through one mmap:
-//
-//   Header (32 bytes)            magic "DDS1", version, section count,
-//                                total file size, meta CRC
-//   SectionEntry × section_count fixed 40-byte table rows: NUL-padded
-//                                name, absolute payload offset, payload
-//                                size, payload CRC32
-//   payloads                     each 64-byte aligned, in table order;
-//                                gaps between payloads are zero bytes
-//
-// Every byte of the file is accounted for: the header and table are
-// covered by `meta_crc` (computed with the field itself zeroed), every
-// payload by its table row's CRC32, and alignment padding must read as
-// zeros. A reader that validates all three rejects any truncation or
-// single-byte corruption with a structured error — the contract
-// tests/serve_test.cc sweeps exhaustively.
-//
-// 64-byte payload alignment means a page-aligned mmap base makes every
-// section pointer naturally aligned for its element type (f32 embedding
-// rows, f64 weights, u64 CSR offsets), so the serving runtime reads the
-// mapping in place — no deserialization pass, no copies, file pages are
-// faulted in on first touch and shared between processes serving the same
-// model.
-//
-// Section inventory (all required, no others permitted):
 //   meta         servable::Meta — node/arc counts, embedding width, and
 //                the FNV-1a arc hash of the training tie index
 //   offsets      u64[num_nodes + 1] — CSR row starts into `adj`
@@ -48,42 +20,13 @@
 
 #include <array>
 #include <cstdint>
-#include <cstring>
+
+#include "train/container.h"
 
 namespace deepdirect::core::servable {
 
 inline constexpr std::array<char, 4> kMagic{'D', 'D', 'S', '1'};
 inline constexpr uint32_t kVersion = 1;
-
-/// Payload alignment. 64 covers every element type the format carries and
-/// matches the cache-line size the rest of the repo assumes.
-inline constexpr uint64_t kAlignment = 64;
-
-/// Fixed-width section names (NUL-padded).
-inline constexpr size_t kSectionNameSize = 16;
-
-/// File header. `meta_crc` is the CRC32 (train::Crc32) over the header
-/// bytes with this field zeroed, followed by the full section table.
-struct Header {
-  char magic[4];
-  uint32_t version;
-  uint64_t section_count;
-  uint64_t file_size;  ///< must equal the on-disk size exactly
-  uint32_t meta_crc;
-  uint32_t reserved;   ///< must be zero
-};
-static_assert(sizeof(Header) == 32);
-
-/// One section-table row. `offset` is absolute from the file start and
-/// kAlignment-aligned; `crc` is the CRC32 of the payload bytes.
-struct SectionEntry {
-  char name[kSectionNameSize];  ///< NUL-padded, NUL-terminated
-  uint64_t offset;
-  uint64_t size;
-  uint32_t crc;
-  uint32_t reserved;  ///< must be zero
-};
-static_assert(sizeof(SectionEntry) == 40);
 
 /// Payload of the "meta" section.
 struct Meta {
@@ -96,25 +39,15 @@ struct Meta {
 };
 static_assert(sizeof(Meta) == 32);
 
-inline constexpr char kSectionMeta[] = "meta";
-inline constexpr char kSectionOffsets[] = "offsets";
-inline constexpr char kSectionAdj[] = "adj";
-inline constexpr char kSectionEmbeddings[] = "embeddings";
-inline constexpr char kSectionDStepW[] = "dstep_w";
-inline constexpr char kSectionDStepB[] = "dstep_b";
-
 /// The required section order (also the payload order in the file).
 inline constexpr const char* kSectionOrder[] = {
-    kSectionMeta,       kSectionOffsets, kSectionAdj,
-    kSectionEmbeddings, kSectionDStepW,  kSectionDStepB,
+    "meta", "offsets", "adj", "embeddings", "dstep_w", "dstep_b",
 };
 inline constexpr uint64_t kSectionCount =
     sizeof(kSectionOrder) / sizeof(kSectionOrder[0]);
 
-/// Rounds `n` up to the next kAlignment boundary.
-inline constexpr uint64_t AlignUp(uint64_t n) {
-  return (n + kAlignment - 1) & ~(kAlignment - 1);
-}
+inline constexpr train::container::Format kFormat{kMagic, kVersion, 0,
+                                                  kSectionOrder};
 
 }  // namespace deepdirect::core::servable
 

@@ -14,21 +14,12 @@
 //                    undirected arcs; mutated in place during the E-step
 //                    and sealed afterwards
 //
-// Each file reuses the DDS1 container discipline from
-// core/servable_format.h verbatim — 32-byte header, fixed 40-byte section
-// table rows, 64-byte-aligned payloads in table order, zero padding gaps,
-// meta CRC over header+table with the field zeroed, per-section payload
-// CRC32s — with two deliberate differences:
-//
-//   * magic "DDSH", and the header's reserved word becomes `flags`.
-//     Bit 0 (kFlagSealed) distinguishes a live training file (CRCs not
-//     yet meaningful, flags = 0) from a sealed one. Readers accept only
-//     sealed files and then validate every byte exactly like the DDS1
-//     reader; the fault-injection sweeps in tests/sharded_store_test.cc
-//     mirror tests/serve_test.cc.
-//   * sections may be empty (a shard with no undirected arcs has
-//     zero-length pattern sections); empty sections still occupy a table
-//     row at the canonical (aligned) offset with CRC32 of zero bytes.
+// Both files are the aligned section container of train/container.h with
+// magic "DDSH" and the section tables below. Shard files are written live
+// (flags 0, payload CRCs not yet stamped) and restamped with kFlagSealed and
+// their CRCs by ShardedStore::Seal(); the graph file is sealed at birth.
+// Readers accept only sealed files. Sections may be empty (a shard with no
+// undirected arcs has zero-length pattern sections).
 //
 // The store is not crash-atomic: a process killed mid-E-step leaves
 // unsealed shard files behind, and Open() rejects them. Checkpoint/resume
@@ -44,48 +35,12 @@
 #include <cstdio>
 #include <string>
 
+#include "train/container.h"
+
 namespace deepdirect::graph::shard {
 
 inline constexpr std::array<char, 4> kMagic{'D', 'D', 'S', 'H'};
 inline constexpr uint32_t kVersion = 1;
-
-/// Payload alignment, matching the DDS1 container (and the cache-line
-/// assumption the rest of the repo makes).
-inline constexpr uint64_t kAlignment = 64;
-
-/// Fixed-width section names (NUL-padded).
-inline constexpr size_t kSectionNameSize = 16;
-
-/// Header flag: section CRCs and meta CRC are valid; the file is
-/// immutable from here on. Readers reject files without it.
-inline constexpr uint32_t kFlagSealed = 1u << 0;
-
-/// File header; layout-identical to the DDS1 header except that the
-/// trailing reserved word carries `flags`. `meta_crc` is the CRC32
-/// (train::Crc32) over the header bytes with this field zeroed, followed
-/// by the full section table — so sealing (which sets kFlagSealed) must
-/// set flags before computing the CRC.
-struct Header {
-  char magic[4];
-  uint32_t version;
-  uint64_t section_count;
-  uint64_t file_size;  ///< must equal the on-disk size exactly
-  uint32_t meta_crc;
-  uint32_t flags;      ///< kFlag* bits; unknown bits must be zero
-};
-static_assert(sizeof(Header) == 32);
-
-/// One section-table row, identical to the DDS1 row. `offset` is absolute
-/// from the file start and kAlignment-aligned; `crc` is the CRC32 of the
-/// payload bytes (zero-length payloads carry the CRC of zero bytes).
-struct SectionEntry {
-  char name[kSectionNameSize];  ///< NUL-padded, NUL-terminated
-  uint64_t offset;
-  uint64_t size;
-  uint32_t crc;
-  uint32_t reserved;  ///< must be zero
-};
-static_assert(sizeof(SectionEntry) == 40);
 
 /// One triad arc-index pair (index(u,w), index(v,w)) for w ∈ t(u, v),
 /// referencing *global* arc indices (a triad neighbor may live in another
@@ -136,14 +91,8 @@ static_assert(sizeof(ShardMeta) == 64);
 //             arc → dst map (arc e's destination is adj[e])
 //   src       u32[num_arcs] — arc → src
 //   classes   u8[num_arcs] — core::ArcClass per arc
-inline constexpr char kSectionMeta[] = "meta";
-inline constexpr char kSectionOffsets[] = "offsets";
-inline constexpr char kSectionAdj[] = "adj";
-inline constexpr char kSectionSrc[] = "src";
-inline constexpr char kSectionClasses[] = "classes";
-
 inline constexpr const char* kGraphSectionOrder[] = {
-    kSectionMeta, kSectionOffsets, kSectionAdj, kSectionSrc, kSectionClasses,
+    "meta", "offsets", "adj", "src", "classes",
 };
 inline constexpr uint64_t kGraphSectionCount =
     sizeof(kGraphSectionOrder) / sizeof(kGraphSectionOrder[0]);
@@ -163,31 +112,17 @@ inline constexpr uint64_t kGraphSectionCount =
 // emb and conn are deliberately last and adjacent: the resident-budget
 // eviction path drops exactly the [emb, end-of-file) byte range, leaving
 // the (much smaller, always-hot) pattern arena resident.
-inline constexpr char kSectionSlot[] = "slot";
-inline constexpr char kSectionLabel[] = "label";
-inline constexpr char kSectionActive[] = "active";
-inline constexpr char kSectionTriadOffsets[] = "triad_off";
-inline constexpr char kSectionTriadPairs[] = "triad_pairs";
-inline constexpr char kSectionEmb[] = "emb";
-inline constexpr char kSectionConn[] = "conn";
-
 inline constexpr const char* kShardSectionOrder[] = {
-    kSectionMeta,         kSectionSlot,       kSectionLabel,
-    kSectionActive,       kSectionTriadOffsets, kSectionTriadPairs,
-    kSectionEmb,          kSectionConn,
+    "meta",      "slot",        "label", "active",
+    "triad_off", "triad_pairs", "emb",   "conn",
 };
 inline constexpr uint64_t kShardSectionCount =
     sizeof(kShardSectionOrder) / sizeof(kShardSectionOrder[0]);
 
-/// Rounds `n` up to the next kAlignment boundary.
-inline constexpr uint64_t AlignUp(uint64_t n) {
-  return (n + kAlignment - 1) & ~(kAlignment - 1);
-}
-
-/// Byte offset of the first payload (end of header + section table).
-inline constexpr uint64_t TableEnd(uint64_t section_count) {
-  return sizeof(Header) + section_count * sizeof(SectionEntry);
-}
+inline constexpr train::container::Format kGraphFormat{
+    kMagic, kVersion, train::container::kFlagSealed, kGraphSectionOrder};
+inline constexpr train::container::Format kShardFormat{
+    kMagic, kVersion, train::container::kFlagSealed, kShardSectionOrder};
 
 /// Canonical file names within a store directory.
 inline std::string GraphFileName() { return "graph.dds"; }

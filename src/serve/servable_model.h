@@ -1,7 +1,9 @@
 // Read-only serving runtime over an exported DDS1 model file.
 //
 // ServableModel::Open memory-maps the file, validates every byte of it
-// (header, section table, payload CRCs, zero padding), and then answers
+// (the shared container reader of train/container.h: header, section
+// table, payload CRCs, zero padding; then the meta, section sizes and
+// CSR), and then answers
 // d(u, v) queries directly off the mapping: the CSR tie index, embedding
 // matrix, and D-Step head are read in place, zero-copy. The object is
 // immutable after Open — concurrent readers share one instance with no

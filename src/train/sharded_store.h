@@ -42,6 +42,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/shard_format.h"
@@ -92,9 +93,10 @@ class ShardedStore {
       const ShardedStoreOptions& options, const ShardedStoreInit& init,
       util::Rng& rng, float init_lo, float init_hi);
 
-  /// Opens an existing, fully sealed store, validating every byte of every
-  /// file (header, meta CRC, per-section CRCs, canonical offsets, zero
-  /// padding) before any of it is trusted — the DDS1 reader contract.
+  /// Opens an existing, fully sealed store. Every file passes the shared
+  /// container reader, train::container::Reader (header, meta CRC,
+  /// per-section CRCs, canonical offsets, zero padding), and then its meta,
+  /// section-size and CSR checks before any of it is trusted.
   static util::Result<std::unique_ptr<ShardedStore>> Open(
       const std::string& dir, size_t ram_budget_mb);
 
@@ -226,7 +228,6 @@ class ShardedStore {
     serve::MmapRwFile file;
     uint64_t arc_begin = 0;
     uint64_t arc_end = 0;
-    uint64_t num_slots = 0;
     const uint32_t* slot = nullptr;
     const double* label = nullptr;
     const uint8_t* active = nullptr;
@@ -236,11 +237,22 @@ class ShardedStore {
     float* conn = nullptr;
     uint64_t evict_offset = 0;  ///< file offset of the emb section
     uint64_t evict_bytes = 0;   ///< emb+conn payload bytes
+    container::Layout layout;   ///< what Seal() restamps
     std::atomic<uint32_t> resident{0};
     std::atomic<uint64_t> last_use{0};
+
+    /// Points the section fields into `file`, laid out as `file_layout`.
+    void Wire(const graph::shard::ShardMeta& meta,
+              container::Layout file_layout);
   };
 
-  ShardedStore() = default;
+  ShardedStore(std::string dir, size_t ram_budget_mb)
+      : dir_(std::move(dir)),
+        budget_bytes_(static_cast<uint64_t>(ram_budget_mb) * 1024 * 1024) {}
+
+  /// Maps the sealed graph file, validates it, and wires meta_ and the
+  /// topology pointers.
+  util::Status MapGraph(const std::string& path);
 
   /// Maps one sealed shard file, validates every byte, and wires its
   /// section pointers into shards_[index].

@@ -26,12 +26,14 @@
 #include "serve/servable_model.h"
 #include "serve/server.h"
 #include "serve/tie_cache.h"
+#include "train/container.h"
 #include "util/random.h"
 
 namespace deepdirect::serve {
 namespace {
 
 namespace fmt = core::servable;
+namespace container = train::container;
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -143,20 +145,20 @@ TEST(ServableModelTest, RawLayoutIsCanonical) {
   // Pin the on-disk invariants the mmap reader relies on: magic, exact
   // file size in the header, and 64-byte alignment of every payload.
   const std::string& bytes = Parity().bytes;
-  ASSERT_GE(bytes.size(), sizeof(fmt::Header));
-  fmt::Header header;
+  ASSERT_GE(bytes.size(), sizeof(container::Header));
+  container::Header header;
   std::memcpy(&header, bytes.data(), sizeof(header));
   EXPECT_EQ(std::memcmp(header.magic, fmt::kMagic.data(), 4), 0);
   EXPECT_EQ(header.version, fmt::kVersion);
   EXPECT_EQ(header.section_count, fmt::kSectionCount);
   EXPECT_EQ(header.file_size, bytes.size());
   for (uint64_t s = 0; s < fmt::kSectionCount; ++s) {
-    fmt::SectionEntry entry;
-    std::memcpy(&entry, bytes.data() + sizeof(fmt::Header) +
-                            s * sizeof(fmt::SectionEntry),
+    container::SectionEntry entry;
+    std::memcpy(&entry, bytes.data() + sizeof(container::Header) +
+                            s * sizeof(container::SectionEntry),
                 sizeof(entry));
     EXPECT_STREQ(entry.name, fmt::kSectionOrder[s]);
-    EXPECT_EQ(entry.offset % fmt::kAlignment, 0u)
+    EXPECT_EQ(entry.offset % container::kAlignment, 0u)
         << "section " << entry.name << " is misaligned";
   }
 }
@@ -381,6 +383,32 @@ TEST(ServableModelTest, CorruptionSweepEveryByteNeverOpens) {
         << "flip at byte " << k << ": " << opened.status().ToString();
   }
   std::remove(path.c_str());
+}
+
+TEST(ServableModelTest, WrappingDimensionsAreRejected) {
+  // A zero-arc model whose dimensions x 8 wraps 64 bits to the 8-byte
+  // dstep_w section it carries. Every CRC is consistent, so only the
+  // checked size arithmetic can reject it.
+  fmt::Meta meta{};
+  meta.num_nodes = 3;
+  meta.num_arcs = 0;
+  meta.dimensions = (uint64_t{1} << 61) + 1;
+  const uint64_t offsets[4] = {0, 0, 0, 0};
+  const double weight = 0.5;
+  const double bias = 0.25;
+  const container::Payload payloads[fmt::kSectionCount] = {
+      {&meta, sizeof(meta)}, {offsets, sizeof(offsets)}, {nullptr, 0},
+      {nullptr, 0},          {&weight, sizeof(weight)},  {&bias, sizeof(bias)},
+  };
+  const std::string path = ProcessPath("deepdirect_serve_wrap");
+  const RemoveAtExit cleanup{path};
+  ASSERT_TRUE(container::WriteFile(fmt::kFormat, payloads, path).ok());
+  auto opened = ServableModel::Open(path);
+  ASSERT_FALSE(opened.ok()) << "opened with dimensions "
+                            << opened.value().dimensions();
+  EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find("'dimensions'"), std::string::npos)
+      << opened.status().ToString();
 }
 
 TEST(ServeLoopTest, ProtocolAnswersMatchesAndSurvivesGarbage) {

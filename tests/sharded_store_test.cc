@@ -12,6 +12,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,9 @@
 #include "core/tie_index.h"
 #include "data/generators.h"
 #include "graph/algorithms.h"
+#include "graph/shard_format.h"
 #include "ml/matrix.h"
+#include "train/container.h"
 #include "train/sharded_store.h"
 #include "util/random.h"
 
@@ -318,6 +321,86 @@ TEST(ShardedStoreTest, MissingShardFileNeverOpens) {
   fs::remove(dir + "/shard-0001.dds");
   auto opened = train::ShardedStore::Open(dir, 256);
   EXPECT_FALSE(opened.ok());
+}
+
+/// Rewrites one store file: `edit` changes its section payloads, then the
+/// file is laid out again and sealed with consistent CRCs.
+void Reforge(const std::string& path, const train::container::Format& format,
+             const std::function<void(std::vector<std::string>&)>& edit) {
+  const std::string bytes = ReadFile(path);
+  auto read =
+      train::container::Reader::Open(format, path, bytes.data(), bytes.size());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  std::vector<std::string> sections;
+  for (size_t i = 0; i < format.sections.size(); ++i) {
+    const auto section = read.value().Array<char>(i);
+    sections.emplace_back(section.data(), section.size());
+  }
+  edit(sections);
+  std::vector<train::container::Payload> payloads;
+  for (const std::string& section : sections) {
+    payloads.push_back({section.data(), section.size()});
+  }
+  ASSERT_TRUE(train::container::WriteFile(format, payloads, path).ok());
+}
+
+/// Applies `edit` to the meta struct held in `section`.
+template <typename Meta, typename Edit>
+void EditMeta(std::string& section, Edit edit) {
+  Meta meta;
+  ASSERT_EQ(section.size(), sizeof(meta));
+  std::memcpy(&meta, section.data(), sizeof(meta));
+  edit(meta);
+  std::memcpy(section.data(), &meta, sizeof(meta));
+}
+
+TEST(ShardedStoreTest, WrappingSectionSizesAreRejected) {
+  namespace shard = graph::shard;
+  // Each forged store has consistent CRCs, so only the checked size
+  // arithmetic can reject it.
+  {
+    // arcs x 2^62 x 4 wraps to 0, which empty emb and conn sections match.
+    const std::string dir = CopyStore("dd_shard_wrap_dims");
+    const uint64_t dims = uint64_t{1} << 62;
+    Reforge(dir + "/graph.dds", shard::kGraphFormat, [&](auto& sections) {
+      EditMeta<shard::GraphMeta>(
+          sections[0], [&](shard::GraphMeta& m) { m.dimensions = dims; });
+    });
+    for (const char* file : {"shard-0000.dds", "shard-0001.dds"}) {
+      Reforge(dir + "/" + file, shard::kShardFormat, [&](auto& sections) {
+        EditMeta<shard::ShardMeta>(
+            sections[0], [&](shard::ShardMeta& m) { m.dimensions = dims; });
+        sections[6].clear();
+        sections[7].clear();
+      });
+    }
+    auto opened = train::ShardedStore::Open(dir, 256);
+    ASSERT_FALSE(opened.ok())
+        << "opened with dimensions " << opened.value()->dimensions();
+    EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().message().find("'dimensions'"),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+  {
+    // (num_nodes + 1) x 8 wraps to a 64-byte offsets section; reading the
+    // CSR behind it would run past the end of the mapping.
+    const std::string dir = CopyStore("dd_shard_wrap_nodes");
+    Reforge(dir + "/graph.dds", shard::kGraphFormat, [](auto& sections) {
+      EditMeta<shard::GraphMeta>(sections[0], [](shard::GraphMeta& m) {
+        m.num_nodes = (uint64_t{1} << 61) + 7;
+      });
+      sections[1].resize(64);
+    });
+    auto opened = train::ShardedStore::Open(dir, 256);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().message().find("'num_nodes'"),
+              std::string::npos)
+        << opened.status().ToString();
+    EXPECT_EQ(opened.status().message().find("CSR"), std::string::npos)
+        << opened.status().ToString();
+  }
 }
 
 TEST(ShardedStoreTest, UnsealedStoreIsRejected) {
