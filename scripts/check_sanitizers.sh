@@ -38,11 +38,15 @@ cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
 # loop's in-place tokenizer and value renderer over request bytes), the
 # streaming-update layer (Hogwild incremental E-step over the affected
 # arc set, warm-start state load/save), the out-of-core trainer
-# (shard-affine Hogwild over mmap'd shard rows), and every reader sweep of
+# (shard-affine Hogwild over mmap'd shard rows), every reader sweep of
 # the aligned section container (the shared reader's truncation, corruption
 # and structure-aware mutation sweeps, and the DDS1 and DDSH sweeps through
 # their public Open), where an over-read on a malformed file is a finding
-# even when a check rejects the file afterwards.
+# even when a check rejects the file afterwards, and the writers that
+# gather payloads from caller memory: the DDCK writer (CheckpointTest.*,
+# and the E-step state round trip through SaveEStepState/LoadEStepState),
+# the aligned container's WriteFile (ContainerTest.*), and the CRC-32 fold
+# they checksum with (KernelsTest.*).
 TARGETS=(train_test checkpoint_test deepdirect_test embedding_test
          walks_test ml_test obs_test trace_test centrality_test graph_test
          kernels_test serve_test incremental_test sharded_store_test
@@ -54,7 +58,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
 
-FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ProgressReporterTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*:ShardedTrainerTest.Hogwild*:ContainerTest.*:ServableModelTest.*Sweep*:ServableModelTest.Wrapping*:ShardedStoreTest.*'
+FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ProgressReporterTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*:ShardedTrainerTest.Hogwild*:ContainerTest.*:ServableModelTest.*Sweep*:ServableModelTest.Wrapping*:ShardedStoreTest.*:IncrementalTest.EStepStateRoundTrips:IncrementalTest.LoadSkipsCorruptNewestCheckpoint'
 for target in "${TARGETS[@]}"; do
   echo "=== $target ($SANITIZER) ==="
   "$BUILD_DIR/tests/$target" --gtest_filter="$FILTER"

@@ -1,7 +1,11 @@
 #include "core/deepdirect.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "core/estep_body.h"
 #include "kernels/kernels.h"
@@ -337,6 +341,20 @@ util::Result<double> DeepDirectModel::TryDirectionality(NodeId u,
         " in the training network");
   }
   return Directionality(u, v);
+}
+
+DeepDirectModel::~DeepDirectModel() {
+  // Only whole pages inside M, which is freed right after, so its contents
+  // no longer matter.
+  const std::vector<float>& m = embeddings_.data();
+  const auto page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto begin =
+      (reinterpret_cast<uintptr_t>(m.data()) + page - 1) & ~(page - 1);
+  const auto end =
+      reinterpret_cast<uintptr_t>(m.data() + m.size()) & ~(page - 1);
+  if (end > begin) {
+    ::madvise(reinterpret_cast<void*>(begin), end - begin, MADV_DONTNEED);
+  }
 }
 
 }  // namespace deepdirect::core

@@ -194,6 +194,11 @@ PatternPrecompute PrecomputePatterns(const graph::MixedSocialNetwork& g,
 /// A trained DeepDirect model: embedding matrix + directionality head.
 class DeepDirectModel : public DirectionalityModel {
  public:
+  /// Hands the pages of M back to the kernel before freeing it, so a
+  /// process that outlives the model does not keep it resident (glibc
+  /// keeps a freed block of M's size on its heap; DESIGN.md §3k).
+  ~DeepDirectModel() override;
+
   /// Runs preprocessing, E-Step and D-Step on `g` (Algorithm 1). The model
   /// is self-contained; `g` may be destroyed afterwards. Requires at least
   /// one directed tie (the TDL problem needs labeled data).

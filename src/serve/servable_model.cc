@@ -7,6 +7,7 @@
 
 #include "core/servable_format.h"
 #include "ml/matrix.h"
+#include "obs/trace.h"
 #include "train/container.h"
 
 namespace deepdirect::serve {
@@ -41,6 +42,7 @@ util::Result<std::vector<uint64_t>> SectionSizes(const fmt::Meta& meta) {
 
 util::Result<ServableModel> ServableModel::Open(const std::string& path,
                                                 const ServeOptions& options) {
+  obs::TraceSpan span("serve.open");
   auto mapped = MmapFile::Open(path, MmapAdvice::kRandom);
   if (!mapped.ok()) return mapped.status();
   MmapFile file = std::move(mapped).value();

@@ -1,12 +1,13 @@
 #include "train/checkpoint.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -94,6 +95,34 @@ struct CheckpointMeta {
 };
 static_assert(sizeof(CheckpointMeta) == 64);
 
+/// Reads the whole file open at `fd` into `*out` with one sized read loop.
+/// Anything but a regular file, or one shorter than fstat reported, is an
+/// IOError.
+util::Status ReadRegularFile(int fd, const std::string& path,
+                             std::string* out) {
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    return util::Status::IOError("cannot stat " + path);
+  }
+  if (!S_ISREG(st.st_mode)) {
+    return util::Status::IOError(path + " is not a regular file");
+  }
+  out->resize(static_cast<size_t>(st.st_size));
+  size_t done = 0;
+  while (done < out->size()) {
+    const ssize_t got = ::read(fd, out->data() + done, out->size() - done);
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) return util::Status::IOError("read error on " + path);
+    if (got == 0) {
+      return util::Status::IOError(path + " ended after " +
+                                   std::to_string(done) + " of " +
+                                   std::to_string(out->size()) + " bytes");
+    }
+    done += static_cast<size_t>(got);
+  }
+  return util::Status::OK();
+}
+
 void WarnSkip(const std::string& path, const util::Status& status) {
   std::cerr << "[checkpoint] skipping " << path << ": " << status.ToString()
             << "\n";
@@ -101,68 +130,43 @@ void WarnSkip(const std::string& path, const util::Status& status) {
 
 }  // namespace
 
-uint32_t Crc32Update(uint32_t crc, const void* data, size_t size) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  crc ^= 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-uint32_t Crc32(const void* data, size_t size) {
-  return Crc32Update(0, data, size);
-}
-
 util::Status AtomicWriteFile(const std::string& path,
-                             std::string_view bytes) {
+                             std::span<const std::string_view> parts) {
   const fs::path target(path);
   const fs::path dir =
       target.has_parent_path() ? target.parent_path() : fs::path(".");
   const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return util::Status::IOError("cannot open " + tmp_path +
-                                   " for writing");
-    }
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      fs::remove(tmp_path, ec);
-      return util::Status::IOError("short write to " + tmp_path);
+  const int fd =
+      ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    return util::Status::IOError("cannot open " + tmp_path + " for writing");
+  }
+  const auto fail = [&](const std::string& what) {
+    std::error_code ec;
+    fs::remove(tmp_path, ec);
+    return util::Status::IOError(what);
+  };
+  for (std::string_view part : parts) {
+    while (!part.empty()) {
+      const ssize_t written = ::write(fd, part.data(), part.size());
+      if (written < 0 && errno == EINTR) continue;
+      if (written <= 0) {
+        ::close(fd);
+        return fail("short write to " + tmp_path);
+      }
+      part.remove_prefix(static_cast<size_t>(written));
     }
   }
+  obs::TraceSpan span("train.file_sync");
   // Flush file data to stable storage before the rename publishes it; a
   // rename that survives a crash must never point at unflushed data.
-  int fd = ::open(tmp_path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return util::Status::IOError("cannot reopen " + tmp_path + " for fsync");
+  if (::fsync(fd) != 0) {
+    ::close(fd);
+    return fail("fsync failed for " + tmp_path);
   }
-  const bool file_synced = ::fsync(fd) == 0;
-  ::close(fd);
-  if (!file_synced) {
-    std::error_code ec;
-    fs::remove(tmp_path, ec);
-    return util::Status::IOError("fsync failed for " + tmp_path);
-  }
+  if (::close(fd) != 0) return fail("close failed for " + tmp_path);
   if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::error_code ec;
-    fs::remove(tmp_path, ec);
-    return util::Status::IOError("rename " + tmp_path + " -> " + path +
-                                 " failed");
+    return fail("rename " + tmp_path + " -> " + path + " failed");
   }
   // Persist the directory entry too; best-effort (some filesystems refuse
   // O_RDONLY on directories), the data itself is already durable.
@@ -184,31 +188,59 @@ void CheckpointWriter::AddSection(std::string_view name, const void* data,
   }
   Section section;
   section.name = std::string(name);
-  section.payload.assign(static_cast<const char*>(data), size);
+  section.view = std::string_view(static_cast<const char*>(data), size);
   sections_.push_back(std::move(section));
 }
 
-std::string CheckpointWriter::Serialize() const {
-  std::string out;
-  AppendBytes(out, magic_.data(), magic_.size());
-  AppendPod(out, kFormatVersion);
-  AppendPod(out, static_cast<uint64_t>(sections_.size()));
-  AppendPod(out, Crc32(out.data(), out.size()));
+std::vector<std::string_view> CheckpointWriter::Parts(
+    std::string& frame) const {
+  frame.clear();
+  AppendBytes(frame, magic_.data(), magic_.size());
+  AppendPod(frame, kFormatVersion);
+  AppendPod(frame, static_cast<uint64_t>(sections_.size()));
+  AppendPod(frame, Crc32(frame.data(), frame.size()));
+  // Each payload goes where its section's prefix ends in the frame.
+  std::vector<size_t> cuts;
   for (const Section& section : sections_) {
-    const size_t section_start = out.size();
-    AppendPod(out, static_cast<uint32_t>(section.name.size()));
-    AppendBytes(out, section.name.data(), section.name.size());
-    AppendPod(out, static_cast<uint64_t>(section.payload.size()));
-    AppendBytes(out, section.payload.data(), section.payload.size());
-    AppendPod(out, Crc32(out.data() + section_start,
-                         out.size() - section_start));
+    const size_t section_start = frame.size();
+    const std::string_view payload = section.payload();
+    AppendPod(frame, static_cast<uint32_t>(section.name.size()));
+    AppendBytes(frame, section.name.data(), section.name.size());
+    AppendPod(frame, static_cast<uint64_t>(payload.size()));
+    cuts.push_back(frame.size());
+    AppendPod(frame,
+              Crc32Update(Crc32(frame.data() + section_start,
+                                frame.size() - section_start),
+                          payload.data(), payload.size()));
   }
-  AppendBytes(out, kFooterMagic.data(), kFooterMagic.size());
+  AppendBytes(frame, kFooterMagic.data(), kFooterMagic.size());
+
+  const std::string_view all(frame);
+  std::vector<std::string_view> parts;
+  size_t from = 0;
+  for (size_t i = 0; i < sections_.size(); ++i) {
+    parts.push_back(all.substr(from, cuts[i] - from));
+    parts.push_back(sections_[i].payload());
+    from = cuts[i];
+  }
+  parts.push_back(all.substr(from));
+  return parts;
+}
+
+std::string CheckpointWriter::Serialize() const {
+  std::string frame;
+  const std::vector<std::string_view> parts = Parts(frame);
+  size_t size = 0;
+  for (std::string_view part : parts) size += part.size();
+  std::string out;
+  out.reserve(size);
+  for (std::string_view part : parts) out.append(part);
   return out;
 }
 
 util::Status CheckpointWriter::WriteAtomic(const std::string& path) const {
-  return AtomicWriteFile(path, Serialize());
+  std::string frame;
+  return AtomicWriteFile(path, Parts(frame));
 }
 
 util::Result<CheckpointData> CheckpointData::Parse(
@@ -296,16 +328,15 @@ util::Result<CheckpointData> CheckpointData::Parse(
 
 util::Result<CheckpointData> CheckpointData::Read(
     const std::string& path, std::array<char, 4> magic) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return util::Status::IOError("cannot open " + path);
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return util::Status::IOError("read error on " + path);
-  }
-  return Parse(std::move(buffer).str(), path, magic);
+  std::string bytes;
+  const util::Status read = ReadRegularFile(fd, path, &bytes);
+  ::close(fd);
+  if (!read.ok()) return read;
+  return Parse(std::move(bytes), path, magic);
 }
 
 util::Result<std::string_view> CheckpointData::Section(
@@ -431,10 +462,9 @@ void Checkpointer::Write(const EpochEnd& end, const util::Rng& rng) {
 
   std::error_code ec;
   fs::create_directories(options_.dir, ec);
-  const std::string serialized = writer.Serialize();
+  const std::string path = PathFor(meta.epochs_done);
   util::Timer write_timer;
-  const util::Status status =
-      AtomicWriteFile(PathFor(meta.epochs_done), serialized);
+  const util::Status status = writer.WriteAtomic(path);
   if (!status.ok()) {
     // Losing one checkpoint must not kill a multi-hour run.
     std::cerr << "[checkpoint] write failed: " << status.ToString() << "\n";
@@ -443,7 +473,7 @@ void Checkpointer::Write(const EpochEnd& end, const util::Rng& rng) {
   if (obs::Enabled()) {
     obs::Registry& registry = obs::Registry::Default();
     registry.GetCounter("checkpoint.writes")->Add(1);
-    registry.GetCounter("checkpoint.bytes")->Add(serialized.size());
+    registry.GetCounter("checkpoint.bytes")->Add(fs::file_size(path, ec));
     registry.GetHistogram("checkpoint.write_seconds")
         ->Observe(write_timer.ElapsedSeconds());
   }

@@ -3,13 +3,13 @@
 // A checkpoint is a versioned, sectioned binary container: every section is
 // a (name, payload) pair protected by a CRC32 over its serialized bytes,
 // the header carries its own CRC, and the file ends in a footer magic. The
-// container is written atomically — serialized to a temp file in the target
-// directory, flushed, fsync'ed, renamed over the destination, directory
-// fsync'ed — so a crash at any byte leaves either the old file or the new
-// one, never a truncated hybrid. Readers validate everything before
-// exposing any byte: any truncation or bit flip yields a Status error
-// anchored to the failing offset or section, never a crash or a
-// silently-wrong parse.
+// container is written atomically — gathered from the caller's buffers into
+// a temp file in the target directory, fsync'ed, renamed over the
+// destination, directory fsync'ed — so a crash at any byte leaves either
+// the old file or the new one, never a truncated hybrid. Readers validate
+// everything before exposing any byte: any truncation or bit flip yields a
+// Status error anchored to the failing offset or section, never a crash or
+// a silently-wrong parse.
 //
 // On top of the container, Checkpointer snapshots SGD state at epoch
 // boundaries: the engine-owned part (epoch/step counters, run shape, the
@@ -37,11 +37,13 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
 
+#include "kernels/crc32.h"
 #include "train/lr_schedule.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -53,53 +55,73 @@ namespace deepdirect::train {
 /// with their own magic (the model format uses "DDM2").
 inline constexpr std::array<char, 4> kCheckpointMagic{'D', 'D', 'C', 'K'};
 
-/// CRC32 (IEEE 802.3, reflected 0xEDB88320) of `size` bytes at `data`.
-uint32_t Crc32(const void* data, size_t size);
+/// CRC32 (IEEE 802.3, reflected 0xEDB88320); see kernels/crc32.h.
+using kernels::Crc32;
+using kernels::Crc32Update;
 
-/// Incremental CRC32: feed `Crc32Update` successive chunks starting from 0.
-uint32_t Crc32Update(uint32_t crc, const void* data, size_t size);
-
-/// Atomically replaces `path` with `bytes`: writes `path`.tmp in the same
-/// directory, flushes and fsyncs it, renames it over `path`, and fsyncs the
-/// directory. A crash at any point leaves either the old file or the new
-/// one.
+/// Atomically replaces `path` with the concatenation of `parts`: writes them
+/// in order to `path`.tmp in the same directory through one descriptor,
+/// fsyncs it, renames it over `path`, and fsyncs the directory. A crash at
+/// any point leaves either the old file or the new one; a failed write
+/// removes the temp file and leaves `path` as it was.
 util::Status AtomicWriteFile(const std::string& path,
-                             std::string_view bytes);
+                             std::span<const std::string_view> parts);
 
-/// Builds one checkpoint container section by section.
+/// Builds one checkpoint container section by section, without copying
+/// payloads: AddSection and AddVector record a view of the caller's bytes,
+/// which must stay valid and unchanged until WriteAtomic or Serialize
+/// returns. AddPod copies its value, so it takes temporaries.
 class CheckpointWriter {
  public:
   explicit CheckpointWriter(std::array<char, 4> magic = kCheckpointMagic)
       : magic_(magic) {}
 
-  /// Appends a raw section. Names must be unique, non-empty, < 256 bytes.
+  /// Appends a section viewing `size` bytes at `data`. Names must be unique,
+  /// non-empty, < 256 bytes.
   void AddSection(std::string_view name, const void* data, size_t size);
 
-  /// Appends a trivially-copyable value as a section.
+  /// Appends a copy of a trivially-copyable value as a section.
   template <typename T>
   void AddPod(std::string_view name, const T& value) {
     static_assert(std::is_trivially_copyable_v<T>);
     AddSection(name, &value, sizeof(T));
+    Section& section = sections_.back();
+    section.copy.assign(section.view);
+    section.view = {};
   }
 
-  /// Appends a vector of trivially-copyable elements as a section.
+  /// Appends a section viewing a vector of trivially-copyable elements.
   template <typename T>
   void AddVector(std::string_view name, const std::vector<T>& values) {
     static_assert(std::is_trivially_copyable_v<T>);
     AddSection(name, values.data(), values.size() * sizeof(T));
   }
 
+  /// A temporary would be gone before the write.
+  template <typename T>
+  void AddVector(std::string_view name, const std::vector<T>&& values) =
+      delete;
+
   /// Serializes the container (header, sections with CRCs, footer).
   std::string Serialize() const;
 
-  /// Serializes and writes atomically to `path` (see AtomicWriteFile).
+  /// Writes the container atomically to `path` (see AtomicWriteFile),
+  /// gathering it straight from the sections' bytes.
   util::Status WriteAtomic(const std::string& path) const;
 
  private:
   struct Section {
     std::string name;
-    std::string payload;
+    std::string_view view;  ///< the caller's bytes (AddSection, AddVector)
+    std::string copy;       ///< the section's own bytes (AddPod)
+    std::string_view payload() const { return copy.empty() ? view : copy; }
   };
+
+  /// The container in file order, as views of `frame` and of the payloads.
+  /// `frame` receives every byte the container adds around the payloads:
+  /// the header, each section's size/name prefix and CRC, and the footer.
+  std::vector<std::string_view> Parts(std::string& frame) const;
+
   std::array<char, 4> magic_;
   std::vector<Section> sections_;
 };

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <string_view>
 
+#include "obs/trace.h"
 #include "train/checkpoint.h"
 
 namespace deepdirect::train::container {
@@ -34,6 +36,36 @@ std::array<char, kSectionNameSize> PaddedName(const char* name) {
   return padded;
 }
 
+/// Writes the header with `flags`, the table with the payload CRCs
+/// `crcs`, and the meta CRC over both into the TableEnd bytes at `head`.
+void StampHead(const Format& format, const Layout& layout,
+               std::span<const uint32_t> crcs, uint32_t flags,
+               unsigned char* head) {
+  const size_t count = format.sections.size();
+  DD_CHECK_EQ(layout.sizes.size(), count);
+  DD_CHECK_EQ(crcs.size(), count);
+  Header header{};
+  std::memcpy(header.magic, format.magic.data(), format.magic.size());
+  header.version = format.version;
+  header.section_count = count;
+  header.file_size = layout.file_size;
+  header.flags = flags;
+  std::memcpy(head, &header, sizeof(header));
+  for (size_t i = 0; i < count; ++i) {
+    SectionEntry entry{};
+    const auto name = PaddedName(format.sections[i]);
+    std::memcpy(entry.name, name.data(), name.size());
+    entry.offset = layout.offsets[i];
+    entry.size = layout.sizes[i];
+    entry.crc = crcs[i];
+    std::memcpy(head + sizeof(Header) + i * sizeof(entry), &entry,
+                sizeof(entry));
+  }
+  header.meta_crc = MetaCrc({head, TableEnd(count)});
+  std::memcpy(head + offsetof(Header, meta_crc), &header.meta_crc,
+              sizeof(header.meta_crc));
+}
+
 }  // namespace
 
 Layout MakeLayout(std::span<const uint64_t> sizes) {
@@ -50,47 +82,42 @@ Layout MakeLayout(std::span<const uint64_t> sizes) {
 
 void Stamp(const Format& format, const Layout& layout, void* image,
            size_t size, bool live) {
-  const size_t count = format.sections.size();
-  DD_CHECK_EQ(layout.sizes.size(), count);
   DD_CHECK_EQ(size, layout.file_size);
   auto* base = static_cast<unsigned char*>(image);
-  Header header{};
-  std::memcpy(header.magic, format.magic.data(), format.magic.size());
-  header.version = format.version;
-  header.section_count = count;
-  header.file_size = layout.file_size;
-  header.flags = live ? 0 : format.flags;
-  std::memcpy(base, &header, sizeof(header));
-  for (size_t i = 0; i < count; ++i) {
-    SectionEntry entry{};
-    const auto name = PaddedName(format.sections[i]);
-    std::memcpy(entry.name, name.data(), name.size());
-    entry.offset = layout.offsets[i];
-    entry.size = layout.sizes[i];
-    entry.crc = live ? 0 : Crc32(base + entry.offset, entry.size);
-    std::memcpy(base + sizeof(Header) + i * sizeof(entry), &entry,
-                sizeof(entry));
+  std::vector<uint32_t> crcs(layout.sizes.size(), 0);
+  if (!live) {
+    for (size_t i = 0; i < crcs.size(); ++i) {
+      crcs[i] = Crc32(base + layout.offsets[i], layout.sizes[i]);
+    }
   }
-  header.meta_crc = MetaCrc({base, TableEnd(count)});
-  std::memcpy(base + offsetof(Header, meta_crc), &header.meta_crc,
-              sizeof(header.meta_crc));
+  StampHead(format, layout, crcs, live ? 0 : format.flags, base);
 }
 
 util::Status WriteFile(const Format& format, std::span<const Payload> payloads,
                        const std::string& path) {
   DD_CHECK_EQ(payloads.size(), format.sections.size());
   std::vector<uint64_t> sizes;
-  for (const Payload& payload : payloads) sizes.push_back(payload.size);
-  const Layout layout = MakeLayout(sizes);
-  std::string image(layout.file_size, '\0');
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    if (payloads[i].size > 0) {
-      std::memcpy(image.data() + layout.offsets[i], payloads[i].data,
-                  payloads[i].size);
-    }
+  std::vector<uint32_t> crcs;
+  for (const Payload& payload : payloads) {
+    sizes.push_back(payload.size);
+    crcs.push_back(Crc32(payload.data, payload.size));
   }
-  Stamp(format, layout, image.data(), image.size(), /*live=*/false);
-  return AtomicWriteFile(path, image);
+  const Layout layout = MakeLayout(sizes);
+  std::string head(TableEnd(sizes.size()), '\0');
+  StampHead(format, layout, crcs, format.flags,
+            reinterpret_cast<unsigned char*>(head.data()));
+  // Every gap is shorter than kAlignment, so one block of zeros pads them
+  // all.
+  static constexpr char kZeros[kAlignment] = {};
+  std::vector<std::string_view> parts{head};
+  uint64_t cursor = head.size();
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    parts.emplace_back(kZeros, layout.offsets[i] - cursor);
+    parts.emplace_back(static_cast<const char*>(payloads[i].data),
+                       payloads[i].size);
+    cursor = layout.offsets[i] + payloads[i].size;
+  }
+  return AtomicWriteFile(path, parts);
 }
 
 util::Status CheckedMul(uint64_t count, uint64_t width, const char* field,
@@ -106,6 +133,7 @@ util::Status CheckedMul(uint64_t count, uint64_t width, const char* field,
 util::Result<Reader> Reader::Open(const Format& format,
                                   const std::string& path, const void* data,
                                   size_t file_size) {
+  obs::TraceSpan span("train.container.verify");
   const auto defect = [&](const std::string& what) {
     return FormatDefect(format, path, what);
   };

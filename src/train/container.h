@@ -112,8 +112,10 @@ struct Payload {
   uint64_t size;
 };
 
-/// Lays out one payload per format section, stamps the file finished, and
-/// writes it with AtomicWriteFile.
+/// Writes a finished file with one payload per format section: checksums
+/// each payload where it lies, stamps the header and table into a small
+/// buffer, and gathers them, the zero padding and the payloads into
+/// AtomicWriteFile. No image of the file is built.
 util::Status WriteFile(const Format& format, std::span<const Payload> payloads,
                        const std::string& path);
 

@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "file_size_limit.h"
 #include "train/checkpoint.h"
 #include "train/sgd_driver.h"
 #include "util/random.h"
@@ -60,16 +61,19 @@ void WriteFile(const std::string& path, const std::string& bytes) {
 }
 
 // A writer with a representative section mix: metadata-sized POD, an empty
-// payload, and a float blob.
+// payload, and a float blob. The writer views the blob, so it is static.
 CheckpointWriter SampleWriter() {
+  static const std::vector<float> blob = [] {
+    std::vector<float> values(37);
+    for (size_t i = 0; i < values.size(); ++i) {
+      values[i] = static_cast<float>(i) * 0.5f;
+    }
+    return values;
+  }();
   CheckpointWriter writer;
   const uint64_t counter = 41;
   writer.AddPod("counter", counter);
   writer.AddSection("empty", nullptr, 0);
-  std::vector<float> blob(37);
-  for (size_t i = 0; i < blob.size(); ++i) {
-    blob[i] = static_cast<float>(i) * 0.5f;
-  }
   writer.AddVector("blob", blob);
   return writer;
 }
@@ -136,6 +140,53 @@ TEST_F(CheckpointTest, WriteAtomicLeavesNoTempFile) {
 TEST_F(CheckpointTest, ReadOfMissingFileIsIOError) {
   auto read = CheckpointData::Read(Path("nope.ckpt"));
   EXPECT_EQ(read.status().code(), util::StatusCode::kIOError);
+}
+
+// A directory opens for reading but is no file: a wrong path must not be
+// reported as a corrupt checkpoint.
+TEST_F(CheckpointTest, ReadOfDirectoryIsIOError) {
+  auto read = CheckpointData::Read(dir_);
+  EXPECT_EQ(read.status().code(), util::StatusCode::kIOError)
+      << read.status().ToString();
+}
+
+// WriteAtomic gathers the parts Serialize concatenates, so the file and the
+// bytes the sweeps below see cannot diverge.
+TEST_F(CheckpointTest, WriteAtomicWritesTheSerializedBytes) {
+  const std::string path = Path("gathered.ckpt");
+  const CheckpointWriter writer = SampleWriter();
+  ASSERT_TRUE(writer.WriteAtomic(path).ok());
+  EXPECT_EQ(ReadFile(path), writer.Serialize());
+}
+
+// Pins the DDCK layout: a part reordered, dropped or doubled changes the
+// size or the CRC. Both values were recorded with the copying writer the
+// gathering one replaced.
+TEST_F(CheckpointTest, SerializedSampleMatchesRecordedLayout) {
+  const std::string bytes = SampleWriter().Serialize();
+  EXPECT_EQ(bytes.size(), 244u);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()), 0x34B10238u);
+}
+
+// A write that fails part-way (here at the file-size limit, after a short
+// write) returns IOError, removes its temp file and leaves the previous
+// checkpoint byte for byte.
+TEST_F(CheckpointTest, FailedWriteKeepsTheTargetAndLeavesNoTempFile) {
+  const std::string path = Path("target.ckpt");
+  ASSERT_TRUE(SampleWriter().WriteAtomic(path).ok());
+  const std::string before = ReadFile(path);
+  const std::vector<double> big(4096, 0.25);
+  CheckpointWriter writer;
+  writer.AddVector("big", big);
+  util::Status status;
+  {
+    const testing::FileSizeLimit limit(big.size() * sizeof(double) / 2);
+    ASSERT_TRUE(limit.active());
+    status = writer.WriteAtomic(path);
+  }
+  EXPECT_EQ(status.code(), util::StatusCode::kIOError) << status.ToString();
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  EXPECT_EQ(ReadFile(path), before);
 }
 
 // The crash-fault sweep: a write interrupted after byte k leaves a strict

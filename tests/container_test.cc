@@ -3,19 +3,25 @@
 // empty section, the live-then-finished stamp that DDSH sealing relies on,
 // every-length truncation and every-byte corruption sweeps, a seeded
 // structure-aware mutation loop that re-stamps CRCs so only the structural
-// checks can reject, and the CSR, size and checked-multiply helpers. The
+// checks can reject, the gathering writer against a stamped image and at a
+// failed write, and the CSR, size and checked-multiply helpers. The
 // formats' own meta and CSR checks are swept through their public Open in
 // serve_test and sharded_store_test.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstddef>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "file_size_limit.h"
 #include "train/checkpoint.h"
 #include "train/container.h"
 #include "util/random.h"
@@ -281,6 +287,104 @@ TEST(ContainerTest, StructureAwareMutationsNeverOpen) {
       EXPECT_GT(hits[kind], 0) << "mutation kind " << kind << " never ran";
     }
   }
+}
+
+// --- The gathering writer ------------------------------------------------
+
+namespace fs = std::filesystem;
+
+/// A per-process, per-test path, so `ctest -j` runs cannot collide.
+std::string TempPath(const std::string& name) {
+  return (fs::temp_directory_path() /
+          ("container_test_" + std::to_string(::getpid()) + "_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+           "_" + name))
+      .string();
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// One payload per size, section s filled with PayloadByte(s + salt, b).
+std::vector<std::string> PayloadBytes(std::span<const uint64_t> sizes,
+                                      size_t salt) {
+  std::vector<std::string> payloads;
+  for (size_t s = 0; s < sizes.size(); ++s) {
+    std::string bytes(sizes[s], '\0');
+    for (size_t b = 0; b < bytes.size(); ++b) {
+      bytes[b] = PayloadByte(s + salt, b);
+    }
+    payloads.push_back(std::move(bytes));
+  }
+  return payloads;
+}
+
+std::vector<Payload> Views(const std::vector<std::string>& payloads) {
+  std::vector<Payload> views;
+  for (const std::string& bytes : payloads) {
+    views.push_back({bytes.data(), bytes.size()});
+  }
+  return views;
+}
+
+TEST(ContainerTest, WriteFileEqualsTheStampedImage) {
+  // Section s holds s bytes: section 0 is empty, and the gaps after
+  // sections 0..63 take every padding length from 0 to 63.
+  constexpr size_t kGatherCount = 65;
+  std::vector<std::string> names;
+  std::vector<uint64_t> sizes;
+  for (size_t s = 0; s < kGatherCount; ++s) {
+    names.push_back("s" + std::to_string(s));
+    sizes.push_back(s);
+  }
+  std::vector<const char*> name_ptrs;
+  for (const std::string& name : names) name_ptrs.push_back(name.c_str());
+  const Format format{{'G', 'A', 'T', 'H'}, 1, kFlagSealed, name_ptrs};
+  const std::vector<std::string> payloads = PayloadBytes(sizes, 0);
+
+  const std::string path = TempPath("gathered");
+  ASSERT_TRUE(WriteFile(format, Views(payloads), path).ok());
+  const std::string written = ReadFile(path);
+  fs::remove(path);
+
+  const Layout layout = MakeLayout(sizes);
+  std::set<uint64_t> gaps;
+  uint64_t cursor = TableEnd(kGatherCount);
+  std::string image(layout.file_size, '\0');
+  for (size_t s = 0; s < kGatherCount; ++s) {
+    gaps.insert(layout.offsets[s] - cursor);
+    std::memcpy(image.data() + layout.offsets[s], payloads[s].data(),
+                payloads[s].size());
+    cursor = layout.offsets[s] + sizes[s];
+  }
+  ASSERT_EQ(gaps.size(), kAlignment);
+  Stamp(format, layout, image.data(), image.size(), /*live=*/false);
+  EXPECT_EQ(written, image);
+  EXPECT_TRUE(Reader::Open(format, path, written.data(), written.size()).ok());
+}
+
+// A write that fails part-way (at the file-size limit, after a short write)
+// returns IOError, removes its temp file and leaves the previous file byte
+// for byte.
+TEST(ContainerTest, FailedWriteFileKeepsTheTargetAndLeavesNoTempFile) {
+  const std::string path = TempPath("target");
+  const std::vector<std::string> first = PayloadBytes(kSizes, 0);
+  ASSERT_TRUE(WriteFile(kSealedFormat, Views(first), path).ok());
+  const std::string before = ReadFile(path);
+  const std::vector<std::string> second = PayloadBytes(kSizes, 1);
+  util::Status status;
+  {
+    const testing::FileSizeLimit limit(before.size() / 2);
+    ASSERT_TRUE(limit.active());
+    status = WriteFile(kSealedFormat, Views(second), path);
+  }
+  EXPECT_EQ(status.code(), util::StatusCode::kIOError) << status.ToString();
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  EXPECT_EQ(ReadFile(path), before);
+  fs::remove(path);
 }
 
 // --- Helpers the formats build on ----------------------------------------

@@ -1,7 +1,8 @@
 // Kernel-layer tests: dispatch mode switching, the sigmoid LUT error
 // bound, bit-identity of the scalar dispatch path against the historical
-// per-trainer arithmetic, and scalar-vs-SIMD tolerance sweeps over odd
-// lengths, unaligned spans, and denormal inputs.
+// per-trainer arithmetic, scalar-vs-SIMD tolerance sweeps over odd
+// lengths, unaligned spans, and denormal inputs, and the CRC-32 fold
+// against the bytewise loop.
 
 #include "kernels/kernels.h"
 
@@ -15,6 +16,7 @@
 #include "data/generators.h"
 #include "embedding/random_walks.h"
 #include "embedding/skipgram.h"
+#include "kernels/crc32.h"
 #include "ml/matrix.h"
 #include "train/hogwild.h"
 #include "util/random.h"
@@ -461,6 +463,60 @@ TEST_F(KernelsTest, ScalarDispatchTrainerRunsAreBitIdentical) {
   ASSERT_EQ(first.data().size(), second.data().size());
   for (size_t i = 0; i < first.data().size(); ++i) {
     EXPECT_EQ(first.data()[i], second.data()[i]) << "i=" << i;
+  }
+}
+
+// ------------------------------------------------------------- CRC-32
+
+std::vector<unsigned char> RandomBytes(size_t n, uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<unsigned char> out(n);
+  for (unsigned char& b : out) b = static_cast<unsigned char>(rng.Next());
+  return out;
+}
+
+TEST_F(KernelsTest, Crc32KnownAnswerOnBothPaths) {
+  const char data[] = "123456789";
+  EXPECT_EQ(Crc32(data, 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32UpdateBytewise(0, data, 9), 0xCBF43926u);
+}
+
+// The fold covers the 16-byte-multiple prefix of inputs of 64 bytes or
+// more; every length up to 4096 at every alignment crosses each boundary
+// between the fold, its tail and the bytewise-only short inputs.
+TEST_F(KernelsTest, Crc32FoldMatchesBytewiseAtEveryLengthAndAlignment) {
+  if (!Crc32HasFold()) {
+    GTEST_SKIP() << "no PCLMULQDQ and SSE4.1 on this host: Crc32Update is "
+                    "the bytewise loop";
+  }
+  const std::vector<unsigned char> bytes = RandomBytes(4096 + 15, 5);
+  for (size_t align = 0; align < 16; ++align) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      ASSERT_EQ(Crc32(bytes.data() + align, len),
+                Crc32UpdateBytewise(0, bytes.data() + align, len))
+          << "align " << align << ", length " << len;
+    }
+  }
+}
+
+TEST_F(KernelsTest, Crc32FoldMatchesBytewiseOnNineMebibytes) {
+  if (!Crc32HasFold()) {
+    GTEST_SKIP() << "no PCLMULQDQ and SSE4.1 on this host: Crc32Update is "
+                    "the bytewise loop";
+  }
+  const std::vector<unsigned char> bytes = RandomBytes(9 << 20, 6);
+  EXPECT_EQ(Crc32(bytes.data(), bytes.size()),
+            Crc32UpdateBytewise(0, bytes.data(), bytes.size()));
+}
+
+TEST_F(KernelsTest, Crc32ChainedCallsMatchOneCall) {
+  const std::vector<unsigned char> bytes = RandomBytes(300, 7);
+  const uint32_t whole = Crc32UpdateBytewise(0, bytes.data(), bytes.size());
+  for (size_t split = 0; split <= bytes.size(); ++split) {
+    EXPECT_EQ(Crc32Update(Crc32(bytes.data(), split), bytes.data() + split,
+                          bytes.size() - split),
+              whole)
+        << "split at " << split;
   }
 }
 
