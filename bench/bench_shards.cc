@@ -1,8 +1,8 @@
 // Out-of-core sharding bench: trains DeepDirect on the same Tencent
 // network three ways — fully in RAM, sharded with an ample budget (the
 // mmap-indirection overhead in isolation), and sharded with a budget of
-// HALF the parameter footprint (the LRU evicts all run long) — and gates
-// the sharded path's contract:
+// HALF the parameter footprint (the page CLOCK evicts all run long) — and
+// gates the sharded path's contract:
 //
 //   shard_bit_identical      "bool"/higher  sharded nt=1 with ample budget
 //                                           equals the in-RAM trainer
@@ -16,18 +16,18 @@
 //                                           own accounting of admitted
 //                                           minus evicted bytes)
 //   shard_evicts_under_pressure "bool"/higher the pressure run actually
-//                                           churned the LRU (else the
+//                                           evicted pages (else the
 //                                           budget gate proved nothing)
 //   shard_throughput_ge_0p6x "bool"/higher  sharded training throughput at
 //                                           4 shards (ample budget) is at
 //                                           least 0.6x the in-RAM trainer's
 //
 // The pressure run measures correctness, not speed: serial global sampling
-// against a working set over budget faults shards back in nearly every
-// step, which is exactly the access pattern the shard-affine Hogwild plan
-// exists to avoid (tests/sharded_store_test.cc pins that the thrashed
-// result is still bit-identical). Timing rows (*_seconds) carry
-// machine-dependent wall clock and are skipped by the cross-machine gate
+// against a working set over budget faults pages back in on most steps,
+// which is the access pattern the shard-affine Hogwild plan exists to
+// avoid (tests/sharded_store_test.cc pins that the thrashed result is
+// still bit-identical). Timing rows (*_seconds) carry machine-dependent
+// wall clock and are skipped by the cross-machine gate
 // (scripts/bench_compare.py --skip-timing); the ratio and counters
 // transfer.
 
@@ -112,7 +112,7 @@ int main() {
   const double throughput_ratio =
       sharded_seconds > 0.0 ? in_ram_seconds / sharded_seconds : 0.0;
 
-  // --- Sharded, half-footprint budget: the LRU must evict and the
+  // --- Sharded, half-footprint budget: the CLOCK must evict and the
   // resident high-water mark must still respect the bound. Short epochs:
   // this run measures accounting, not speed. ---
   core::DeepDirectConfig pressure_config = config;

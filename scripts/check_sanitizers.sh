@@ -38,7 +38,8 @@ cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
 # loop's in-place tokenizer and value renderer over request bytes), the
 # streaming-update layer (Hogwild incremental E-step over the affected
 # arc set, warm-start state load/save), the out-of-core trainer
-# (shard-affine Hogwild over mmap'd shard rows), every reader sweep of
+# (shard-affine Hogwild over mmap'd shard rows, and the page CLOCK's
+# concurrent admission and eviction under one mutex), every reader sweep of
 # the aligned section container (the shared reader's truncation, corruption
 # and structure-aware mutation sweeps, and the DDS1 and DDSH sweeps through
 # their public Open), where an over-read on a malformed file is a finding

@@ -67,7 +67,6 @@ struct InRamEnv {
     return {patterns.degree_active[s] != 0, patterns.degree_pseudo_label[s],
             std::span(patterns.triad_pairs).subspan(t_begin, t_end - t_begin)};
   }
-  void NoteStep() {}  // no residency budget to account against
 };
 
 }  // namespace

@@ -21,8 +21,10 @@
 //   uint32_t TieDegreeOf(e)
 //   Pattern(e) → any type with fields {bool degree_active;
 //       double pseudo_label; <range of .first/.second pairs> triads}
-//   void NoteStep()  — per-step bookkeeping hook (LRU clock); must not
-//       draw from any Rng or touch any float state
+//
+// MRow/NRow may do residency bookkeeping (the shard store admits and marks
+// referenced every page a row spans); nothing in the contract counts steps,
+// and no member other than the samplers draws from an Rng.
 
 #ifndef DEEPDIRECT_CORE_ESTEP_BODY_H_
 #define DEEPDIRECT_CORE_ESTEP_BODY_H_
@@ -103,8 +105,6 @@ double EStepStep(Env& env, const train::SgdStep& ctx, const Config& config,
   const double progress =
       static_cast<double>(ctx.step) / static_cast<double>(total_iterations);
   const size_t num_arcs = env.num_arcs();
-
-  env.NoteStep();
 
   // Line 13: sample a connected tie pair (e, e'). A tie with a leaf
   // destination has no pair; resample instead of silently skipping the

@@ -66,7 +66,6 @@ struct AffectedEnv {
     return {patterns.degree_active[s] != 0, patterns.degree_pseudo_label[s],
             std::span(patterns.triad_pairs).subspan(t_begin, t_end - t_begin)};
   }
-  void NoteStep() {}
 };
 
 util::Status BatchLineError(const train::TieDelta& tie,

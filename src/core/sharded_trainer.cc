@@ -66,7 +66,6 @@ struct StoreEnv {
   train::ShardedStore::PatternView Pattern(size_t e) const {
     return store.Pattern(e);
   }
-  void NoteStep() { store.NoteStep(); }
 };
 
 }  // namespace
@@ -131,9 +130,9 @@ ShardedDeepDirectModel::Train(const MixedSocialNetwork& g,
 
   train::ShardedStoreOptions store_options;
   store_options.dir = config.sharding.dir;
-  store_options.num_shards =
-      std::min(config.sharding.num_shards, std::max<size_t>(1, num_arcs));
-  store_options.ram_budget_mb = config.sharding.ram_budget_mb;
+  store_options.num_shards = config.sharding.num_shards;
+  store_options.ram_budget_bytes =
+      static_cast<uint64_t>(config.sharding.ram_budget_mb) << 20;
 
   // The embedding fill consumes `rng` in the ml::Matrix::FillUniform draw
   // order — the same draws at the same point in the stream as the in-RAM
@@ -254,6 +253,20 @@ ShardedDeepDirectModel::Train(const MixedSocialNetwork& g,
       ml::LogisticRegression(model->e_step_weights_, model->e_step_bias_);
   model->d_step_.Train(data, config.d_step);
 
+  // Residency over the whole run, in pages: the E-step, the Seal()
+  // release and the D-step's re-admissions. Reads no Rng.
+  if (obs::Enabled()) {
+    const train::ShardedStore::Stats stats = model->store_->GetStats();
+    obs::Registry& registry = obs::Registry::Default();
+    registry.GetCounter("train.store.admissions")->Add(stats.admissions);
+    registry.GetCounter("train.store.evictions")->Add(stats.evictions);
+    registry.GetGauge("train.store.resident_bytes")
+        ->Set(static_cast<double>(stats.resident_bytes));
+    registry.GetGauge("train.store.max_resident_bytes")
+        ->Set(static_cast<double>(stats.max_resident_bytes));
+    registry.GetGauge("train.store.budget_bytes")
+        ->Set(static_cast<double>(stats.budget_bytes));
+  }
   return model;
 }
 

@@ -16,9 +16,10 @@
 //     same arithmetic against spans that merely point at mmap instead of
 //     heap. Goldens in tests/sharded_store_test.cc pin this.
 //   * num_threads > 1 runs shard-affine Hogwild (SgdOptions::ShardPlan):
-//     shard s pins to worker s % N and steps sample sources from their
-//     shard, keeping each worker's resident pages hot. Like all Hogwild
-//     runs, not bit-reproducible.
+//     shard s pins to worker s % N, each worker interleaves its shards in
+//     rounds, and steps sample sources from their shard, keeping each
+//     worker's resident pages hot. Like all Hogwild runs, not
+//     bit-reproducible.
 //
 // The trained model serves d(u, v) straight off the (sealed) store — no
 // full-matrix materialization at any point. Checkpoint/resume is not
@@ -45,7 +46,9 @@ class ShardedDeepDirectModel : public DirectionalityModel {
  public:
   /// Trains out-of-core per `config.sharding` (num_shards > 0 and a store
   /// directory are required; checkpointing and the MLP D-step head are
-  /// not supported). Returns the model serving from the sealed store.
+  /// not supported). A shard count that would leave a shard without arcs
+  /// shrinks to the shards that receive some (store().num_shards()).
+  /// Returns the model serving from the sealed store.
   static util::Result<std::unique_ptr<ShardedDeepDirectModel>> Train(
       const graph::MixedSocialNetwork& g, const DeepDirectConfig& config);
 

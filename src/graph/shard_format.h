@@ -109,9 +109,11 @@ inline constexpr uint64_t kGraphSectionCount =
 //   emb          f32[(arc_end - arc_begin) × dimensions] — rows of M
 //   conn         f32[(arc_end - arc_begin) × dimensions] — rows of N
 //
-// emb and conn are deliberately last and adjacent: the resident-budget
-// eviction path drops exactly the [emb, end-of-file) byte range, leaving
-// the (much smaller, always-hot) pattern arena resident.
+// emb and conn are deliberately last and adjacent: the resident budget
+// counts the pages from the one holding the first emb byte to the end of
+// the file, and evicts them one page at a time. Only that first page is
+// shared with the (much smaller, always-hot) pattern arena, which is not
+// budgeted.
 inline constexpr const char* kShardSectionOrder[] = {
     "meta",      "slot",        "label", "active",
     "triad_off", "triad_pairs", "emb",   "conn",

@@ -168,14 +168,18 @@ util::Status MmapRwFile::Sync() {
 
 void MmapRwFile::DropResident(uint64_t offset, uint64_t length) {
   if (data_ == nullptr || length == 0 || offset >= size_) return;
-  const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
-  const uint64_t end = std::min<uint64_t>(size_, offset + length);
-  // Round inward: never touch a page shared with bytes outside the range.
-  const uint64_t begin_page = (offset + page - 1) & ~(page - 1);
-  const uint64_t end_page = end & ~(page - 1);
-  if (begin_page >= end_page) return;
+  const uint64_t page = PageSize();
+  const uint64_t end = length > size_ - offset ? size_ : offset + length;
+  // Round outward. The mapping covers whole pages, so the page holding the
+  // file's last byte is released too.
+  const uint64_t begin_page = offset & ~(page - 1);
+  const uint64_t end_page = (end + page - 1) & ~(page - 1);
   ::madvise(static_cast<char*>(data_) + begin_page, end_page - begin_page,
             MADV_DONTNEED);
+}
+
+uint64_t MmapRwFile::PageSize() {
+  return static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
 }
 
 void MmapRwFile::Advise(uint64_t offset, uint64_t length, MmapAdvice advice) {
@@ -183,7 +187,7 @@ void MmapRwFile::Advise(uint64_t offset, uint64_t length, MmapAdvice advice) {
       advice == MmapAdvice::kNone) {
     return;
   }
-  const uint64_t page = static_cast<uint64_t>(::sysconf(_SC_PAGESIZE));
+  const uint64_t page = PageSize();
   const uint64_t end = std::min<uint64_t>(size_, offset + length);
   const uint64_t begin_page = (offset + page - 1) & ~(page - 1);
   const uint64_t end_page = end & ~(page - 1);

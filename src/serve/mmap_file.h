@@ -10,7 +10,7 @@
 //                   page cache (never lost before msync), Sync() makes
 //                   them durable, and DropResident() releases a range's
 //                   resident pages without losing data — the primitive
-//                   behind the --shard-ram-mb budget.
+//                   behind the --shard-ram-mb budget's page evictions.
 //
 // Both classes take an MmapAdvice so callers can tell the kernel the
 // access pattern up front: serve handles issue MADV_RANDOM (point queries
@@ -110,10 +110,16 @@ class MmapRwFile {
   /// Tells the kernel to release the resident pages of [offset,
   /// offset+length) (madvise MADV_DONTNEED on a MAP_SHARED mapping drops
   /// the PTEs; data stays in the page cache / on disk and faults back in
-  /// on the next touch). The range is rounded *inward* to page boundaries
-  /// so bytes shared with a neighboring range are never affected; a range
-  /// smaller than one page is a no-op.
+  /// on the next touch). The range is rounded *outward* to page
+  /// boundaries: every page holding one of its bytes is released,
+  /// including the partial last page of the file, so one byte names one
+  /// page. Bytes that share a page with the range lose nothing; they only
+  /// fault back in.
   void DropResident(uint64_t offset, uint64_t length);
+
+  /// The system page size, sysconf(_SC_PAGESIZE): the granularity of
+  /// DropResident and Advise.
+  static uint64_t PageSize();
 
   /// Applies an access-pattern hint to [offset, offset+length), rounded
   /// inward to page boundaries.

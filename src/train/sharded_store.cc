@@ -1,5 +1,6 @@
 #include "train/sharded_store.h"
 
+#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
@@ -66,7 +67,25 @@ util::Result<std::vector<uint64_t>> ShardSectionSizes(
   return sizes;
 }
 
+/// Shards that receive arcs when `num_arcs` arcs are cut into contiguous
+/// ranges of ⌈num_arcs/num_shards⌉: ⌈N/⌈N/S⌉⌉, at most S. Both counts
+/// must be nonzero.
+uint64_t ShardsWithArcs(uint64_t num_arcs, uint64_t num_shards) {
+  const auto ceil_div = [](uint64_t a, uint64_t b) {
+    return a / b + (a % b != 0 ? 1 : 0);
+  };
+  return ceil_div(num_arcs, ceil_div(num_arcs, num_shards));
+}
+
 }  // namespace
+
+ShardedStore::ShardedStore(std::string dir, uint64_t ram_budget_bytes)
+    : dir_(std::move(dir)),
+      budget_bytes_(ram_budget_bytes),
+      page_bytes_(serve::MmapRwFile::PageSize()),
+      page_shift_(static_cast<unsigned>(std::countr_zero(page_bytes_))) {
+  DD_CHECK(std::has_single_bit(page_bytes_));
+}
 
 util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Create(
     const ShardedStoreOptions& options, const ShardedStoreInit& init,
@@ -74,7 +93,6 @@ util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Create(
   const size_t num_arcs = init.adjacency.size();
   DD_CHECK_GT(num_arcs, 0u);
   DD_CHECK_GT(options.num_shards, 0u);
-  DD_CHECK_LE(options.num_shards, num_arcs);
   DD_CHECK_GT(init.dimensions, 0u);
   DD_CHECK_EQ(init.sources.size(), num_arcs);
   DD_CHECK_EQ(init.classes.size(), num_arcs);
@@ -84,14 +102,17 @@ util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Create(
   DD_RETURN_NOT_OK(EnsureDir(options.dir));
 
   std::unique_ptr<ShardedStore> store(
-      new ShardedStore(options.dir, options.ram_budget_mb));
+      new ShardedStore(options.dir, options.ram_budget_bytes));
 
   fmt::GraphMeta meta{};
   meta.kind = fmt::kGraphKind;
   meta.num_nodes = init.offsets.size() - 1;
   meta.num_arcs = num_arcs;
   meta.dimensions = init.dimensions;
-  meta.num_shards = options.num_shards;
+  // ⌈N/S⌉ arcs per shard can leave the last shards empty (or starting past
+  // the last arc), so S shrinks to the shards that receive arcs. Any S that
+  // leaves no shard empty is kept as is.
+  meta.num_shards = ShardsWithArcs(num_arcs, options.num_shards);
   meta.num_connected_pairs = init.num_connected_pairs;
   meta.arc_hash = init.arc_hash;
 
@@ -112,8 +133,9 @@ util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Create(
   // filled from `rng` in global row-major arc order (shards are laid out
   // in arc order, so sequential per-shard fills consume the exact draw
   // sequence of ml::Matrix::FillUniform on the whole matrix).
-  store->shards_.reset(new Shard[options.num_shards]);
-  for (size_t s = 0; s < options.num_shards; ++s) {
+  const size_t num_shards = store->num_shards();
+  store->shards_.reset(new Shard[num_shards]);
+  for (size_t s = 0; s < num_shards; ++s) {
     const uint64_t arc_begin = s * store->arcs_per_shard_;
     const uint64_t arc_end =
         std::min<uint64_t>(num_arcs, (s + 1) * store->arcs_per_shard_);
@@ -182,21 +204,23 @@ util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Create(
     // conn stays zero (the file is a sparse hole).
     container::Stamp(fmt::kShardFormat, shard.layout, base, shard.file.size(),
                      /*live=*/true);
-    // Creation touched every emb page; start training with nothing
-    // resident so admission accounting sees the true working set.
-    shard.file.DropResident(shard.evict_offset, shard.evict_bytes);
+    // Creation touched every page; start training with nothing resident
+    // so admission accounting sees the true working set.
+    shard.file.DropResident(0, shard.file.size());
   }
+  store->InitPages();
   return store;
 }
 
 util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
-    const std::string& dir, size_t ram_budget_mb) {
-  std::unique_ptr<ShardedStore> store(new ShardedStore(dir, ram_budget_mb));
+    const std::string& dir, uint64_t ram_budget_bytes) {
+  std::unique_ptr<ShardedStore> store(new ShardedStore(dir, ram_budget_bytes));
   DD_RETURN_NOT_OK(store->MapGraph(dir + "/" + fmt::GraphFileName()));
   store->shards_.reset(new Shard[store->meta_.num_shards]);
   for (size_t s = 0; s < store->meta_.num_shards; ++s) {
     DD_RETURN_NOT_OK(store->AttachShard(s, dir + "/" + fmt::ShardFileName(s)));
   }
+  store->InitPages();
   return store;
 }
 
@@ -214,8 +238,10 @@ util::Status ShardedStore::MapGraph(const std::string& path) {
     return reader.Defect("meta kind is not a graph");
   }
   if (meta.reserved0 != 0) return reader.Defect("nonzero reserved meta field");
+  // Create() never writes a shard without arcs, so a count that would
+  // leave one empty is a defect.
   if (meta.num_arcs == 0 || meta.num_shards == 0 || meta.dimensions == 0 ||
-      meta.num_shards > meta.num_arcs) {
+      ShardsWithArcs(meta.num_arcs, meta.num_shards) != meta.num_shards) {
     return reader.Defect("degenerate meta geometry");
   }
   DD_RETURN_NOT_OK(reader.CheckSizes(GraphSectionSizes(meta)));
@@ -230,6 +256,7 @@ util::Status ShardedStore::MapGraph(const std::string& path) {
   }
   meta_ = meta;
   arcs_per_shard_ = (meta.num_arcs + meta.num_shards - 1) / meta.num_shards;
+  row_bytes_ = meta.dimensions * sizeof(float);
   offsets_ = offsets.data();
   adj_ = adj.data();
   src_ = src.data();
@@ -312,47 +339,75 @@ void ShardedStore::Shard::Wire(const fmt::ShardMeta& meta,
   triad_pairs = reinterpret_cast<const fmt::TriadPair*>(at(5));
   emb = reinterpret_cast<float*>(at(6));
   conn = reinterpret_cast<float*>(at(7));
-  evict_offset = layout.offsets[6];
-  evict_bytes = layout.file_size - layout.offsets[6];
 }
 
-void ShardedStore::Admit(Shard& s) {
+void ShardedStore::InitPages() {
+  num_pages_ = 0;
+  for (size_t s = 0; s < num_shards(); ++s) {
+    Shard& shard = shards_[s];
+    shard.page_offset = shard.layout.offsets[6] & ~(page_bytes_ - 1);
+    shard.page_origin =
+        reinterpret_cast<uintptr_t>(shard.file.data()) + shard.page_offset;
+    shard.first_page = num_pages_;
+    num_pages_ += static_cast<size_t>(
+        (shard.layout.file_size - shard.page_offset + page_bytes_ - 1) >>
+        page_shift_);
+  }
+  pages_.reset(new Page[num_pages_]);
+}
+
+void ShardedStore::Admit(size_t p) {
   std::lock_guard<std::mutex> lock(admit_mu_);
-  if (s.resident.load(std::memory_order_acquire) != 0) return;  // raced
-  const uint64_t incoming = s.evict_bytes;
-  // Evict least-recently-used resident shards until the incoming shard
-  // fits. The budget can never force the incoming shard itself out, so a
-  // budget smaller than one shard degrades to exactly-one-resident.
-  while (resident_bytes_ > 0 && resident_bytes_ + incoming > budget_bytes_) {
-    Shard* victim = nullptr;
-    uint64_t oldest = UINT64_MAX;
-    for (size_t i = 0; i < meta_.num_shards; ++i) {
-      Shard& candidate = shards_[i];
-      if (&candidate == &s ||
-          candidate.resident.load(std::memory_order_relaxed) == 0) {
-        continue;
-      }
-      const uint64_t t = candidate.last_use.load(std::memory_order_relaxed);
-      if (t < oldest) {
-        oldest = t;
-        victim = &candidate;
-      }
+  Page& incoming = pages_[p];
+  if (incoming.resident.load(std::memory_order_relaxed) != 0) return;  // raced
+  // Advance the hand until the incoming page fits. It never evicts the
+  // incoming page (not resident yet), so a budget below one page degrades
+  // to exactly one resident page. A lap clears every reference byte it
+  // passes, so unless rows keep being touched meanwhile, the hand finds a
+  // victim within two laps.
+  while (resident_bytes_ > 0 && resident_bytes_ + page_bytes_ > budget_bytes_) {
+    const size_t q = hand_;
+    hand_ = hand_ + 1 == num_pages_ ? 0 : hand_ + 1;
+    Page& page = pages_[q];
+    if (page.resident.load(std::memory_order_relaxed) == 0) continue;
+    if (page.referenced.load(std::memory_order_relaxed) != 0) {
+      page.referenced.store(0, std::memory_order_relaxed);
+      continue;
     }
-    if (victim == nullptr) break;
-    victim->resident.store(0, std::memory_order_release);
-    victim->file.DropResident(victim->evict_offset, victim->evict_bytes);
-    resident_bytes_ -= victim->evict_bytes;
+    // The victim's shard is the last one whose range starts at or before q.
+    Shard* victim =
+        std::upper_bound(shards_.get(), shards_.get() + num_shards(), q,
+                         [](size_t index, const Shard& s) {
+                           return index < s.first_page;
+                         }) -
+        1;
+    page.resident.store(0, std::memory_order_release);
+    victim->file.DropResident(
+        victim->page_offset + ((q - victim->first_page) << page_shift_), 1);
+    resident_bytes_ -= page_bytes_;
     ++evictions_;
   }
-  resident_bytes_ += incoming;
+  resident_bytes_ += page_bytes_;
   max_resident_bytes_ = std::max(max_resident_bytes_, resident_bytes_);
   ++admissions_;
-  s.last_use.store(tick_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-  s.resident.store(1, std::memory_order_release);
+  incoming.resident.store(1, std::memory_order_release);
 }
 
 util::Status ShardedStore::Seal() {
+  // The CRC pass faults in whole shard files without admission; starting
+  // from nothing resident and dropping each file once stamped keeps it to
+  // one shard's pages at a time. The release is not an eviction.
+  {
+    std::lock_guard<std::mutex> lock(admit_mu_);
+    for (size_t s = 0; s < meta_.num_shards; ++s) {
+      shards_[s].file.DropResident(0, shards_[s].file.size());
+    }
+    for (size_t p = 0; p < num_pages_; ++p) {
+      pages_[p].resident.store(0, std::memory_order_relaxed);
+      pages_[p].referenced.store(0, std::memory_order_relaxed);
+    }
+    resident_bytes_ = 0;
+  }
   for (size_t s = 0; s < meta_.num_shards; ++s) {
     Shard& shard = shards_[s];
     // Sequential sweep for the CRC pass, back to random afterwards.
@@ -360,6 +415,7 @@ util::Status ShardedStore::Seal() {
     container::Stamp(fmt::kShardFormat, shard.layout, shard.file.data(),
                      shard.file.size(), /*live=*/false);
     DD_RETURN_NOT_OK(shard.file.Sync());
+    shard.file.DropResident(0, shard.file.size());
     shard.file.Advise(0, shard.file.size(), serve::MmapAdvice::kRandom);
   }
   return util::Status::OK();

@@ -6,14 +6,23 @@
 // connection matrix N, and the pattern arena for its undirected arcs. All
 // of it is served through MAP_SHARED mmap, so the heap never holds the
 // |E|×l parameter matrices — the kernel's page cache does, and a fixed
-// resident budget (`ram_budget_mb`) bounds how much of it stays mapped in
-// at once:
+// resident budget (`ram_budget_bytes`) bounds how much of it stays mapped
+// in at once:
 //
-//   * EmbRow/ConnRow admit the row's shard on first touch and stamp its
-//     LRU tick; admission over budget evicts the least-recently-used
-//     resident shard by dropping its emb+conn pages (MADV_DONTNEED on a
-//     MAP_SHARED mapping releases RSS without losing data — evicted rows
-//     fault back in from the page cache / disk on the next touch).
+//   * The unit of residency is one page (sysconf(_SC_PAGESIZE)). A shard's
+//     budgeted range runs from the page holding its first emb byte to the
+//     end of the file, so every page a row can touch is exactly one unit.
+//   * EmbRow/ConnRow admit every page the row spans (rows are l·4 bytes
+//     and only 64-byte aligned, so a row can straddle a page boundary)
+//     and mark resident ones referenced: one acquire load per page, and a
+//     store of the reference byte only when it is clear. Admission over
+//     budget runs a CLOCK under one mutex: a hand advances over the pages
+//     of all shards, clears each reference byte it passes, and drops the
+//     first unreferenced resident page (MADV_DONTNEED on a MAP_SHARED
+//     mapping releases RSS without losing data — the page faults back in
+//     from the page cache / disk on the next touch). A page starts
+//     unreferenced, so a page touched once goes first and the hot head of
+//     the noise distribution stays resident on its own.
 //   * The returned spans stay valid for the store's lifetime even across
 //     eviction (the mapping is never unmapped mid-run), so Hogwild workers
 //     can race on rows exactly as they do on in-RAM matrices.
@@ -22,12 +31,13 @@
 //     against the budget; neither is the pattern arena (both are small
 //     next to M and N and always hot).
 //
-// Residency counters are thread-striped-free by design: the admit path is
-// a mutex (cold — once per shard working-set change), the touch path is
-// two relaxed atomics. Create() fills the embedding sections with the
-// caller's Rng in global row-major arc order — the exact draw order of
-// ml::Matrix::FillUniform — which is what makes an nt=1 sharded run
-// bit-identical to the in-RAM trainer regardless of the shard count.
+// State is two bytes per page (resident, referenced), and the accounting
+// is exact (GetStats). Seal() releases every page before its CRC pass and
+// drops each shard file after stamping it, so it holds the budget too.
+// Create() fills the embedding sections with the caller's Rng in global
+// row-major arc order — the exact draw order of ml::Matrix::FillUniform —
+// which is what makes an nt=1 sharded run bit-identical to the in-RAM
+// trainer regardless of the shard count.
 //
 // Not crash-atomic: shard files are live (unsealed) during training and
 // Seal() must run before Open() will accept them again.
@@ -56,7 +66,8 @@ namespace deepdirect::train {
 struct ShardedStoreOptions {
   std::string dir;            ///< store directory (created if missing)
   size_t num_shards = 1;      ///< contiguous arc-range shards
-  size_t ram_budget_mb = 256; ///< resident emb+conn budget across shards
+  /// Resident emb+conn budget across shards, counted in whole pages.
+  uint64_t ram_budget_bytes = uint64_t{256} << 20;
 };
 
 /// Flat inputs Create() serializes; all spans reference caller memory and
@@ -98,7 +109,7 @@ class ShardedStore {
   /// per-section CRCs, canonical offsets, zero padding), and then its meta,
   /// section-size and CSR checks before any of it is trusted.
   static util::Result<std::unique_ptr<ShardedStore>> Open(
-      const std::string& dir, size_t ram_budget_mb);
+      const std::string& dir, uint64_t ram_budget_bytes);
 
   ShardedStore(const ShardedStore&) = delete;
   ShardedStore& operator=(const ShardedStore&) = delete;
@@ -118,30 +129,22 @@ class ShardedStore {
   uint64_t ShardArcEnd(size_t s) const { return shards_[s].arc_end; }
 
   // --- Parameter rows (budget-managed) ----------------------------------
-  /// Row e of the embedding matrix M. Admits the owning shard (evicting
-  /// LRU shards past the budget) and stamps its LRU tick.
+  /// Row e of the embedding matrix M. Admits every page the row spans
+  /// (the CLOCK evicts past the budget) and marks resident ones referenced.
   std::span<float> EmbRow(size_t e) {
-    Shard& s = shards_[ShardOf(e)];
-    if (s.resident.load(std::memory_order_acquire) == 0) Admit(s);
-    s.last_use.store(tick_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    return {s.emb + (e - s.arc_begin) * meta_.dimensions,
-            static_cast<size_t>(meta_.dimensions)};
+    const Shard& s = shards_[ShardOf(e)];
+    float* row = s.emb + (e - s.arc_begin) * meta_.dimensions;
+    Touch(s, row);
+    return {row, static_cast<size_t>(meta_.dimensions)};
   }
 
   /// Row e of the connection matrix N; same admission discipline.
   std::span<float> ConnRow(size_t e) {
-    Shard& s = shards_[ShardOf(e)];
-    if (s.resident.load(std::memory_order_acquire) == 0) Admit(s);
-    s.last_use.store(tick_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    return {s.conn + (e - s.arc_begin) * meta_.dimensions,
-            static_cast<size_t>(meta_.dimensions)};
+    const Shard& s = shards_[ShardOf(e)];
+    float* row = s.conn + (e - s.arc_begin) * meta_.dimensions;
+    Touch(s, row);
+    return {row, static_cast<size_t>(meta_.dimensions)};
   }
-
-  /// Advances the LRU clock; trainers call this once per SGD step so
-  /// eviction order tracks recency of *steps*, not wall time.
-  void NoteStep() { tick_.fetch_add(1, std::memory_order_relaxed); }
 
   // --- Pattern arena ----------------------------------------------------
   /// Pattern data of one undirected arc; `has` is false for arcs without a
@@ -210,14 +213,17 @@ class ShardedStore {
   // --- Lifecycle --------------------------------------------------------
   /// Syncs every shard file and stamps section CRCs, the meta CRC, and the
   /// sealed flag — after which the files validate byte-for-byte and Open()
-  /// accepts the store again. Idempotent.
+  /// accepts the store again. Releases every admitted page first (not an
+  /// eviction) and drops each shard file once it is stamped, so the CRC
+  /// pass maps one shard at a time and nothing is resident on return; the
+  /// next row access admits afresh. Idempotent.
   util::Status Seal();
 
-  /// Residency accounting, exact (updated under the admit mutex).
+  /// Residency accounting in pages, exact (updated under the admit mutex).
   struct Stats {
-    uint64_t admissions = 0;
-    uint64_t evictions = 0;
-    uint64_t resident_bytes = 0;      ///< currently admitted emb+conn bytes
+    uint64_t admissions = 0;          ///< pages admitted
+    uint64_t evictions = 0;           ///< pages evicted by the CLOCK
+    uint64_t resident_bytes = 0;      ///< admitted pages × page size
     uint64_t max_resident_bytes = 0;  ///< high-water mark of the above
     uint64_t budget_bytes = 0;
   };
@@ -235,20 +241,26 @@ class ShardedStore {
     const graph::shard::TriadPair* triad_pairs = nullptr;
     float* emb = nullptr;
     float* conn = nullptr;
-    uint64_t evict_offset = 0;  ///< file offset of the emb section
-    uint64_t evict_bytes = 0;   ///< emb+conn payload bytes
-    container::Layout layout;   ///< what Seal() restamps
-    std::atomic<uint32_t> resident{0};
-    std::atomic<uint64_t> last_use{0};
+    container::Layout layout;  ///< what Seal() restamps
+    /// The budgeted range: whole pages from the one holding the first emb
+    /// byte to the end of the file, numbered from first_page among the
+    /// CLOCK's pages.
+    uint64_t page_offset = 0;   ///< file offset of the range's first page
+    uintptr_t page_origin = 0;  ///< its address in the mapping
+    size_t first_page = 0;
 
     /// Points the section fields into `file`, laid out as `file_layout`.
     void Wire(const graph::shard::ShardMeta& meta,
               container::Layout file_layout);
   };
 
-  ShardedStore(std::string dir, size_t ram_budget_mb)
-      : dir_(std::move(dir)),
-        budget_bytes_(static_cast<uint64_t>(ram_budget_mb) * 1024 * 1024) {}
+  /// Residency state of one page; two bytes.
+  struct Page {
+    std::atomic<uint8_t> resident{0};
+    std::atomic<uint8_t> referenced{0};
+  };
+
+  ShardedStore(std::string dir, uint64_t ram_budget_bytes);
 
   /// Maps the sealed graph file, validates it, and wires meta_ and the
   /// topology pointers.
@@ -258,13 +270,35 @@ class ShardedStore {
   /// section pointers into shards_[index].
   util::Status AttachShard(size_t index, const std::string& path);
 
-  /// Admits `s` under the budget, evicting LRU resident shards first.
-  void Admit(Shard& s);
+  /// Lays the shards' budgeted ranges end to end as the CLOCK's pages,
+  /// all non-resident. Runs once every shard is wired.
+  void InitPages();
+
+  /// Admits or marks referenced every page of the row at `row`.
+  void Touch(const Shard& s, const float* row) {
+    const uintptr_t at = reinterpret_cast<uintptr_t>(row) - s.page_origin;
+    const size_t first = s.first_page + (at >> page_shift_);
+    const size_t last = s.first_page + ((at + row_bytes_ - 1) >> page_shift_);
+    for (size_t p = first; p <= last; ++p) {
+      Page& page = pages_[p];
+      if (page.resident.load(std::memory_order_acquire) == 0) {
+        Admit(p);
+      } else if (page.referenced.load(std::memory_order_relaxed) == 0) {
+        page.referenced.store(1, std::memory_order_relaxed);
+      }
+    }
+  }
+
+  /// Admits page `p` under the budget, evicting with the CLOCK first.
+  void Admit(size_t p);
 
   std::string dir_;
   graph::shard::GraphMeta meta_{};
   size_t arcs_per_shard_ = 1;
   uint64_t budget_bytes_ = 0;
+  uint64_t page_bytes_ = 0;
+  unsigned page_shift_ = 0;
+  uint64_t row_bytes_ = 0;
 
   serve::MmapFile graph_file_;
   const uint64_t* offsets_ = nullptr;
@@ -273,9 +307,11 @@ class ShardedStore {
   const uint8_t* classes_ = nullptr;
 
   std::unique_ptr<Shard[]> shards_;
+  std::unique_ptr<Page[]> pages_;
+  size_t num_pages_ = 0;
 
-  std::atomic<uint64_t> tick_{0};
   mutable std::mutex admit_mu_;
+  size_t hand_ = 0;                  // guarded by admit_mu_
   uint64_t resident_bytes_ = 0;      // guarded by admit_mu_
   uint64_t max_resident_bytes_ = 0;  // guarded by admit_mu_
   uint64_t admissions_ = 0;          // guarded by admit_mu_

@@ -1,8 +1,9 @@
 // Tests for out-of-core training: the DDSH shard store round-trip,
 // every-length truncation and every-byte corruption sweeps over a sealed
-// store, the bit-identity goldens (sharded nt=1 vs in-RAM, 1 shard vs 4
-// shards, tiny-budget eviction churn), residency accounting, and the
-// shard-affine Hogwild path.
+// store, the bit-identity goldens (sharded nt=1 vs in-RAM, every shard
+// count vs 1 shard, tiny-budget eviction churn), the page CLOCK's
+// accounting, second chance, data safety, Seal() release and concurrent
+// admission, and the shard-affine Hogwild path.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -13,7 +14,9 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/applications.h"
@@ -24,6 +27,8 @@
 #include "graph/algorithms.h"
 #include "graph/shard_format.h"
 #include "ml/matrix.h"
+#include "obs/metrics.h"
+#include "serve/mmap_file.h"
 #include "train/container.h"
 #include "train/sharded_store.h"
 #include "util/random.h"
@@ -32,6 +37,9 @@ namespace deepdirect::core {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// A store budget that holds every fixture's M+N.
+constexpr uint64_t kAmpleBudget = uint64_t{256} << 20;
 
 /// A clean store directory under /tmp (leftovers from a previous run are
 /// removed so stale shard files can never satisfy an Open).
@@ -124,7 +132,7 @@ TEST(ShardedTrainerTest, ShardCountDoesNotChangeTheModel) {
 
 TEST(ShardedTrainerTest, TinyBudgetEvictsAndStaysBitIdentical) {
   // Big enough that M + N (~2.9 MB at l = 64) overflows a 1 MB budget, so
-  // the serial run's global sampling churns shards through the LRU the
+  // the serial run's global sampling churns pages through the CLOCK the
   // whole way — and the result must still match the in-RAM trainer.
   const auto split = MakeSplit(800, 7);
   const auto base = BaseConfig(64, 1.0);
@@ -142,6 +150,68 @@ TEST(ShardedTrainerTest, TinyBudgetEvictsAndStaysBitIdentical) {
   EXPECT_LE(stats.max_resident_bytes, stats.budget_bytes);
 }
 
+TEST(ShardedTrainerTest, EveryShardCountTrainsSealsAndReopens) {
+  // ⌈N/S⌉ arcs per shard leaves the last shards of some S ≤ N without arcs
+  // (or starting past the last one). Every S must train the model of
+  // S = 1 on shards that all hold arcs, and reopen with the same count.
+  const auto split = MakeSplit(14, 11);
+  const auto base = BaseConfig(4, 0.5);
+  auto one = ShardedDeepDirectModel::Train(
+      split.network, ShardedConfig(base, 1, FreshDir("dd_shard_count_1")));
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  const size_t num_arcs = one.value()->store().num_arcs();
+  for (size_t shards = 2; shards <= num_arcs; ++shards) {
+    SCOPED_TRACE(std::to_string(shards) + " shards of " +
+                 std::to_string(num_arcs) + " arcs");
+    const std::string dir = FreshDir("dd_shard_count_sweep");
+    auto model = ShardedDeepDirectModel::Train(
+        split.network, ShardedConfig(base, shards, dir));
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    const train::ShardedStore& store = model.value()->store();
+    ASSERT_LE(store.num_shards(), shards);
+    for (size_t s = 0; s < store.num_shards(); ++s) {
+      ASSERT_LT(store.ShardArcBegin(s), store.ShardArcEnd(s)) << "shard " << s;
+    }
+    ASSERT_EQ(store.ShardArcEnd(store.num_shards() - 1), num_arcs);
+    ExpectBitIdentical(split, *one.value(), *model.value());
+    auto reopened = train::ShardedStore::Open(dir, kAmpleBudget);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_EQ(reopened.value()->num_shards(), store.num_shards());
+  }
+}
+
+#if DEEPDIRECT_OBS
+TEST(ShardedTrainerTest, PublishesStoreResidencyWithoutChangingTheModel) {
+  const auto split = MakeSplit(800, 7);
+  const auto base = BaseConfig(64, 0.5);
+  auto off = ShardedDeepDirectModel::Train(
+      split.network, ShardedConfig(base, 8, FreshDir("dd_shard_obs_off"), 1));
+  ASSERT_TRUE(off.ok()) << off.status().ToString();
+
+  obs::Registry& registry = obs::Registry::Default();
+  registry.Reset();
+  registry.set_enabled(true);
+  auto on = ShardedDeepDirectModel::Train(
+      split.network, ShardedConfig(base, 8, FreshDir("dd_shard_obs_on"), 1));
+  registry.set_enabled(false);
+  ASSERT_TRUE(on.ok()) << on.status().ToString();
+  const auto stats = on.value()->store().GetStats();
+  EXPECT_EQ(registry.GetCounter("train.store.admissions")->Value(),
+            stats.admissions);
+  EXPECT_EQ(registry.GetCounter("train.store.evictions")->Value(),
+            stats.evictions);
+  EXPECT_EQ(registry.GetGauge("train.store.resident_bytes")->Value(),
+            static_cast<double>(stats.resident_bytes));
+  EXPECT_EQ(registry.GetGauge("train.store.max_resident_bytes")->Value(),
+            static_cast<double>(stats.max_resident_bytes));
+  EXPECT_EQ(registry.GetGauge("train.store.budget_bytes")->Value(),
+            static_cast<double>(stats.budget_bytes));
+  registry.Reset();
+  EXPECT_GT(stats.evictions, 0u);
+  ExpectBitIdentical(split, *off.value(), *on.value());
+}
+#endif  // DEEPDIRECT_OBS
+
 TEST(ShardedTrainerTest, HogwildShardedTrainsToSaneAccuracy) {
   const auto split = MakeSplit();
   auto base = BaseConfig();
@@ -156,6 +226,48 @@ TEST(ShardedTrainerTest, HogwildShardedTrainsToSaneAccuracy) {
       DirectionDiscoveryAccuracy(split, *sharded.value());
   EXPECT_GT(accuracy, 0.5);  // must beat a coin flip
   EXPECT_LE(accuracy, 1.0);
+}
+
+TEST(ShardedTrainerTest, HogwildAccuracyWithinSerialSeedSpread) {
+  // Shard-affine Hogwild must not cost accuracy beyond what a change of
+  // trainer seed costs serially: over trainer seeds 1–5, the mean accuracy
+  // of two workers on 4 shards must not fall below the serial mean minus
+  // the serial range. M+N (~1.4 MB at l = 32) overflows the 1 MB budget,
+  // so the store evicts. The serial runs train in RAM, which a serial
+  // sharded run matches bit for bit at any budget.
+  const auto split = MakeSplit(800, 7);
+  auto accuracies = [&](size_t threads) {
+    std::vector<double> out;
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      DeepDirectConfig config = BaseConfig(32, 3.0);
+      config.seed = seed;
+      config.num_threads = threads;
+      config.d_step.num_threads = threads;
+      if (threads == 1) {
+        const auto model = DeepDirectModel::Train(split.network, config);
+        out.push_back(DirectionDiscoveryAccuracy(split, *model));
+        continue;
+      }
+      auto model = ShardedDeepDirectModel::Train(
+          split.network,
+          ShardedConfig(config, 4, FreshDir("dd_shard_hogwild_spread"), 1));
+      EXPECT_TRUE(model.ok()) << model.status().ToString();
+      if (!model.ok()) break;
+      EXPECT_GT(model.value()->store().GetStats().evictions, 0u);
+      out.push_back(DirectionDiscoveryAccuracy(split, *model.value()));
+    }
+    return out;
+  };
+  auto mean = [](const std::vector<double>& v) {
+    double sum = 0.0;
+    for (double x : v) sum += x;
+    return sum / static_cast<double>(v.size());
+  };
+  const std::vector<double> serial = accuracies(1);
+  const std::vector<double> hogwild = accuracies(2);
+  ASSERT_EQ(hogwild.size(), serial.size());
+  const auto [lo, hi] = std::minmax_element(serial.begin(), serial.end());
+  EXPECT_GE(mean(hogwild), mean(serial) - (*hi - *lo));
 }
 
 TEST(ShardedTrainerTest, RejectsUnsupportedConfigs) {
@@ -256,14 +368,14 @@ std::string CopyStore(const std::string& name) {
 
 TEST(ShardedStoreTest, SealedStoreReopensWithSameGeometryAndRows) {
   const std::string dir = TinySealedStoreDir();
-  auto reopened = train::ShardedStore::Open(dir, 256);
+  auto reopened = train::ShardedStore::Open(dir, kAmpleBudget);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   train::ShardedStore& store = *reopened.value();
   EXPECT_EQ(store.num_shards(), 2u);
   EXPECT_EQ(store.dimensions(), 4u);
   EXPECT_GT(store.num_arcs(), 0u);
 
-  auto again = train::ShardedStore::Open(dir, 256);
+  auto again = train::ShardedStore::Open(dir, kAmpleBudget);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   for (size_t e = 0; e < store.num_arcs(); ++e) {
     const auto row = store.EmbRow(e);
@@ -289,7 +401,7 @@ TEST(ShardedStoreTest, TruncationSweepEveryLengthNeverOpens) {
     ASSERT_FALSE(pristine.empty());
     for (size_t len = 0; len < pristine.size(); ++len) {
       WriteFile(path, pristine.substr(0, len));
-      auto opened = train::ShardedStore::Open(dir, 256);
+      auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
       ASSERT_FALSE(opened.ok())
           << file << " truncated to " << len << " bytes still opened";
     }
@@ -307,7 +419,7 @@ TEST(ShardedStoreTest, CorruptionSweepEveryByteNeverOpens) {
     for (size_t k = 0; k < pristine.size(); ++k) {
       corrupted[k] = static_cast<char>(corrupted[k] ^ 0x5A);
       WriteFile(path, corrupted);
-      auto opened = train::ShardedStore::Open(dir, 256);
+      auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
       ASSERT_FALSE(opened.ok())
           << file << " byte " << k << " corrupted but the store opened";
       corrupted[k] = pristine[k];
@@ -319,7 +431,7 @@ TEST(ShardedStoreTest, CorruptionSweepEveryByteNeverOpens) {
 TEST(ShardedStoreTest, MissingShardFileNeverOpens) {
   const std::string dir = CopyStore("dd_shard_missing");
   fs::remove(dir + "/shard-0001.dds");
-  auto opened = train::ShardedStore::Open(dir, 256);
+  auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
   EXPECT_FALSE(opened.ok());
 }
 
@@ -374,7 +486,7 @@ TEST(ShardedStoreTest, WrappingSectionSizesAreRejected) {
         sections[7].clear();
       });
     }
-    auto opened = train::ShardedStore::Open(dir, 256);
+    auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
     ASSERT_FALSE(opened.ok())
         << "opened with dimensions " << opened.value()->dimensions();
     EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
@@ -392,7 +504,7 @@ TEST(ShardedStoreTest, WrappingSectionSizesAreRejected) {
       });
       sections[1].resize(64);
     });
-    auto opened = train::ShardedStore::Open(dir, 256);
+    auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
     ASSERT_FALSE(opened.ok());
     EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
     EXPECT_NE(opened.status().message().find("'num_nodes'"),
@@ -403,45 +515,64 @@ TEST(ShardedStoreTest, WrappingSectionSizesAreRejected) {
   }
 }
 
-TEST(ShardedStoreTest, UnsealedStoreIsRejected) {
-  const auto split = MakeSplit(60, 11);
-  const TieIndex idx(split.network);
-  DeepDirectConfig config = BaseConfig(4, 0.5);
-  const PatternPrecompute patterns =
-      PrecomputePatterns(split.network, idx, config);
-
-  train::ShardedStoreInit init;
-  init.offsets = idx.Offsets();
-  init.adjacency = {
-      reinterpret_cast<const uint32_t*>(idx.Adjacency().data()),
-      idx.Adjacency().size()};
-  init.sources = {reinterpret_cast<const uint32_t*>(idx.Sources().data()),
-                  idx.Sources().size()};
-  init.classes = {
-      reinterpret_cast<const uint8_t*>(idx.RawClasses().data()),
-      idx.RawClasses().size()};
-  init.num_connected_pairs = idx.NumConnectedTiePairs();
-  init.arc_hash = HashTieIndex(idx);
-  init.dimensions = config.dimensions;
-  init.slot = patterns.slot;
-  init.degree_pseudo_label = patterns.degree_pseudo_label;
-  init.degree_active = patterns.degree_active;
-  init.triad_offsets = patterns.triad_offsets;
-  init.triad_pairs = {reinterpret_cast<const graph::shard::TriadPair*>(
-                          patterns.triad_pairs.data()),
-                      patterns.triad_pairs.size()};
-
-  train::ShardedStoreOptions options;
-  options.dir = FreshDir("dd_shard_unsealed");
-  options.num_shards = 2;
-  util::Rng rng(3);
-  {
-    auto created =
-        train::ShardedStore::Create(options, init, rng, -0.125f, 0.125f);
-    ASSERT_TRUE(created.ok()) << created.status().ToString();
-    // Dropped without Seal(): the shard files stay live/unsealed.
+/// Everything ShardedStore::Create reads, built from one split. `init`
+/// points into the other members, so an instance never moves.
+struct StoreInputs {
+  StoreInputs(graph::HiddenDirectionSplit from, size_t dimensions)
+      : split(std::move(from)),
+        idx(split.network),
+        patterns(PrecomputePatterns(split.network, idx,
+                                    BaseConfig(dimensions, 0.5))) {
+    init.offsets = idx.Offsets();
+    init.adjacency = {
+        reinterpret_cast<const uint32_t*>(idx.Adjacency().data()),
+        idx.Adjacency().size()};
+    init.sources = {reinterpret_cast<const uint32_t*>(idx.Sources().data()),
+                    idx.Sources().size()};
+    init.classes = {
+        reinterpret_cast<const uint8_t*>(idx.RawClasses().data()),
+        idx.RawClasses().size()};
+    init.num_connected_pairs = idx.NumConnectedTiePairs();
+    init.arc_hash = HashTieIndex(idx);
+    init.dimensions = dimensions;
+    init.slot = patterns.slot;
+    init.degree_pseudo_label = patterns.degree_pseudo_label;
+    init.degree_active = patterns.degree_active;
+    init.triad_offsets = patterns.triad_offsets;
+    init.triad_pairs = {reinterpret_cast<const graph::shard::TriadPair*>(
+                            patterns.triad_pairs.data()),
+                        patterns.triad_pairs.size()};
   }
-  auto opened = train::ShardedStore::Open(options.dir, 256);
+  StoreInputs(const StoreInputs&) = delete;
+  StoreInputs& operator=(const StoreInputs&) = delete;
+
+  graph::HiddenDirectionSplit split;
+  TieIndex idx;
+  PatternPrecompute patterns;
+  train::ShardedStoreInit init;
+};
+
+/// A new, unsealed store in `dir`, filled from `Rng(seed)`.
+std::unique_ptr<train::ShardedStore> CreateStore(
+    const StoreInputs& inputs, const std::string& dir, size_t num_shards,
+    uint64_t budget_bytes = kAmpleBudget, uint64_t seed = 3) {
+  train::ShardedStoreOptions options;
+  options.dir = dir;
+  options.num_shards = num_shards;
+  options.ram_budget_bytes = budget_bytes;
+  util::Rng rng(seed);
+  auto created =
+      train::ShardedStore::Create(options, inputs.init, rng, -0.125f, 0.125f);
+  EXPECT_TRUE(created.ok()) << created.status().ToString();
+  return created.ok() ? std::move(created).value() : nullptr;
+}
+
+TEST(ShardedStoreTest, UnsealedStoreIsRejected) {
+  const StoreInputs inputs(MakeSplit(60, 11), 4);
+  const std::string dir = FreshDir("dd_shard_unsealed");
+  // Dropped without Seal(): the shard files stay live/unsealed.
+  ASSERT_NE(CreateStore(inputs, dir, 2), nullptr);
+  auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
   EXPECT_FALSE(opened.ok())
       << "an unsealed (mid-training) store must not validate";
 }
@@ -449,49 +580,249 @@ TEST(ShardedStoreTest, UnsealedStoreIsRejected) {
 TEST(ShardedStoreTest, CreateFillsEmbeddingsInFillUniformOrder) {
   // The store's init fill must consume the Rng exactly like
   // ml::Matrix::FillUniform — the first leg of the bit-identity contract.
-  const auto split = MakeSplit(60, 11);
-  const TieIndex idx(split.network);
-  DeepDirectConfig config = BaseConfig(4, 0.5);
-  const PatternPrecompute patterns =
-      PrecomputePatterns(split.network, idx, config);
+  const StoreInputs inputs(MakeSplit(60, 11), 4);
+  auto store =
+      CreateStore(inputs, FreshDir("dd_shard_fill"), 3, kAmpleBudget, 17);
+  ASSERT_NE(store, nullptr);
 
-  train::ShardedStoreInit init;
-  init.offsets = idx.Offsets();
-  init.adjacency = {
-      reinterpret_cast<const uint32_t*>(idx.Adjacency().data()),
-      idx.Adjacency().size()};
-  init.sources = {reinterpret_cast<const uint32_t*>(idx.Sources().data()),
-                  idx.Sources().size()};
-  init.classes = {
-      reinterpret_cast<const uint8_t*>(idx.RawClasses().data()),
-      idx.RawClasses().size()};
-  init.num_connected_pairs = idx.NumConnectedTiePairs();
-  init.arc_hash = HashTieIndex(idx);
-  init.dimensions = config.dimensions;
-  init.slot = patterns.slot;
-  init.degree_pseudo_label = patterns.degree_pseudo_label;
-  init.degree_active = patterns.degree_active;
-  init.triad_offsets = patterns.triad_offsets;
-  init.triad_pairs = {reinterpret_cast<const graph::shard::TriadPair*>(
-                          patterns.triad_pairs.data()),
-                      patterns.triad_pairs.size()};
-
-  train::ShardedStoreOptions options;
-  options.dir = FreshDir("dd_shard_fill");
-  options.num_shards = 3;
-  util::Rng store_rng(17);
-  auto created = train::ShardedStore::Create(options, init, store_rng,
-                                             -0.125f, 0.125f);
-  ASSERT_TRUE(created.ok()) << created.status().ToString();
-
-  ml::Matrix reference(idx.num_arcs(), config.dimensions);
+  ml::Matrix reference(inputs.idx.num_arcs(), 4);
   util::Rng matrix_rng(17);
   reference.FillUniform(matrix_rng, -0.125f, 0.125f);
-  for (size_t e = 0; e < idx.num_arcs(); ++e) {
-    const auto row = created.value()->EmbRow(e);
+  for (size_t e = 0; e < inputs.idx.num_arcs(); ++e) {
+    const auto row = store->EmbRow(e);
     for (size_t j = 0; j < row.size(); ++j) {
       ASSERT_EQ(row[j], reference.Row(e)[j])
           << "fill order diverges at arc " << e << " dim " << j;
+    }
+  }
+}
+
+// ----------------------------------------------------------------------
+// The page CLOCK, on stores built with ShardedStore::Create. Budgets are
+// counted in pages of whatever size the system uses.
+// ----------------------------------------------------------------------
+
+/// Page numbers (address / page size) the row's bytes lie on.
+std::set<uintptr_t> PagesOf(std::span<const float> row) {
+  const uint64_t page = serve::MmapRwFile::PageSize();
+  const auto first = reinterpret_cast<uintptr_t>(row.data());
+  std::set<uintptr_t> pages;
+  for (uintptr_t p = first / page; p <= (first + row.size_bytes() - 1) / page;
+       ++p) {
+    pages.insert(p);
+  }
+  return pages;
+}
+
+/// Touches every row of M and N, forwards and then backwards.
+void TouchEveryRow(train::ShardedStore& store) {
+  for (size_t e = 0; e < store.num_arcs(); ++e) {
+    store.EmbRow(e);
+    store.ConnRow(e);
+  }
+  for (size_t e = store.num_arcs(); e-- > 0;) {
+    store.ConnRow(e);
+    store.EmbRow(e);
+  }
+}
+
+void ExpectExactAccounting(const train::ShardedStore::Stats& stats) {
+  const uint64_t page = serve::MmapRwFile::PageSize();
+  EXPECT_EQ(stats.resident_bytes, (stats.admissions - stats.evictions) * page);
+  EXPECT_LE(stats.resident_bytes, stats.max_resident_bytes);
+  EXPECT_LE(stats.max_resident_bytes, stats.budget_bytes);
+}
+
+TEST(ShardedStoreTest, PageAccountingIsExactUnderAnyBudget) {
+  const StoreInputs inputs(MakeSplit(), 16);
+  const uint64_t page = serve::MmapRwFile::PageSize();
+
+  // An ample budget admits each page of M+N once and never evicts.
+  auto ample = CreateStore(inputs, FreshDir("dd_page_accounting"), 2);
+  ASSERT_NE(ample, nullptr);
+  TouchEveryRow(*ample);
+  std::set<uintptr_t> footprint;
+  for (size_t e = 0; e < ample->num_arcs(); ++e) {
+    footprint.merge(PagesOf(ample->EmbRow(e)));
+    footprint.merge(PagesOf(ample->ConnRow(e)));
+  }
+  const auto ample_stats = ample->GetStats();
+  ExpectExactAccounting(ample_stats);
+  EXPECT_EQ(ample_stats.evictions, 0u);
+  EXPECT_EQ(ample_stats.admissions, footprint.size());
+  ASSERT_GT(footprint.size(), 6u) << "fixture too small to pressure";
+
+  for (const uint64_t pages : {uint64_t{1}, uint64_t{3},
+                               uint64_t{footprint.size()}}) {
+    auto store = CreateStore(inputs, FreshDir("dd_page_accounting"), 2,
+                             pages * page);
+    ASSERT_NE(store, nullptr);
+    TouchEveryRow(*store);
+    const auto stats = store->GetStats();
+    ExpectExactAccounting(stats);
+    if (pages < footprint.size()) {
+      EXPECT_GT(stats.evictions, 0u) << pages << "-page budget";
+      EXPECT_EQ(stats.max_resident_bytes, pages * page);
+    } else {
+      EXPECT_EQ(stats.evictions, 0u) << "a budget of the footprint evicted";
+      EXPECT_EQ(stats.admissions, footprint.size());
+    }
+  }
+}
+
+TEST(ShardedStoreTest, ClockGivesAHotPageASecondChance) {
+  // Each cold page is touched once, and the hot row between any two cold
+  // touches. So at every admission the hot page is referenced and every
+  // other resident page is not: the hand passes over the hot page at most
+  // once and evicts a cold one. Exactly one admission per page results.
+  const StoreInputs inputs(MakeSplit(), 16);
+  const uint64_t page = serve::MmapRwFile::PageSize();
+  auto store =
+      CreateStore(inputs, FreshDir("dd_page_second_chance"), 2, 3 * page);
+  ASSERT_NE(store, nullptr);
+  const size_t hot = store->num_arcs() / 2;
+  const std::set<uintptr_t> hot_pages = PagesOf(store->EmbRow(hot));
+  ASSERT_EQ(hot_pages.size(), 1u);
+
+  // One row per other page: {is N, arc}, in sweep order.
+  std::vector<std::pair<bool, size_t>> sweep;
+  std::set<uintptr_t> covered = hot_pages;
+  for (const bool conn : {false, true}) {
+    for (size_t e = 0; e < store->num_arcs(); ++e) {
+      const std::set<uintptr_t> pages =
+          PagesOf(conn ? store->ConnRow(e) : store->EmbRow(e));
+      if (pages.size() == 1 && covered.insert(*pages.begin()).second) {
+        sweep.emplace_back(conn, e);
+      }
+    }
+  }
+  ASSERT_GT(sweep.size(), 6u);
+
+  ASSERT_TRUE(store->Seal().ok());  // nothing resident, nothing referenced
+  const uint64_t before = store->GetStats().admissions;
+  store->EmbRow(hot);
+  for (const auto& [conn, e] : sweep) {
+    if (conn) {
+      store->ConnRow(e);
+    } else {
+      store->EmbRow(e);
+    }
+    store->EmbRow(hot);
+  }
+  EXPECT_EQ(store->GetStats().admissions - before, sweep.size() + 1)
+      << "the hot page was evicted and faulted back in";
+}
+
+TEST(ShardedStoreTest, EvictedPagesLoseNoData) {
+  // Under a three-page budget every page is evicted between its write and
+  // its read; MADV_DONTNEED on the shared mapping must keep the data.
+  const StoreInputs inputs(MakeSplit(), 16);
+  const uint64_t page = serve::MmapRwFile::PageSize();
+  auto store = CreateStore(inputs, FreshDir("dd_page_no_loss"), 2, 3 * page);
+  ASSERT_NE(store, nullptr);
+  const size_t n = store->num_arcs();
+  const auto value = [](size_t e, size_t k, bool conn) {
+    const float v = static_cast<float>(e * 16 + k) + 0.25f;
+    return conn ? -v : v;
+  };
+  for (size_t e = 0; e < n; ++e) {
+    auto emb = store->EmbRow(e);
+    for (size_t k = 0; k < emb.size(); ++k) emb[k] = value(e, k, false);
+    auto conn = store->ConnRow(e);
+    for (size_t k = 0; k < conn.size(); ++k) conn[k] = value(e, k, true);
+  }
+  // Reading a page's first row must fault it back in: it was evicted
+  // after its last write.
+  std::set<uintptr_t> seen;
+  size_t refaulted = 0;
+  const auto check = [&](bool conn, size_t e) {
+    const uint64_t before = store->GetStats().admissions;
+    const auto row = conn ? store->ConnRow(e) : store->EmbRow(e);
+    const bool admitted = store->GetStats().admissions > before;
+    if (seen.insert(*PagesOf(row).begin()).second && admitted) ++refaulted;
+    for (size_t k = 0; k < row.size(); ++k) {
+      ASSERT_EQ(row[k], value(e, k, conn))
+          << (conn ? "N" : "M") << " row " << e << " dim " << k;
+    }
+  };
+  for (size_t e = 0; e < n; ++e) {
+    check(false, e);
+    check(true, e);
+  }
+  EXPECT_EQ(refaulted, seen.size()) << "a page was never evicted";
+  ExpectExactAccounting(store->GetStats());
+}
+
+TEST(ShardedStoreTest, SealReleasesEveryPage) {
+  // l = 24: 96-byte rows on a 64-byte-aligned section, so some straddle a
+  // page boundary.
+  const StoreInputs inputs(MakeSplit(), 24);
+  const uint64_t page = serve::MmapRwFile::PageSize();
+  auto store = CreateStore(inputs, FreshDir("dd_page_seal"), 2);
+  ASSERT_NE(store, nullptr);
+  TouchEveryRow(*store);
+  const auto trained = store->GetStats();
+  ASSERT_GT(trained.resident_bytes, 0u);
+
+  ASSERT_TRUE(store->Seal().ok());
+  const auto sealed = store->GetStats();
+  EXPECT_EQ(sealed.resident_bytes, 0u);
+  EXPECT_EQ(sealed.evictions, trained.evictions) << "a release is no eviction";
+  EXPECT_EQ(sealed.admissions, trained.admissions);
+
+  size_t straddler = store->num_arcs();
+  for (size_t e = 0; e < store->num_arcs() && straddler == store->num_arcs();
+       ++e) {
+    if (PagesOf(store->EmbRow(e)).size() == 2) straddler = e;
+  }
+  ASSERT_LT(straddler, store->num_arcs()) << "no row straddles a page";
+  ASSERT_TRUE(store->Seal().ok());
+  const uint64_t before = store->GetStats().admissions;
+  store->EmbRow(straddler);
+  const auto after = store->GetStats();
+  EXPECT_EQ(after.admissions - before, 2u);
+  EXPECT_EQ(after.resident_bytes, 2 * page);
+}
+
+TEST(ShardedStoreTest, ConcurrentWritersUnderThreePagesKeepAccountingAndData) {
+  // Four threads write disjoint rows (arc e belongs to thread e % 4) while
+  // their touches admit and evict pages under one mutex.
+  const StoreInputs inputs(MakeSplit(), 16);
+  const uint64_t page = serve::MmapRwFile::PageSize();
+  auto store = CreateStore(inputs, FreshDir("dd_page_concurrent"), 2, 3 * page);
+  ASSERT_NE(store, nullptr);
+  constexpr size_t kThreads = 4;
+  const size_t n = store->num_arcs();
+  const auto value = [](size_t e, size_t k, int pass) {
+    return static_cast<float>(e * 16 + k) + 0.5f * static_cast<float>(pass);
+  };
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int pass = 0; pass < 3; ++pass) {
+        for (size_t e = t; e < n; e += kThreads) {
+          auto emb = store->EmbRow(e);
+          auto conn = store->ConnRow(n - 1 - e);
+          for (size_t k = 0; k < emb.size(); ++k) {
+            emb[k] = value(e, k, pass);
+            conn[k] = -value(e, k, pass);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const auto stats = store->GetStats();
+  ExpectExactAccounting(stats);
+  EXPECT_GT(stats.evictions, 0u);
+  for (size_t e = 0; e < n; ++e) {
+    const auto emb = store->EmbRow(e);
+    const auto conn = store->ConnRow(n - 1 - e);
+    for (size_t k = 0; k < emb.size(); ++k) {
+      ASSERT_EQ(emb[k], value(e, k, 2)) << "M row " << e << " dim " << k;
+      ASSERT_EQ(conn[k], -value(e, k, 2))
+          << "N row " << n - 1 - e << " dim " << k;
     }
   }
 }

@@ -377,6 +377,36 @@ TEST(SgdDriverTest, ShardedHogwildStridesSweepTheFullDecay) {
   }
 }
 
+TEST(SgdDriverTest, ShardedHogwildInterleavesEveryShardOverTheDecay) {
+  // 4 shards on 2 workers with about ten rounds each: every shard's quota
+  // runs exactly, and every shard (not just every worker) starts near the
+  // top of the decay and ends near the floor.
+  SgdOptions options;
+  options.steps = 120'001;
+  options.num_threads = 2;
+  options.lr = {1.0, 0.0, LrSchedule::Decay::kInterpolatedLinear};
+  options.shard_plan.num_shards = 4;
+  options.shard_plan.shard_weights = {1.0, 2.0, 3.0, 4.0};
+  SgdDriver driver(options);
+  ASSERT_EQ(driver.num_workers(), 2u);
+
+  // Shard s runs only on worker s % 2, so each shard's log has one writer.
+  std::vector<std::vector<double>> rates(4);
+  util::Rng rng(1);
+  driver.Run(rng, [&](auto, const SgdStep& ctx) -> double {
+    rates.at(ctx.shard).push_back(ctx.lr);
+    return 0.0;
+  });
+  // Largest remainder: 12000.1, 24000.2, 36000.3 and 48000.4 steps; the
+  // spare step goes to the largest fraction.
+  const std::vector<size_t> quota = {12000, 24000, 36000, 48001};
+  for (size_t s = 0; s < 4; ++s) {
+    ASSERT_EQ(rates[s].size(), quota[s]) << "shard " << s;
+    EXPECT_GT(rates[s].front(), 0.9) << "shard " << s;
+    EXPECT_LT(rates[s].back(), 0.1) << "shard " << s;
+  }
+}
+
 TEST(SgdDriverTest, SerialBodyGetsTheCallersDenseBlock) {
   std::vector<double> block(5, 0.0);
   SgdOptions options;
