@@ -28,8 +28,9 @@ cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
 
 # The trainer-facing test binaries: the train/ engine itself, the
 # checkpoint/resume layer with its fault-injection sweeps, every migrated
-# trainer (DeepDirect E/D-step, skip-gram, LINE, logistic regression), the
-# metrics registry the trainers record into, and the parallel deterministic
+# trainer (DeepDirect E/D-step, LINE, logistic regression) and the E-step
+# body's one-step gradient check (EStepGradientTest.*), the metrics
+# registry the trainers record into, and the parallel deterministic
 # preprocessing stages (pattern precompute, centrality sweeps, two-pass
 # graph build) at num_threads=4, the SIMD kernel layer (dispatch,
 # scalar-vs-SIMD tolerance sweeps, policy interplay) that all trainers now
@@ -49,7 +50,7 @@ cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
 # the aligned container's WriteFile (ContainerTest.*), and the CRC-32 fold
 # they checksum with (KernelsTest.*).
 TARGETS=(train_test checkpoint_test deepdirect_test embedding_test
-         walks_test ml_test obs_test trace_test centrality_test graph_test
+         ml_test obs_test trace_test centrality_test graph_test
          kernels_test serve_test incremental_test sharded_store_test
          container_test)
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
@@ -59,7 +60,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
 
-FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ProgressReporterTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*:ShardedTrainerTest.Hogwild*:ContainerTest.*:ServableModelTest.*Sweep*:ServableModelTest.Wrapping*:ShardedStoreTest.*:IncrementalTest.EStepStateRoundTrips:IncrementalTest.LoadSkipsCorruptNewestCheckpoint'
+FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ProgressReporterTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*:ShardedTrainerTest.Hogwild*:ContainerTest.*:ServableModelTest.*Sweep*:ServableModelTest.Wrapping*:ShardedStoreTest.*:IncrementalTest.EStepStateRoundTrips:IncrementalTest.LoadSkipsCorruptNewestCheckpoint:*EStepGradientTest.*'
 for target in "${TARGETS[@]}"; do
   echo "=== $target ($SANITIZER) ==="
   "$BUILD_DIR/tests/$target" --gtest_filter="$FILTER"

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 
 #include "core/estep_body.h"
 #include "kernels/kernels.h"
@@ -313,13 +314,6 @@ std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
       ml::LogisticRegression(model->e_step_weights_, model->e_step_bias_);
   model->d_step_.Train(data, config.d_step);
 
-  if (config.d_step_head == DStepHead::kMlp) {
-    // Nonlinear head (Sec. 8 future work) on the same labeled rows.
-    model->mlp_head_.emplace(l, config.d_step_mlp.hidden_units,
-                             config.d_step_mlp.seed);
-    model->mlp_head_->Train(data, config.d_step_mlp);
-  }
-
   return model;
 }
 
@@ -327,7 +321,6 @@ double DeepDirectModel::Directionality(NodeId u, NodeId v) const {
   const auto row = embeddings_.Row(index_.IndexOf(u, v));
   std::vector<double> features(row.size());
   for (size_t k = 0; k < row.size(); ++k) features[k] = row[k];
-  if (mlp_head_.has_value()) return mlp_head_->Predict(features);
   return d_step_.Predict(features);
 }
 

@@ -37,15 +37,11 @@
 #include <utility>
 #include <vector>
 
-#include <functional>
-#include <optional>
-
 #include "core/directionality.h"
 #include "core/tie_index.h"
 #include "graph/mixed_graph.h"
 #include "ml/logistic_regression.h"
 #include "ml/matrix.h"
-#include "ml/mlp.h"
 #include "train/checkpoint.h"
 #include "train/lr_schedule.h"
 #include "train/progress_reporter.h"
@@ -69,12 +65,6 @@ struct ShardingConfig {
   size_t num_shards = 0;       ///< 0 = in-RAM training only
   std::string dir;             ///< store directory (required when sharded)
   size_t ram_budget_mb = 256;  ///< resident budget for M+N pages
-};
-
-/// Functional form of the D-Step directionality head.
-enum class DStepHead {
-  kLogisticRegression = 0,  ///< Eq. 26, the paper's choice
-  kMlp = 1,                 ///< one-hidden-layer MLP (Sec. 8 future work)
 };
 
 /// Hyper-parameters of DeepDirect (paper defaults: l = 128, λ = 5, τ = 10;
@@ -122,15 +112,6 @@ struct DeepDirectConfig {
       .l2 = 1e-4, .seed = 23, .shuffle = true,
       .metrics_prefix = "train.deepdirect.dstep",
       .checkpoint = {.trainer = "deepdirect.dstep"}};
-  /// Which D-Step head realizes the directionality function. The logistic
-  /// regression is always trained (it provides the warm-started Eq. 26
-  /// head); selecting kMlp additionally trains a nonlinear head and routes
-  /// Directionality() through it — the paper's Sec. 8 extension.
-  DStepHead d_step_head = DStepHead::kLogisticRegression;
-  /// MLP head settings (used when d_step_head == kMlp).
-  ml::MlpConfig d_step_mlp = {.hidden_units = 32, .epochs = 30,
-                              .learning_rate = 0.05, .min_lr_fraction = 0.1,
-                              .l2 = 1e-4, .seed = 29};
   /// Optional E-Step progress callback, invoked every `report_every` SGD
   /// steps with (step, total_steps, mean L' over the window). Useful for
   /// long trainings; leave empty for silence.
@@ -254,23 +235,12 @@ class DeepDirectModel : public DirectionalityModel {
   }
   double e_step_bias() const { return e_step_bias_; }
 
-  /// Serializes the trained model (embedding matrix + heads) to `path` in
-  /// a self-describing binary format. The MLP head, when present, is not
-  /// serialized (FailedPrecondition). The tie index is not written: a model
-  /// is only meaningful with its training network, which Load() takes.
-  util::Status Save(const std::string& path) const;
-
-  /// Restores a model saved by Save(). `g` must be the training network
-  /// (validated by arc count); the tie index is rebuilt from it.
-  static util::Result<std::unique_ptr<DeepDirectModel>> Load(
-      const std::string& path, const graph::MixedSocialNetwork& g);
-
   /// Writes the self-contained serving artifact ("DDS1",
   /// core/servable_format.h): the CSR tie index, the embedding matrix M,
   /// and the D-Step head, with 64-byte-aligned payloads so
   /// serve::ServableModel::Open answers d(u, v) zero-copy off one mmap —
-  /// no training network needed at query time. Atomic like Save(); the
-  /// MLP head, when present, is not servable (FailedPrecondition).
+  /// no training network needed at query time. Written atomically
+  /// (temp file, fsync, rename).
   util::Status ExportServable(const std::string& path) const;
 
  private:
@@ -284,7 +254,6 @@ class DeepDirectModel : public DirectionalityModel {
   std::vector<double> e_step_weights_;
   double e_step_bias_ = 0.0;
   ml::LogisticRegression d_step_;
-  std::optional<ml::MlpClassifier> mlp_head_;
 };
 
 }  // namespace deepdirect::core

@@ -310,11 +310,6 @@ util::Result<IncrementalUpdate> DeepDirectModel::ApplyTieBatch(
   model->d_step_ =
       ml::LogisticRegression(model->e_step_weights_, model->e_step_bias_);
   model->d_step_.Train(data, d_config);
-  if (config.d_step_head == DStepHead::kMlp) {
-    model->mlp_head_.emplace(l, config.d_step_mlp.hidden_units,
-                             config.d_step_mlp.seed);
-    model->mlp_head_->Train(data, config.d_step_mlp);
-  }
 
   if (obs::Enabled()) {
     obs::Registry& registry = obs::Registry::Default();

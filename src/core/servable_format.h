@@ -33,7 +33,7 @@ struct Meta {
   uint64_t num_nodes;
   uint64_t num_arcs;
   uint64_t dimensions;
-  /// FNV-1a over the closure arc endpoints (the same hash DDM2 stores):
+  /// FNV-1a over the closure arc endpoints (core::HashTieIndex):
   /// identifies the training network the CSR index was derived from.
   uint64_t arc_hash;
 };

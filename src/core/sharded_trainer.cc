@@ -86,10 +86,6 @@ ShardedDeepDirectModel::Train(const MixedSocialNetwork& g,
         "checkpointing is not supported out-of-core (the shard store is "
         "the durable E-step state)");
   }
-  if (config.d_step_head == DStepHead::kMlp) {
-    return util::Status::InvalidArgument(
-        "the MLP D-step head is not supported out-of-core");
-  }
 
   obs::PhaseScope train_phase("deepdirect.sharded.train");
   std::optional<obs::PhaseScope> phase;

@@ -45,10 +45,10 @@ namespace deepdirect::core {
 class ShardedDeepDirectModel : public DirectionalityModel {
  public:
   /// Trains out-of-core per `config.sharding` (num_shards > 0 and a store
-  /// directory are required; checkpointing and the MLP D-step head are
-  /// not supported). A shard count that would leave a shard without arcs
-  /// shrinks to the shards that receive some (store().num_shards()).
-  /// Returns the model serving from the sealed store.
+  /// directory are required; checkpointing is not supported). A shard
+  /// count that would leave a shard without arcs shrinks to the shards
+  /// that receive some (store().num_shards()). Returns the model serving
+  /// from the sealed store.
   static util::Result<std::unique_ptr<ShardedDeepDirectModel>> Train(
       const graph::MixedSocialNetwork& g, const DeepDirectConfig& config);
 

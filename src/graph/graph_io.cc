@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -70,63 +69,23 @@ util::Result<MixedSocialNetwork> ReadEdgeList(std::istream& in,
 
   std::string line;
   size_t line_number = 0;
+  TieLine parsed;
   while (std::getline(in, line)) {
     ++line_number;
-    // Windows-edited files carry a trailing '\r' (getline splits on '\n'
-    // only); strip it so tokens and blank-line detection see clean text.
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    // Skip lines that are empty after trimming, not just byte-empty.
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    if (line[0] == '#') {
-      std::istringstream header(line.substr(1));
-      std::string keyword;
-      if (header >> keyword && keyword == "nodes") {
-        if (!(header >> declared_nodes)) {
-          return util::Status::InvalidArgument(
-              "malformed '# nodes' header at line " +
-              std::to_string(line_number));
-        }
-        has_declared = true;
-      }
-      continue;
+    DD_RETURN_NOT_OK(ParseTieLine(line, line_number, &parsed));
+    if (parsed.kind == TieLine::Kind::kNodes) {
+      declared_nodes = parsed.nodes;
+      has_declared = true;
     }
-    std::istringstream fields(line);
-    long long u_raw = -1, v_raw = -1;
-    std::string type_token;
-    if (!(fields >> u_raw >> v_raw >> type_token) || u_raw < 0 || v_raw < 0) {
-      return util::Status::InvalidArgument("malformed tie at line " +
-                                           std::to_string(line_number) +
-                                           ": '" + line + "'");
-    }
-    TieType type;
-    if (type_token == "d") {
-      type = TieType::kDirected;
-    } else if (type_token == "b") {
-      type = TieType::kBidirectional;
-    } else if (type_token == "u") {
-      type = TieType::kUndirected;
-    } else {
-      return util::Status::InvalidArgument(
-          "unknown tie type '" + type_token + "' at line " +
-          std::to_string(line_number));
-    }
-    // Anything after the type field means the line was not what we parsed
-    // it as — fail loudly rather than train on misread data.
-    std::string extra;
-    if (fields >> extra) {
-      return util::Status::InvalidArgument(
-          "trailing data '" + extra + "' after tie at line " +
-          std::to_string(line_number) + ": '" + line + "'");
-    }
-    const NodeId u = static_cast<NodeId>(u_raw);
-    const NodeId v = static_cast<NodeId>(v_raw);
-    max_id = std::max({max_id, u, v});
+    if (parsed.kind != TieLine::Kind::kTie) continue;
+    max_id = std::max({max_id, parsed.u, parsed.v});
     if (ties.size() == ties.capacity()) ++tie_reallocs;
-    ties.push_back({u, v, type});
+    ties.push_back({parsed.u, parsed.v, parsed.type});
   }
 
   const size_t num_nodes =
-      has_declared ? declared_nodes : (ties.empty() ? 0 : max_id + 1);
+      has_declared ? declared_nodes
+                   : (ties.empty() ? 0 : static_cast<size_t>(max_id) + 1);
   if (has_declared && !ties.empty() && max_id >= num_nodes) {
     return util::Status::InvalidArgument(
         "tie references node " + std::to_string(max_id) +

@@ -64,8 +64,9 @@ struct GraphMeta {
   uint64_t dimensions;  ///< embedding width l of the shard files
   uint64_t num_shards;
   uint64_t num_connected_pairs;  ///< |C(G)| (the E-step budget unit)
-  /// FNV-1a over the closure arc endpoints (the same hash DDM2/DDS1
-  /// store): identifies the network every shard file must match.
+  /// FNV-1a over the closure arc endpoints (the same hash DDS1 and the
+  /// E-step state store): identifies the network every shard file must
+  /// match.
   uint64_t arc_hash;
   uint64_t reserved0;  ///< must be zero
 };

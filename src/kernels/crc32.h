@@ -1,5 +1,5 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320): the checksum of
-// every container this repo writes and reads (DDCK/DDM2, DDS1, DDSH).
+// every container this repo writes and reads (DDCK, DDS1, DDSH).
 //
 // Two paths return the same value for every input:
 //   * the portable table loop, one byte at a time;

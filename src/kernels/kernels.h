@@ -1,8 +1,8 @@
 // Public kernel API: the hot-loop primitives shared by every SGD trainer
-// (DeepDirect E-step, D-step logistic regression, skip-gram, LINE, and the
-// edge-list embedding). Each primitive is templated on an access policy
-// `A` (train::SerialAccess / train::HogwildAccess — any type with
-// `kConcurrent`, `Load`, `Store`) and picks one of two paths per call:
+// (DeepDirect E-step, D-step logistic regression, LINE). Each primitive is
+// templated on an access policy `A` (train::SerialAccess /
+// train::HogwildAccess — any type with `kConcurrent`, `Load`, `Store`) and
+// picks one of two paths per call:
 //
 //   * exact scalar — policy-tagged loads/stores, double accumulation in
 //     argument order, sigmoid via kernels::Sigmoid. With A = SerialAccess
@@ -102,8 +102,7 @@ inline void AxpyRows(std::span<float> y, double alpha,
 /// loss tracking). The (label, grad_scale, update_scale) triple expresses
 /// each trainer's historical formula exactly in scalar dispatch:
 ///   E-step pos/neg     (1|0,  1,  −lr)   g = σ−y,        row −= lr·g·src
-///   skip-gram pos/neg  (1|0, −lr,  1)    g = (y−σ)·lr,   row += g·src
-///   LINE               (y,   −lr,  1)    same as skip-gram
+///   LINE pos/neg       (1|0, −lr,  1)    g = (y−σ)·lr,   row += g·src
 /// (IEEE sign-flip and multiply-commute identities make the unified form
 /// bit-identical to the per-trainer originals.)
 template <typename A>

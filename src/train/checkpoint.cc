@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
@@ -21,6 +22,7 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr uint32_t kFormatVersion = 1;
+constexpr std::array<char, 4> kCheckpointMagic{'D', 'D', 'C', 'K'};
 constexpr std::array<char, 4> kFooterMagic{'D', 'D', 'E', 'N'};
 constexpr size_t kMaxSectionName = 255;
 
@@ -195,7 +197,7 @@ void CheckpointWriter::AddSection(std::string_view name, const void* data,
 std::vector<std::string_view> CheckpointWriter::Parts(
     std::string& frame) const {
   frame.clear();
-  AppendBytes(frame, magic_.data(), magic_.size());
+  AppendBytes(frame, kCheckpointMagic.data(), kCheckpointMagic.size());
   AppendPod(frame, kFormatVersion);
   AppendPod(frame, static_cast<uint64_t>(sections_.size()));
   AppendPod(frame, Crc32(frame.data(), frame.size()));
@@ -244,17 +246,15 @@ util::Status CheckpointWriter::WriteAtomic(const std::string& path) const {
 }
 
 util::Result<CheckpointData> CheckpointData::Parse(
-    std::string bytes, const std::string& origin,
-    std::array<char, 4> magic) {
+    std::string bytes, const std::string& origin) {
   CheckpointData data(std::move(bytes), origin);
   ByteReader reader(data.bytes_, data.origin_);
 
   std::array<char, 4> file_magic{};
   DD_RETURN_NOT_OK(reader.ReadRaw(file_magic.data(), 4, "magic"));
-  if (file_magic != magic) {
-    return util::Status::InvalidArgument(
-        origin + ": bad magic (not a " +
-        std::string(magic.data(), magic.size()) + " file)");
+  if (file_magic != kCheckpointMagic) {
+    return util::Status::InvalidArgument(origin +
+                                         ": bad magic (not a DDCK file)");
   }
   uint32_t version = 0;
   DD_RETURN_NOT_OK(reader.Read(&version, "version"));
@@ -326,8 +326,7 @@ util::Result<CheckpointData> CheckpointData::Parse(
   return data;
 }
 
-util::Result<CheckpointData> CheckpointData::Read(
-    const std::string& path, std::array<char, 4> magic) {
+util::Result<CheckpointData> CheckpointData::Read(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return util::Status::IOError("cannot open " + path);
@@ -336,7 +335,7 @@ util::Result<CheckpointData> CheckpointData::Read(
   const util::Status read = ReadRegularFile(fd, path, &bytes);
   ::close(fd);
   if (!read.ok()) return read;
-  return Parse(std::move(bytes), path, magic);
+  return Parse(std::move(bytes), path);
 }
 
 util::Result<std::string_view> CheckpointData::Section(

@@ -24,7 +24,7 @@
 //     uninterrupted run and only the Hogwild update interleaving differs.
 //
 // Layout (version 1, host-endian):
-//   magic (4 bytes) | u32 version | u64 section_count | u32 header_crc
+//   magic "DDCK" | u32 version | u64 section_count | u32 header_crc
 //   per section: u32 name_size | name | u64 payload_size | payload |
 //                u32 section_crc   (CRC32 over the section's own bytes)
 //   footer magic "DDEN"
@@ -32,7 +32,6 @@
 #ifndef DEEPDIRECT_TRAIN_CHECKPOINT_H_
 #define DEEPDIRECT_TRAIN_CHECKPOINT_H_
 
-#include <array>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -50,10 +49,6 @@
 #include "util/timer.h"
 
 namespace deepdirect::train {
-
-/// Container magic of SGD checkpoints. Other artifacts reuse the container
-/// with their own magic (the model format uses "DDM2").
-inline constexpr std::array<char, 4> kCheckpointMagic{'D', 'D', 'C', 'K'};
 
 /// CRC32 (IEEE 802.3, reflected 0xEDB88320); see kernels/crc32.h.
 using kernels::Crc32;
@@ -73,9 +68,6 @@ util::Status AtomicWriteFile(const std::string& path,
 /// returns. AddPod copies its value, so it takes temporaries.
 class CheckpointWriter {
  public:
-  explicit CheckpointWriter(std::array<char, 4> magic = kCheckpointMagic)
-      : magic_(magic) {}
-
   /// Appends a section viewing `size` bytes at `data`. Names must be unique,
   /// non-empty, < 256 bytes.
   void AddSection(std::string_view name, const void* data, size_t size);
@@ -122,7 +114,6 @@ class CheckpointWriter {
   /// the header, each section's size/name prefix and CRC, and the footer.
   std::vector<std::string_view> Parts(std::string& frame) const;
 
-  std::array<char, 4> magic_;
   std::vector<Section> sections_;
 };
 
@@ -133,14 +124,11 @@ class CheckpointData {
   /// the path). Every structural defect — wrong magic or version, truncated
   /// header or section, CRC mismatch, duplicate section, trailing bytes —
   /// returns InvalidArgument naming the byte offset or section.
-  static util::Result<CheckpointData> Parse(
-      std::string bytes, const std::string& origin,
-      std::array<char, 4> magic = kCheckpointMagic);
+  static util::Result<CheckpointData> Parse(std::string bytes,
+                                            const std::string& origin);
 
   /// Reads `path` and parses it. Unreadable files return IOError.
-  static util::Result<CheckpointData> Read(
-      const std::string& path,
-      std::array<char, 4> magic = kCheckpointMagic);
+  static util::Result<CheckpointData> Read(const std::string& path);
 
   bool Has(std::string_view name) const {
     return sections_.contains(std::string(name));

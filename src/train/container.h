@@ -20,8 +20,8 @@
 // meta struct; the expected size of every section follows from it and is the
 // format's business (Reader::CheckSizes compares, CheckedMul computes).
 //
-// The streaming DDCK/DDM2 container (train/checkpoint.h) is a different
-// design and stays separate: see DESIGN.md, "Aligned section container".
+// The streaming DDCK container (train/checkpoint.h) is a different design
+// and stays separate: see DESIGN.md, "Aligned section container".
 
 #ifndef DEEPDIRECT_TRAIN_CONTAINER_H_
 #define DEEPDIRECT_TRAIN_CONTAINER_H_

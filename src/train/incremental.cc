@@ -4,9 +4,9 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <unordered_map>
 
+#include "graph/graph_io.h"
 #include "train/checkpoint.h"
 #include "util/random.h"
 
@@ -51,50 +51,20 @@ util::Result<TieBatch> ParseTieBatch(std::istream& in,
 
   std::string line;
   size_t line_number = 0;
+  graph::TieLine parsed;
   while (std::getline(in, line)) {
     ++line_number;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.find_first_not_of(" \t") == std::string::npos) continue;
-    if (line[0] == '#') {
-      std::istringstream header(line.substr(1));
-      std::string keyword;
-      if (header >> keyword && keyword == "nodes") {
-        if (!(header >> batch.declared_nodes)) {
-          return util::Status::InvalidArgument(
-              origin + ": malformed '# nodes' header at line " +
-              std::to_string(line_number));
-        }
-      }
-      continue;
+    const util::Status status =
+        graph::ParseTieLine(line, line_number, &parsed);
+    if (!status.ok()) {
+      return util::Status::InvalidArgument(origin + ": " + status.message());
     }
-    std::istringstream fields(line);
-    long long u_raw = -1, v_raw = -1;
-    std::string type_token;
-    if (!(fields >> u_raw >> v_raw >> type_token) || u_raw < 0 || v_raw < 0) {
-      return util::Status::InvalidArgument(
-          origin + ": malformed tie at line " + std::to_string(line_number) +
-          ": '" + line + "'");
+    if (parsed.kind == graph::TieLine::Kind::kNodes) {
+      batch.declared_nodes = parsed.nodes;
     }
-    graph::TieType type;
-    if (type_token == "d") {
-      type = graph::TieType::kDirected;
-    } else if (type_token == "b") {
-      type = graph::TieType::kBidirectional;
-    } else if (type_token == "u") {
-      type = graph::TieType::kUndirected;
-    } else {
-      return util::Status::InvalidArgument(
-          origin + ": unknown tie type '" + type_token + "' at line " +
-          std::to_string(line_number));
-    }
-    std::string extra;
-    if (fields >> extra) {
-      return util::Status::InvalidArgument(
-          origin + ": trailing data '" + extra + "' after tie at line " +
-          std::to_string(line_number) + ": '" + line + "'");
-    }
-    const auto u = static_cast<graph::NodeId>(u_raw);
-    const auto v = static_cast<graph::NodeId>(v_raw);
+    if (parsed.kind != graph::TieLine::Kind::kTie) continue;
+    const graph::NodeId u = parsed.u;
+    const graph::NodeId v = parsed.v;
     if (u == v) {
       return util::Status::InvalidArgument(
           origin + ": self-loop " + std::to_string(u) + " at line " +
@@ -110,7 +80,7 @@ util::Result<TieBatch> ParseTieBatch(std::istream& in,
     }
     batch.max_node_id = std::max({batch.max_node_id, u, v});
     batch.ties.push_back(
-        {u, v, type, static_cast<uint32_t>(line_number)});
+        {u, v, parsed.type, static_cast<uint32_t>(line_number)});
   }
   if (in.bad()) {
     return util::Status::IOError(origin + ": read error");

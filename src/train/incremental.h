@@ -6,10 +6,12 @@
 //
 //   * TieBatch / ParseTieBatch / LoadTieBatch — a delta file of new ties in
 //     the standard edge-list grammar (`u v d|b|u`, optional `# nodes N`
-//     header, CRLF-tolerant). Parsing is strict and line-anchored: a
-//     malformed line, unknown type, self-loop, trailing token, or a tie
-//     duplicated *within* the batch yields InvalidArgument naming the line
-//     (duplicates name both lines); an unreadable file yields IOError.
+//     header, CRLF-tolerant), read line by line with graph::ParseTieLine.
+//     Parsing is strict and line-anchored: a malformed line, unknown type,
+//     node id or count that does not fit a NodeId, self-loop, trailing
+//     token, or a tie duplicated *within* the batch yields InvalidArgument
+//     naming the line (duplicates name both lines); an unreadable file
+//     yields IOError.
 //     Duplicates against the *existing* network are rejected by the core
 //     splice (core::DeepDirectModel::ApplyTieBatch), which owns the graph.
 //
@@ -23,9 +25,10 @@
 //     epoch short of the model that was actually served.
 //
 // Layering: this file lives in deepdirect_train and must not link the
-// graph library (deepdirect_graph links train). graph/types.h is
-// header-only and provides TieType/NodeId; everything needing the built
-// network lives in core/incremental.h.
+// graph library (deepdirect_graph links train). graph/types.h provides
+// TieType/NodeId and graph/graph_io.h the inline line parser, both
+// header-only; everything needing the built network lives in
+// core/incremental.h.
 
 #ifndef DEEPDIRECT_TRAIN_INCREMENTAL_H_
 #define DEEPDIRECT_TRAIN_INCREMENTAL_H_
@@ -62,7 +65,8 @@ struct TieBatch {
 
 /// Parses a delta stream; `origin` labels error messages (usually the
 /// path). Line-anchored InvalidArgument on malformed lines, unknown types,
-/// self-loops, and in-batch unordered-pair duplicates.
+/// ids or counts beyond graph::kMaxNodes, self-loops, and in-batch
+/// unordered-pair duplicates.
 util::Result<TieBatch> ParseTieBatch(std::istream& in,
                                      const std::string& origin);
 

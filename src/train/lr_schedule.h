@@ -3,9 +3,9 @@
 // The repo's trainers all decay the learning rate linearly over the step
 // budget, in one of two historical forms:
 //   * clamped       — lr(t) = initial · max(min_fraction, 1 − t/T)
-//                     (word2vec convention; skip-gram, LINE, DeepDirect)
+//                     (word2vec convention; LINE, DeepDirect)
 //   * interpolated  — lr(t) = initial · (1 − (1 − min_fraction) · t/T)
-//                     (logistic regression, MLP, autoencoder, ReDirect)
+//                     (logistic regression, MLP, ReDirect)
 // Both end at initial · min_fraction; the clamped form flattens once the
 // floor is reached while the interpolated form keeps decaying to it exactly
 // at t = T. The formulas are kept verbatim so migrated trainers reproduce

@@ -10,8 +10,6 @@
 #include "core/models.h"
 #include "data/generators.h"
 #include "graph/algorithms.h"
-#include "graph/spring_rank.h"
-#include "ml/autoencoder.h"
 #include "ml/metrics.h"
 #include "ml/tsne.h"
 #include "util/random.h"
@@ -162,27 +160,6 @@ TEST(HideDirectionsTest, DeterministicForSeed) {
   for (size_t i = 0; i < a.hidden_true_arcs.size(); ++i) {
     EXPECT_EQ(a.hidden_true_arcs[i], b.hidden_true_arcs[i]);
   }
-}
-
-TEST(SpringRankAlphaTest, LargerRidgeShrinksScores) {
-  std::vector<std::pair<NodeId, NodeId>> arcs{{0, 1}, {1, 2}, {2, 3},
-                                              {0, 2}, {1, 3}};
-  graph::SpringRankConfig weak, strong;
-  weak.alpha = 0.01;
-  strong.alpha = 10.0;
-  const auto s_weak = graph::SolveSpringSystem(4, arcs, weak);
-  const auto s_strong = graph::SolveSpringSystem(4, arcs, strong);
-  double norm_weak = 0.0, norm_strong = 0.0;
-  for (double v : s_weak) norm_weak += v * v;
-  for (double v : s_strong) norm_strong += v * v;
-  EXPECT_GT(norm_weak, norm_strong * 4.0);
-}
-
-TEST(AutoencoderEdgeCaseTest, EmptyTrainingSetIsNoop) {
-  ml::AutoencoderConfig config;
-  config.encoder_dims = {3};
-  ml::Autoencoder autoencoder(5, config);
-  EXPECT_DOUBLE_EQ(autoencoder.Train({}, config), 0.0);
 }
 
 TEST(GridSearchShapeTest, CellsAreRowMajorOverAlphaBeta) {

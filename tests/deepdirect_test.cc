@@ -5,13 +5,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/applications.h"
 #include "core/deepdirect.h"
+#include "core/estep_body.h"
 #include "data/generators.h"
 #include "graph/algorithms.h"
+#include "kernels/dispatch.h"
 #include "obs/metrics.h"
+#include "train/hogwild.h"
+#include "train/sgd_driver.h"
 
 namespace deepdirect::core {
 namespace {
@@ -369,28 +376,275 @@ TEST(DeepDirectTest, ProgressCallbackReportsDecreasingTopoLoss) {
   EXPECT_LT(losses.back(), losses.front());
 }
 
-TEST(DeepDirectTest, MlpDStepHeadExtension) {
-  // Sec. 8 future work: the nonlinear D-Step head must produce a valid,
-  // above-chance directionality function.
-  const auto split = EasySplit();
-  auto config = FastConfig();
-  config.epochs = 5.0;
-  config.d_step_head = DStepHead::kMlp;
-  const auto model = DeepDirectModel::Train(split.network, config);
-  for (size_t e = 0; e < model->index().num_arcs(); e += 13) {
-    const auto [u, v] = model->index().ArcAt(e);
-    const double d = model->Directionality(u, v);
-    EXPECT_GE(d, 0.0);
-    EXPECT_LE(d, 1.0);
-  }
-  EXPECT_GT(DirectionDiscoveryAccuracy(split, *model), 0.6);
-}
-
 TEST(DeepDirectTest, DStepWarmStartMatchesEStepShape) {
   const auto split = EasySplit();
   const auto model = DeepDirectModel::Train(split.network, FastConfig());
   EXPECT_EQ(model->d_step_regression().num_features(), 32u);
   EXPECT_EQ(model->e_step_weights().size(), 32u);
+}
+
+// ---------------------------------------------------------------------------
+// The E-step against the paper's math: one step of EStepStep under scalar
+// kernels must apply exactly −lr·∇L, where L is the Eq. 18 loss of the
+// sampled step, checked by central differences of an independent f64
+// reference.
+
+// A storage environment with fixed draws: source arc 0, its context arc 1,
+// the λ = 2 negatives 2 and 3, and the triad pairs (4, 5) and (6, 7).
+struct FixedDrawEnv {
+  static constexpr size_t kArcs = 8;
+  static constexpr size_t kSource = 0;
+  static constexpr size_t kContext = 1;
+  static constexpr size_t kNegatives[2] = {2, 3};
+
+  struct PatternView {
+    bool degree_active = false;
+    double pseudo_label = 0.0;
+    std::vector<std::pair<uint32_t, uint32_t>> triads;
+  };
+
+  size_t l;
+  std::vector<float> m, n;  // kArcs × l, row-major
+  ArcClass arc_class = ArcClass::kLabeledPositive;
+  uint32_t tie_degree = 1;
+  PatternView pattern;
+  size_t noise_draws = 0;
+
+  size_t num_arcs() const { return kArcs; }
+  std::span<float> MRow(size_t e) { return {m.data() + e * l, l}; }
+  std::span<float> NRow(size_t e) { return {n.data() + e * l, l}; }
+  size_t SampleSource(const train::SgdStep&, util::Rng&) { return kSource; }
+  size_t SampleConnectedTie(size_t, util::Rng&) { return kContext; }
+  size_t SampleNoise(util::Rng&) { return kNegatives[noise_draws++ % 2]; }
+  ArcClass ClassOf(size_t) const { return arc_class; }
+  bool IsLabeled(size_t) const {
+    return arc_class == ArcClass::kLabeledPositive ||
+           arc_class == ArcClass::kLabeledNegative;
+  }
+  double Label(size_t) const {
+    return arc_class == ArcClass::kLabeledPositive ? 1.0 : 0.0;
+  }
+  uint32_t TieDegreeOf(size_t) const { return tie_degree; }
+  const PatternView& Pattern(size_t) const { return pattern; }
+};
+
+struct GradientCase {
+  const char* name;
+  ArcClass arc_class;
+  bool degree_active;
+  bool triads;
+  double progress;  ///< step / total steps; the warm-up ends at 0.5
+  bool weight_by_tie_degree;
+  uint32_t tie_degree;
+};
+
+void PrintTo(const GradientCase& c, std::ostream* os) { *os << c.name; }
+
+double Dot(std::span<const double> a, std::span<const double> b) {
+  double acc = 0.0;
+  for (size_t k = 0; k < a.size(); ++k) acc += a[k] * b[k];
+  return acc;
+}
+
+double Sig(double z) { return 1.0 / (1.0 + std::exp(-z)); }
+double LogSig(double z) { return -std::log1p(std::exp(-z)); }
+
+// Cross-entropy of p = σ(z) against the target y.
+double CrossEntropy(double z, double y) {
+  return -y * LogSig(z) - (1.0 - y) * LogSig(-z);
+}
+
+class EStepGradientTest : public ::testing::TestWithParam<GradientCase> {
+ protected:
+  void SetUp() override {
+    saved_mode_ = kernels::CurrentMode();
+    kernels::SetMode(kernels::Mode::kScalar);
+  }
+  void TearDown() override { kernels::SetMode(saved_mode_); }
+
+ private:
+  kernels::Mode saved_mode_ = kernels::Mode::kAuto;
+};
+
+TEST_P(EStepGradientTest, StepAppliesMinusLrTimesGradient) {
+  const GradientCase& c = GetParam();
+  constexpr size_t l = 6;
+  constexpr double lr = 1e-2;
+  constexpr uint64_t kTotal = 1000;
+
+  DeepDirectConfig config;
+  config.dimensions = l;
+  config.negative_samples = 2;
+  config.alpha = 5.0;
+  config.beta = 2.0;
+  config.classifier_l2 = 0.05;
+  config.embedding_l2 = 0.02;
+  config.classifier_warmup_fraction = 0.5;
+  config.weight_by_tie_degree = c.weight_by_tie_degree;
+
+  util::Rng init(17);
+  FixedDrawEnv env{.l = l};
+  env.m.resize(FixedDrawEnv::kArcs * l);
+  env.n.resize(FixedDrawEnv::kArcs * l);
+  for (float& x : env.m) x = static_cast<float>(init.NextDoubleIn(-0.5, 0.5));
+  for (float& x : env.n) x = static_cast<float>(init.NextDoubleIn(-0.5, 0.5));
+  env.arc_class = c.arc_class;
+  env.tie_degree = c.tie_degree;
+  env.pattern.degree_active = c.degree_active;
+  env.pattern.pseudo_label = 0.8;  // y^d, above T = 0.3 when active
+  if (c.triads) env.pattern.triads = {{4, 5}, {6, 7}};
+  std::vector<double> dense(l + 1);
+  for (double& x : dense) x = init.NextDoubleIn(-0.5, 0.5);
+
+  // θ = (m_e, n_e', n_f1, n_f2, w′, b′): every parameter the step may move.
+  const size_t rows[4] = {FixedDrawEnv::kSource, FixedDrawEnv::kContext,
+                          FixedDrawEnv::kNegatives[0],
+                          FixedDrawEnv::kNegatives[1]};
+  const auto theta_of = [&](const FixedDrawEnv& from,
+                            const std::vector<double>& classifier) {
+    std::vector<double> theta;
+    for (int block = 0; block < 4; ++block) {
+      const float* row = (block == 0 ? from.m.data() : from.n.data()) +
+                         rows[block] * l;
+      theta.insert(theta.end(), row, row + l);
+    }
+    theta.insert(theta.end(), classifier.begin(), classifier.end());
+    return theta;
+  };
+  const std::vector<double> theta0 = theta_of(env, dense);
+
+  // The reference's constants: the label, the scale s, and the triad
+  // pseudo-label y^t (Eq. 15), held fixed at the pre-step parameters.
+  const bool labeled = env.IsLabeled(0);
+  const bool undirected = c.arc_class == ArcClass::kUndirected;
+  const double warmup = std::min(1.0, c.progress / 0.5);
+  const double s =
+      warmup * (c.weight_by_tie_degree ? 1.0 : 1.0 / c.tie_degree);
+  const std::span<const double> w0(dense.data(), l);
+  double y_t = 0.0;
+  for (const auto& [uw, vw] : env.pattern.triads) {
+    std::vector<double> row_uw(env.m.begin() + uw * l,
+                               env.m.begin() + (uw + 1) * l);
+    std::vector<double> row_vw(env.m.begin() + vw * l,
+                               env.m.begin() + (vw + 1) * l);
+    const double y_uw = Sig(dense[l] + Dot(w0, row_uw));
+    const double y_vw = Sig(dense[l] + Dot(w0, row_vw));
+    y_t += y_uw / (y_uw + y_vw);
+  }
+  if (c.triads) y_t /= 2.0;
+  const bool updates_classifier =
+      labeled || (undirected && (c.degree_active || c.triads));
+
+  // L = L_topo + α·s·CE(p, y) + β·s·(CE(p, y^d)·[y^d > T] + CE(p, y^t))
+  //     + ½·classifier_l2·‖w′‖² + ½·embedding_l2·‖m_e‖²   (Eq. 18).
+  const auto loss = [&](const std::vector<double>& theta) {
+    const std::span<const double> all(theta);
+    const auto m_e = all.subspan(0, l);
+    const auto w = all.subspan(4 * l, l);
+    const double b = theta[5 * l];
+    double value = -LogSig(Dot(m_e, all.subspan(l, l)));
+    for (size_t neg = 2; neg <= 3; ++neg) {
+      value -= LogSig(-Dot(m_e, all.subspan(neg * l, l)));
+    }
+    const double z = b + Dot(w, m_e);
+    if (labeled) {
+      value += config.alpha * s * CrossEntropy(z, env.Label(0));
+    } else if (undirected) {
+      if (c.degree_active) {
+        value += config.beta * s * CrossEntropy(z, env.pattern.pseudo_label);
+      }
+      if (c.triads) value += config.beta * s * CrossEntropy(z, y_t);
+    }
+    if (updates_classifier) value += 0.5 * config.classifier_l2 * Dot(w, w);
+    value += 0.5 * config.embedding_l2 * Dot(m_e, m_e);
+    return value;
+  };
+
+  const std::vector<float> m_before = env.m;
+  util::Rng rng(1);
+  const train::SgdStep ctx{
+      .worker = 0,
+      .step = static_cast<uint64_t>(c.progress * kTotal),
+      .lr = lr,
+      .rng = rng,
+      .dense = dense};
+  std::vector<double> grad_m(l);
+  internal::EStepTally tally;
+  internal::EStepStep<train::SerialAccess>(env, ctx, config, kTotal,
+                                           /*track_loss=*/false, grad_m,
+                                           tally);
+  EXPECT_EQ(tally.negatives, 2u);
+
+  const std::vector<double> theta1 = theta_of(env, dense);
+  constexpr double h = 1e-6;
+  for (size_t i = 0; i < theta0.size(); ++i) {
+    std::vector<double> plus = theta0, minus = theta0;
+    plus[i] += h;
+    minus[i] -= h;
+    const double gradient = (loss(plus) - loss(minus)) / (2.0 * h);
+    const double applied = (theta0[i] - theta1[i]) / lr;
+    EXPECT_NEAR(applied, gradient, 1e-5) << "coordinate " << i;
+  }
+
+  // The triad arcs feed y^t only; their rows must not move.
+  for (size_t e = 4; e < FixedDrawEnv::kArcs; ++e) {
+    for (size_t k = 0; k < l; ++k) {
+      EXPECT_EQ(env.m[e * l + k], m_before[e * l + k]) << "arc " << e;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Eq18, EStepGradientTest,
+    ::testing::Values(
+        GradientCase{"LabeledPositive", ArcClass::kLabeledPositive, false,
+                     false, 0.8, true, 1},
+        GradientCase{"LabeledNegativeInWarmup", ArcClass::kLabeledNegative,
+                     false, false, 0.2, true, 1},
+        GradientCase{"UndirectedBothPatterns", ArcClass::kUndirected, true,
+                     true, 0.8, true, 1},
+        GradientCase{"UndirectedTriadsOnly", ArcClass::kUndirected, false,
+                     true, 0.8, true, 1},
+        GradientCase{"BidirectionalTopologyOnly", ArcClass::kBidirectional,
+                     false, false, 0.8, true, 1},
+        GradientCase{"LabeledWithoutTieDegreeWeight",
+                     ArcClass::kLabeledPositive, false, false, 0.8, false, 4},
+        GradientCase{"UndirectedWithoutTieDegreeWeight",
+                     ArcClass::kUndirected, true, true, 0.8, false, 3}),
+    [](const ::testing::TestParamInfo<GradientCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// Eq. 14 as implemented (DESIGN.md §4b): y^d_{uv} = deg(v)/(deg(u)+deg(v)),
+// the pattern-consistent form, not the printed deg(u)/(deg(u)+deg(v)).
+TEST(DeepDirectTest, Eq14DegreePseudoLabelIsTargetDegreeShare) {
+  // deg counts a directed tie 1, a bidirectional tie 2 and an undirected
+  // tie 1 (Eqs. 1–2): deg(0) = 1, deg(1) = 4, deg(2) = 2, deg(3) = 4,
+  // deg(4) = 1.
+  graph::GraphBuilder builder(5);
+  ASSERT_TRUE(builder.AddTie(0, 1, graph::TieType::kUndirected).ok());
+  ASSERT_TRUE(builder.AddTie(1, 2, graph::TieType::kDirected).ok());
+  ASSERT_TRUE(builder.AddTie(1, 3, graph::TieType::kBidirectional).ok());
+  ASSERT_TRUE(builder.AddTie(2, 3, graph::TieType::kDirected).ok());
+  ASSERT_TRUE(builder.AddTie(3, 4, graph::TieType::kUndirected).ok());
+  const auto g = std::move(builder).Build();
+  const TieIndex idx(g);
+  const PatternPrecompute patterns =
+      PrecomputePatterns(g, idx, DeepDirectConfig{});
+  const struct {
+    graph::NodeId u, v;
+    double y_d;
+  } cases[] = {{0, 1, 4.0 / 5.0}, {1, 0, 1.0 / 5.0},
+               {3, 4, 1.0 / 5.0}, {4, 3, 4.0 / 5.0}};
+  ASSERT_EQ(patterns.num_pattern_arcs(), 4u);
+  for (const auto& c : cases) {
+    const uint32_t slot = patterns.slot[idx.IndexOf(c.u, c.v)];
+    ASSERT_NE(slot, UINT32_MAX) << c.u << "->" << c.v;
+    EXPECT_DOUBLE_EQ(patterns.degree_pseudo_label[slot], c.y_d)
+        << c.u << "->" << c.v;
+    EXPECT_EQ(patterns.degree_active[slot], c.y_d > 0.3 ? 1 : 0)
+        << c.u << "->" << c.v;
+  }
 }
 
 }  // namespace

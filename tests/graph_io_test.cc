@@ -154,6 +154,29 @@ TEST(GraphIoTest, RejectsNodeBeyondDeclaredCount) {
   EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
 }
 
+// Node ids are 32-bit: an id must leave room for the node count max id + 1
+// (so it lies in [0, 2^32 − 1)), and a `# nodes` count must fit as well.
+TEST(GraphIoTest, RejectsIdsAndCountsBeyondNodeIdLineAnchored) {
+  const struct {
+    const char* text;
+    const char* needle;
+  } cases[] = {
+      {"4294967296 1 d\n1 2 u\n2 3 b\n", "node id 4294967296 at line 1"},
+      {"1 2 u\n4294967295 0 d\n", "node id 4294967295 at line 2"},
+      {"1 2 u\n2 4294967295 b\n", "node id 4294967295 at line 2"},
+      {"# nodes 4294967297\n0 1 d\n", "header at line 1"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    std::stringstream in(c.text);
+    auto loaded = ReadEdgeList(in);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(c.needle), std::string::npos)
+        << loaded.status().ToString();
+  }
+}
+
 TEST(GraphIoTest, RejectsDuplicateTies) {
   std::stringstream in("0 1 d\n1 0 b\n");
   EXPECT_FALSE(ReadEdgeList(in).ok());

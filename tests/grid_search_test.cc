@@ -5,7 +5,6 @@
 
 #include "core/applications.h"
 #include "core/grid_search.h"
-#include "core/line_graph_model.h"
 #include "data/generators.h"
 #include "graph/algorithms.h"
 
@@ -90,22 +89,6 @@ TEST(GridSearchTest, SelectedCellGeneralizesAboveChance) {
   config.beta = search.best.beta;
   const auto model = DeepDirectModel::Train(split.network, config);
   EXPECT_GT(DirectionDiscoveryAccuracy(split, *model), 0.55);
-}
-
-TEST(LineGraphModelTest, TrainsAndReportsBlowup) {
-  const auto net = EasyNetwork();
-  util::Rng rng(11);
-  const auto split = graph::HideDirections(net, 0.3, rng);
-  LineGraphModelConfig config;
-  config.embedding.dimensions = 16;
-  config.embedding.samples_per_edge = 10;
-  const auto model = LineGraphModel::Train(split.network, config);
-  EXPECT_EQ(model->name(), "LINE-linegraph");
-  // The line digraph is strictly larger than the original network on both
-  // axes (the paper's Sec. 4 argument).
-  EXPECT_EQ(model->line_graph_nodes(), 2 * split.network.num_ties());
-  EXPECT_GT(model->line_graph_edges(), model->line_graph_nodes());
-  EXPECT_GT(DirectionDiscoveryAccuracy(split, *model), 0.5);
 }
 
 }  // namespace

@@ -302,6 +302,13 @@ TEST_F(IncrementalTest, ParsesTheDeltaGrammar) {
   EXPECT_EQ(batch.value().max_node_id, 8u);
   EXPECT_EQ(batch.value().ties[1].type, graph::TieType::kBidirectional);
   EXPECT_EQ(batch.value().ties[3].line, 5u);  // 1-based, after the header
+
+  // The largest id and node count a NodeId can index.
+  std::istringstream widest("# nodes 4294967295\n4294967294 0 d\n");
+  auto wide = train::ParseTieBatch(widest, "widest");
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  EXPECT_EQ(wide.value().max_node_id, 4294967294u);
+  EXPECT_EQ(wide.value().declared_nodes, 4294967295u);
 }
 
 TEST_F(IncrementalTest, EveryLengthTruncationParsesOrRejectsTyped) {
@@ -332,6 +339,12 @@ TEST_F(IncrementalTest, MalformedLinesRejectLineAnchored) {
       {"5 6 x", "unknown tie type"},
       {"5 6 d trailing", "trailing"},
       {"5 5 d", "self-loop"},
+      // Ids lie in [0, 2^32 − 1) and `# nodes` is at most 2^32 − 1, so
+      // the merged node count fits a NodeId.
+      {"4294967296 1 d", "node id 4294967296"},
+      {"4294967295 0 d", "node id 4294967295"},
+      {"1 4294967295 u", "node id 4294967295"},
+      {"# nodes 4294967297", "declares 4294967297 nodes"},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.line);

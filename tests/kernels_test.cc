@@ -14,8 +14,7 @@
 #include <vector>
 
 #include "data/generators.h"
-#include "embedding/random_walks.h"
-#include "embedding/skipgram.h"
+#include "embedding/line.h"
 #include "kernels/crc32.h"
 #include "ml/matrix.h"
 #include "train/hogwild.h"
@@ -437,32 +436,30 @@ TEST_F(KernelsTest, SimdKernelsHandleDenormalInputs) {
 // ------------------------------------- trainer-level determinism at nt=1
 //
 // Scalar dispatch must make a full trainer run reproducible: two
-// identical nt=1 skip-gram runs under DD_KERNELS=scalar give bit-equal
-// embeddings (the same property the PR 5 resume goldens pin through the
-// checkpoint path, here pinned directly against dispatch).
+// identical nt=1 LINE runs under DD_KERNELS=scalar give bit-equal
+// embeddings in both halves (the same property the resume goldens pin
+// through the checkpoint path, here pinned directly against dispatch).
 
 TEST_F(KernelsTest, ScalarDispatchTrainerRunsAreBitIdentical) {
-  const auto RunOnce = [] {
-    data::GeneratorConfig net_config;
-    net_config.num_nodes = 40;
-    net_config.ties_per_node = 3.0;
-    net_config.seed = 21;
-    const auto net = data::GenerateStatusNetwork(net_config);
-    embedding::WalkConfig walk_config;
-    walk_config.walks_per_node = 3;
-    walk_config.walk_length = 8;
-    const auto corpus = embedding::GenerateWalks(net, walk_config);
-    embedding::SkipGramConfig config;
-    config.dimensions = 8;
-    config.epochs = 3;
-    return embedding::TrainSkipGram(corpus, net.num_nodes(), config);
-  };
+  data::GeneratorConfig net_config;
+  net_config.num_nodes = 40;
+  net_config.ties_per_node = 3.0;
+  net_config.seed = 21;
+  const auto net = data::GenerateStatusNetwork(net_config);
+  embedding::LineConfig config;
+  config.dimensions = 8;
+  config.samples_per_arc = 20;
   SetMode(Mode::kScalar);
-  const auto first = RunOnce();
-  const auto second = RunOnce();
-  ASSERT_EQ(first.data().size(), second.data().size());
-  for (size_t i = 0; i < first.data().size(); ++i) {
-    EXPECT_EQ(first.data()[i], second.data()[i]) << "i=" << i;
+  const auto first = embedding::LineEmbedding::Train(net, config);
+  const auto second = embedding::LineEmbedding::Train(net, config);
+  ASSERT_EQ(first.dimensions(), second.dimensions());
+  for (graph::NodeId u = 0; u < net.num_nodes(); ++u) {
+    for (size_t k = 0; k < config.dimensions / 2; ++k) {
+      EXPECT_EQ(first.FirstOrder(u)[k], second.FirstOrder(u)[k])
+          << "node " << u << ", k=" << k;
+      EXPECT_EQ(first.SecondOrder(u)[k], second.SecondOrder(u)[k])
+          << "node " << u << ", k=" << k;
+    }
   }
 }
 

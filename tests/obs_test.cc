@@ -18,8 +18,6 @@
 #include "core/deepdirect.h"
 #include "core/models.h"
 #include "data/generators.h"
-#include "embedding/random_walks.h"
-#include "embedding/skipgram.h"
 #include "graph/algorithms.h"
 #include "graph/graph_io.h"
 #include "json_lint.h"
@@ -397,9 +395,9 @@ TEST(ObsTimelineTest, StartFailsCleanlyOnUnwritablePath) {
 
 // The tdl_cli-equivalent pipeline: save + reload a network, train the
 // DeepDirect E/D-steps and the LINE model (LINE embedding + logistic
-// regression) as `tdl_cli discover` would, train skip-gram directly (the
-// fourth SgdDriver trainer has no CLI method), and check the snapshot has
-// every telemetry surface the --metrics-out contract promises.
+// regression) as `tdl_cli discover` would — four SgdDriver runs — and
+// check the snapshot has every telemetry surface the --metrics-out
+// contract promises.
 TEST(ObsEndToEndTest, PipelineSnapshotCoversAllFourTrainers) {
   ScopedDefaultRegistry guard;
 
@@ -423,23 +421,13 @@ TEST(ObsEndToEndTest, PipelineSnapshotCoversAllFourTrainers) {
   ASSERT_NE(deepdirect_model, nullptr);
   ASSERT_NE(line_model, nullptr);
 
-  embedding::WalkConfig walk_config;
-  walk_config.walks_per_node = 2;
-  walk_config.walk_length = 10;
-  const auto corpus = embedding::GenerateWalks(split.network, walk_config);
-  embedding::SkipGramConfig skipgram_config;
-  skipgram_config.dimensions = 16;
-  skipgram_config.epochs = 1;
-  embedding::TrainSkipGram(corpus, num_nodes, skipgram_config);
-
   const obs::MetricsSnapshot snapshot = obs::Registry::Default().Snapshot();
 
-  // Per-run losses for all four SgdDriver trainers (plus the two logistic
-  // regression heads, whose run_loss series is the per-epoch loss curve).
+  // Per-run losses for all four SgdDriver runs (the two logistic
+  // regression heads' run_loss series is the per-epoch loss curve).
   for (const char* name :
        {"train.deepdirect.estep.run_loss", "train.deepdirect.dstep.run_loss",
-        "train.line.run_loss", "train.skipgram.run_loss",
-        "train.logreg.run_loss"}) {
+        "train.line.run_loss", "train.logreg.run_loss"}) {
     ASSERT_TRUE(snapshot.series.contains(name)) << name;
     ASSERT_FALSE(snapshot.series.at(name).empty()) << name;
     for (double value : snapshot.series.at(name)) {
@@ -467,13 +455,11 @@ TEST(ObsEndToEndTest, PipelineSnapshotCoversAllFourTrainers) {
   // Step counters, throughput gauges, and sampler counters.
   EXPECT_GT(snapshot.counters.at("train.deepdirect.estep.steps"), 0u);
   EXPECT_GT(snapshot.counters.at("train.line.steps"), 0u);
-  EXPECT_GT(snapshot.counters.at("train.skipgram.steps"), 0u);
   EXPECT_GT(snapshot.counters.at("graph.load.ties"), 0u);
   EXPECT_DOUBLE_EQ(snapshot.gauges.at("graph.load.nodes"),
                    static_cast<double>(num_nodes));
   for (const char* name : {"train.deepdirect.estep.examples_per_sec",
-                           "train.line.examples_per_sec",
-                           "train.skipgram.examples_per_sec"}) {
+                           "train.line.examples_per_sec"}) {
     ASSERT_TRUE(snapshot.gauges.contains(name)) << name;
     EXPECT_TRUE(std::isfinite(snapshot.gauges.at(name))) << name;
     EXPECT_GT(snapshot.gauges.at(name), 0.0) << name;
@@ -500,7 +486,7 @@ TEST(ObsEndToEndTest, PipelineSnapshotCoversAllFourTrainers) {
   EXPECT_EQ(open, close);
   for (const char* key :
        {"\"train.deepdirect.estep.run_loss\"", "\"train.line.run_loss\"",
-        "\"train.skipgram.run_loss\"", "\"phase.deepdirect.estep.seconds\"",
+        "\"phase.deepdirect.estep.seconds\"",
         "\"train.deepdirect.estep.examples_per_sec\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }

@@ -335,23 +335,6 @@ TEST(ServableModelTest, MissingFileReportsIOError) {
   EXPECT_EQ(opened.status().code(), util::StatusCode::kIOError);
 }
 
-TEST(ServableModelTest, MlpHeadIsNotServable) {
-  data::GeneratorConfig gen;
-  gen.num_nodes = 60;
-  gen.ties_per_node = 3.5;
-  gen.seed = 3;
-  const auto net = data::GenerateStatusNetwork(gen);
-  util::Rng rng(4);
-  const auto split = graph::HideDirections(net, 0.4, rng);
-  core::DeepDirectConfig config;
-  config.dimensions = 4;
-  config.epochs = 1.0;
-  config.d_step_head = core::DStepHead::kMlp;
-  const auto model = core::DeepDirectModel::Train(split.network, config);
-  const auto status = model->ExportServable("/tmp/deepdirect_serve_mlp.dds");
-  EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
-}
-
 TEST(ServableModelTest, TruncationSweepEveryLengthNeverOpens) {
   // A servable file cut after ANY byte count must be rejected cleanly.
   const Exported& fixture = Tiny();

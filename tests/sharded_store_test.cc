@@ -286,12 +286,6 @@ TEST(ShardedTrainerTest, RejectsUnsupportedConfigs) {
   EXPECT_FALSE(checkpointed.ok());
   EXPECT_EQ(checkpointed.status().code(),
             util::StatusCode::kInvalidArgument);
-
-  auto with_mlp = ShardedConfig(base, 2, FreshDir("dd_shard_mlp"));
-  with_mlp.d_step_head = DStepHead::kMlp;
-  auto mlp = ShardedDeepDirectModel::Train(split.network, with_mlp);
-  EXPECT_FALSE(mlp.ok());
-  EXPECT_EQ(mlp.status().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(ShardedTrainerTest, UnknownTieIsNotFound) {

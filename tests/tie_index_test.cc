@@ -162,6 +162,9 @@ TEST(TieIndexTest, ClosureMatchesLineGraphOfSymmetrizedNetwork) {
   const TieIndex index(net);
   EXPECT_EQ(index.num_arcs(), sym.num_arcs());
   EXPECT_EQ(index.NumConnectedTiePairs(), graph::PredictLineGraphSize(sym));
+  // The line graph has more edges than the network has arcs: the blow-up
+  // that Sec. 4 cites against embedding the line graph directly.
+  EXPECT_GT(index.NumConnectedTiePairs(), index.num_arcs());
 }
 
 }  // namespace

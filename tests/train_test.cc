@@ -15,8 +15,6 @@
 #include "core/deepdirect.h"
 #include "data/generators.h"
 #include "embedding/line.h"
-#include "embedding/random_walks.h"
-#include "embedding/skipgram.h"
 #include "graph/algorithms.h"
 #include "ml/dataset.h"
 #include "ml/logistic_regression.h"
@@ -599,31 +597,6 @@ data::GeneratorConfig SmallNetConfig() {
   config.ties_per_node = 3.0;
   config.seed = 11;
   return config;
-}
-
-TEST(ResumeGoldenTest, SkipGramResumeIsBitIdentical) {
-  const auto net = data::GenerateStatusNetwork(SmallNetConfig());
-  embedding::WalkConfig walk_config;
-  walk_config.walks_per_node = 5;
-  walk_config.walk_length = 10;
-  const auto corpus = embedding::GenerateWalks(net, walk_config);
-
-  embedding::SkipGramConfig config;
-  config.dimensions = 8;
-  config.epochs = 10;
-  const auto straight =
-      embedding::TrainSkipGram(corpus, net.num_nodes(), config);
-
-  ScratchDir dir("resume_golden_skipgram");
-  config.checkpoint.dir = dir.path();
-  config.checkpoint.stop_after_epochs = 4;
-  embedding::TrainSkipGram(corpus, net.num_nodes(), config);  // interrupted
-
-  config.checkpoint.stop_after_epochs = 0;
-  config.checkpoint.resume = true;
-  const auto resumed =
-      embedding::TrainSkipGram(corpus, net.num_nodes(), config);
-  EXPECT_EQ(resumed.data(), straight.data());
 }
 
 TEST(ResumeGoldenTest, LineResumeIsBitIdentical) {
