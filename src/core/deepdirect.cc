@@ -4,18 +4,14 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <optional>
 
 #include "core/estep_body.h"
-#include "kernels/kernels.h"
-#include "ml/dataset.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "train/parallel.h"
 #include "train/sgd_driver.h"
-#include "util/alias_table.h"
 #include "util/random.h"
 
 namespace deepdirect::core {
@@ -28,47 +24,6 @@ namespace {
 // Fixed shard size for the pattern precompute: undirected arcs split into
 // blocks of this many slots, independent of the worker count.
 constexpr size_t kPatternBlock = 256;
-
-// Storage environment adapting the heap-resident training state (TieIndex,
-// pattern arena, ml::Matrix M and N, alias tables) to the shared E-step
-// body in core/estep_body.h. The sharded trainer provides the mmap-backed
-// twin; both must present identical arithmetic to the body.
-struct InRamEnv {
-  const TieIndex& idx;
-  const PatternPrecompute& patterns;
-  ml::Matrix& m;
-  ml::Matrix& n;
-  const util::AliasTable& source_table;
-  const util::AliasTable& noise_table;
-
-  struct PatternView {
-    bool degree_active;
-    double pseudo_label;
-    std::span<const std::pair<uint32_t, uint32_t>> triads;
-  };
-
-  size_t num_arcs() const { return idx.num_arcs(); }
-  std::span<float> MRow(size_t e) { return m.Row(e); }
-  std::span<float> NRow(size_t e) { return n.Row(e); }
-  size_t SampleSource(const train::SgdStep&, util::Rng& r) const {
-    return source_table.Sample(r);
-  }
-  size_t SampleNoise(util::Rng& r) const { return noise_table.Sample(r); }
-  size_t SampleConnectedTie(size_t e, util::Rng& r) const {
-    return idx.SampleConnectedTie(e, r);
-  }
-  ArcClass ClassOf(size_t e) const { return idx.Class(e); }
-  bool IsLabeled(size_t e) const { return idx.IsLabeled(e); }
-  double Label(size_t e) const { return idx.Label(e); }
-  uint32_t TieDegreeOf(size_t e) const { return idx.TieDegree(e); }
-  PatternView Pattern(size_t e) const {
-    const uint32_t s = patterns.slot[e];
-    const uint32_t t_begin = patterns.triad_offsets[s];
-    const uint32_t t_end = patterns.triad_offsets[s + 1];
-    return {patterns.degree_active[s] != 0, patterns.degree_pseudo_label[s],
-            std::span(patterns.triad_pairs).subspan(t_begin, t_end - t_begin)};
-  }
-};
 
 }  // namespace
 
@@ -199,45 +154,15 @@ std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
   // The joint classifier (w′, b′) as the driver's dense block: w′ in the
   // first l slots, b′ in the last.
   std::vector<double> classifier(l + 1, 0.0);
+  const internal::Samplers samplers(idx, config.uniform_negative_sampling);
 
-  // Sampling distributions over closure arcs.
-  std::vector<double> pc_weights(num_arcs);
-  std::vector<double> pn_weights(num_arcs);
-  for (size_t e = 0; e < num_arcs; ++e) {
-    const double deg = idx.TieDegree(e);
-    pc_weights[e] = deg;  // P_c ∝ deg_tie
-    pn_weights[e] = config.uniform_negative_sampling
-                        ? 1.0
-                        : std::pow(deg + 1.0, 0.75);  // P_n ∝ deg_tie^{3/4}
-  }
-  // Degenerate but legal: a network where every destination is a leaf has
-  // no connected tie pairs; fall back to uniform source sampling.
-  double pc_total = 0.0;
-  for (double w : pc_weights) pc_total += w;
-  if (pc_total <= 0.0) std::fill(pc_weights.begin(), pc_weights.end(), 1.0);
-  const util::AliasTable source_table(pc_weights);
-  const util::AliasTable noise_table(pn_weights);
-
-  const uint64_t iterations = static_cast<uint64_t>(
-      config.epochs * static_cast<double>(idx.NumConnectedTiePairs()));
-
-  // Loss tracking costs a LogSigmoid per sample; pay it when the caller
-  // listens (progress callback) or telemetry is being recorded. The loss
-  // value never feeds back into updates, so tracking cannot perturb them.
-  const bool track_loss =
-      static_cast<bool>(config.progress) || obs::Enabled();
-
-  train::SgdOptions options;
-  options.steps = iterations;
-  options.num_threads = config.num_threads;
-  options.lr = config.Schedule();
-  options.shard_seed = config.seed;
   // One epoch is |C(G)| iterations (τ epochs total; the last may be
   // partial when τ is fractional).
+  const uint64_t iterations = static_cast<uint64_t>(
+      config.epochs * static_cast<double>(idx.NumConnectedTiePairs()));
+  train::SgdOptions options = internal::EStepOptions(
+      config, iterations, config.seed, classifier, "train.deepdirect.estep");
   options.steps_per_epoch = idx.NumConnectedTiePairs();
-  options.progress = config.progress;
-  options.report_every = config.report_every;
-  options.metrics_prefix = "train.deepdirect.estep";
 
   train::CheckpointOptions ckpt_options = config.checkpoint;
   if (ckpt_options.trainer.empty()) ckpt_options.trainer = "deepdirect.estep";
@@ -271,25 +196,11 @@ std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
       });
   options.start_epoch = checkpointer.Resume(rng);
   options.checkpointer = &checkpointer;
-  options.dense = classifier;
 
-  train::SgdDriver driver(options);
-
-  std::vector<std::vector<double>> grad_scratch(
-      driver.num_workers(), std::vector<double>(l, 0.0));
-  std::vector<internal::EStepTally> tallies(driver.num_workers());
-
-  // The step body itself lives in core/estep_body.h, shared with the
-  // out-of-core sharded trainer so both run literally the same arithmetic.
-  InRamEnv env{idx, patterns, m, n, source_table, noise_table};
-  driver.Run(rng, [&](auto access, const train::SgdStep& ctx) -> double {
-    using A = decltype(access);
-    return internal::EStepStep<A>(env, ctx, config, iterations, track_loss,
-                                  grad_scratch[ctx.worker],
-                                  tallies[ctx.worker]);
-  });
-
-  internal::FlushTallies(tallies);
+  internal::MatrixRows rows{m, n};
+  internal::RunEStep(
+      internal::EStepEnv<internal::MatrixRows>{idx, patterns, rows, samplers},
+      options, config, rng);
   model->e_step_weights_.assign(classifier.begin(), classifier.begin() + l);
   model->e_step_bias_ = classifier[l];
 
@@ -299,39 +210,18 @@ std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
   // would poison a later resume.
   if (checkpointer.stopped()) return model;
 
-  // --- D-Step (Sec. 4.5.2): warm-started L2 logistic regression on the
-  // embedding rows of labeled arcs.
   phase.emplace("deepdirect.dstep");
-  ml::Dataset data(l);
-  std::vector<double> features(l);
-  for (size_t e = 0; e < num_arcs; ++e) {
-    if (!idx.IsLabeled(e)) continue;
-    const auto row = m.Row(e);
-    for (size_t k = 0; k < l; ++k) features[k] = row[k];
-    data.Add(features, idx.Label(e));
-  }
-  model->d_step_ =
-      ml::LogisticRegression(model->e_step_weights_, model->e_step_bias_);
-  model->d_step_.Train(data, config.d_step);
-
+  model->d_step_ = internal::TrainDStep(rows, idx, classifier, config.d_step);
   return model;
 }
 
 double DeepDirectModel::Directionality(NodeId u, NodeId v) const {
-  const auto row = embeddings_.Row(index_.IndexOf(u, v));
-  std::vector<double> features(row.size());
-  for (size_t k = 0; k < row.size(); ++k) features[k] = row[k];
-  return d_step_.Predict(features);
+  return d_step_.PredictRow(embeddings_.Row(index_.IndexOf(u, v)));
 }
 
 util::Result<double> DeepDirectModel::TryDirectionality(NodeId u,
                                                         NodeId v) const {
-  if (u >= index_.num_nodes() ||
-      index_.TryIndexOf(u, v) == index_.num_arcs()) {
-    return util::Status::NotFound(
-        "no tie between " + std::to_string(u) + " and " + std::to_string(v) +
-        " in the training network");
-  }
+  DD_RETURN_NOT_OK(index_.CheckTie(u, v));
   return Directionality(u, v);
 }
 

@@ -57,10 +57,10 @@ struct IncrementalOptions;  // core/incremental.h
 struct IncrementalUpdate;   // core/incremental.h
 
 /// Out-of-core training (core/sharded_trainer.h). When num_shards > 0,
-/// ShardedDeepDirectModel::Train spills the embedding matrix M, the
-/// connection matrix N and the pattern arena to a mmap-backed ShardedStore
-/// under `dir`, keeping at most `ram_budget_mb` of parameter pages
-/// resident. Ignored by the in-RAM DeepDirectModel::Train.
+/// ShardedDeepDirectModel::Train spills the embedding matrix M and the
+/// connection matrix N to a mmap-backed ShardedStore under `dir`, keeping
+/// at most `ram_budget_mb` of their pages resident. Ignored by the in-RAM
+/// DeepDirectModel::Train.
 struct ShardingConfig {
   size_t num_shards = 0;       ///< 0 = in-RAM training only
   std::string dir;             ///< store directory (required when sharded)
@@ -111,7 +111,7 @@ struct DeepDirectConfig {
       .epochs = 20, .learning_rate = 0.05, .min_lr_fraction = 0.1,
       .l2 = 1e-4, .seed = 23, .shuffle = true,
       .metrics_prefix = "train.deepdirect.dstep",
-      .checkpoint = {.trainer = "deepdirect.dstep"}};
+      .checkpoint = {.dir = {}, .trainer = "deepdirect.dstep", .policy = {}}};
   /// Optional E-Step progress callback, invoked every `report_every` SGD
   /// steps with (step, total_steps, mean L' over the window). Useful for
   /// long trainings; leave empty for silence.

@@ -1,15 +1,32 @@
-// The E-step SGD step body (Algorithm 1, lines 12–15), shared between the
-// in-RAM trainer (core/deepdirect.cc) and the out-of-core sharded trainer
-// (core/sharded_trainer.cc).
+// The E-step (Algorithm 1, lines 10–16) and the D-step, shared by the
+// three trainers: DeepDirectModel::Train (core/deepdirect.cc), the
+// out-of-core ShardedDeepDirectModel::Train (core/sharded_trainer.cc) and
+// the streaming update DeepDirectModel::ApplyTieBatch (core/incremental.cc).
 //
-// The body is templated over a storage environment `Env` so the identical
-// float arithmetic runs against heap matrices or mmap-backed shard rows.
-// Bit-identity between the two trainers at num_threads = 1 rests on this
-// file being the single definition of the step: same kernel calls in the
-// same order, same RNG draw sequence (SampleSource → SampleConnectedTie →
-// per-negative SampleNoise), same classifier/warmup arithmetic.
+// One pipeline serves all three:
+//   * EStepEnv<Rows> — the one storage environment. Topology, classes,
+//     labels and patterns come from the heap TieIndex and
+//     PatternPrecompute; rows of M and N come from `Rows`: two heap
+//     matrices (MatrixRows) or the mmap-backed train::ShardedStore.
+//   * Samplers — P_c sources over every arc, over an update's affected
+//     arcs, or over a Hogwild worker's shard; P_n noise over every arc.
+//   * EStepOptions/RunEStep — the SgdDriver set-up and the run with its
+//     per-worker scratch and sampler tallies.
+//   * TrainDStep — the D-step, warm-started from (w′, b′).
+// Each trainer keeps what only it has: checkpointing (in RAM), the shard
+// plan, Seal() and the store counters (out of core), and the splice, the
+// row remap and the affected set (update).
 //
-// Env contract (duck-typed; see InRamEnv / StoreEnv at the call sites):
+// EStepStep is templated over the environment so the identical float
+// arithmetic runs against heap matrices or mmap-backed shard rows.
+// Bit-identity between the in-RAM and sharded trainers at num_threads = 1
+// rests on this file being the single definition of the step: same kernel
+// calls in the same order, same RNG draw sequence (SampleSource →
+// SampleConnectedTie → per-negative SampleNoise), same classifier/warmup
+// arithmetic.
+//
+// Env contract of EStepStep (duck-typed; EStepEnv below is the one
+// production env):
 //   size_t num_arcs()
 //   std::span<float> MRow(size_t e), NRow(size_t e)
 //   size_t SampleSource(const train::SgdStep&, util::Rng&)  — P_c draw;
@@ -33,13 +50,18 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "core/deepdirect.h"
 #include "core/tie_index.h"
 #include "kernels/kernels.h"
+#include "ml/dataset.h"
+#include "ml/logistic_regression.h"
 #include "ml/matrix.h"
 #include "obs/metrics.h"
 #include "train/sgd_driver.h"
+#include "util/alias_table.h"
 #include "util/random.h"
 
 namespace deepdirect::core::internal {
@@ -97,7 +119,7 @@ inline void FlushTallies(const std::vector<EStepTally>& tallies) {
 template <typename A, typename Env, typename Config>
 double EStepStep(Env& env, const train::SgdStep& ctx, const Config& config,
                  uint64_t total_iterations, bool track_loss,
-                 std::vector<double>& grad_m, EStepTally& tally) {
+                 std::span<double> grad_m, EStepTally& tally) {
   util::Rng& r = ctx.rng;
   const std::span<double> w_prime = ctx.dense.first(ctx.dense.size() - 1);
   double& b_prime = ctx.dense.back();
@@ -220,6 +242,222 @@ double EStepStep(Env& env, const train::SgdStep& ctx, const Config& config,
   kernels::ApplyGradDecay<A>(m_e, grad_m, lr, config.embedding_l2);
 
   return step_loss;
+}
+
+/// Rows of M and N in two heap matrices, under the row interface of
+/// train::ShardedStore, so EStepEnv and TrainDStep read either backend.
+/// Cheap to copy: EStepEnv holds it by value, a store by reference.
+struct MatrixRows {
+  ml::Matrix& m;
+  ml::Matrix& n;
+
+  std::span<float> EmbRow(size_t e) { return m.Row(e); }
+  std::span<float> ConnRow(size_t e) { return n.Row(e); }
+};
+
+/// The E-step's sampling distributions (Algorithm 1, line 11). Sources
+/// follow P_c ∝ deg_tie over every arc or over an update's affected arcs;
+/// noise follows P_n ∝ (deg_tie + 1)^{3/4} over every arc, or is uniform
+/// under the ablation flag. Shard-affine Hogwild adds one P_c table per
+/// shard, and a step that carries a shard draws its source there.
+class Samplers {
+ public:
+  /// `sources` lists the source arcs in ascending order; empty means all.
+  Samplers(const TieIndex& idx, bool uniform_negatives,
+           std::vector<uint32_t> sources = {})
+      : sources_(std::move(sources)),
+        source_table_(
+            SourceTable(idx, sources_.empty() ? idx.num_arcs()
+                                              : sources_.size(),
+                        [&](size_t i) {
+                          return sources_.empty() ? i : size_t{sources_[i]};
+                        })
+                .first),
+        noise_table_(NoiseWeights(idx, uniform_negatives)) {}
+
+  /// Adds one P_c table per shard of `store` (contiguous arc ranges) and
+  /// returns the shard plan, which weights each shard by its P_c mass. A
+  /// shard without mass keeps drawing from the main table, or the resample
+  /// loop in EStepStep would spin inside it.
+  template <typename Store>
+  train::ShardPlan PlanShards(const TieIndex& idx, const Store& store) {
+    train::ShardPlan plan;
+    plan.num_shards = store.num_shards();
+    for (size_t s = 0; s < plan.num_shards; ++s) {
+      const size_t begin = static_cast<size_t>(store.ShardArcBegin(s));
+      const size_t end = static_cast<size_t>(store.ShardArcEnd(s));
+      auto [table, mass] = SourceTable(idx, end - begin,
+                                       [&](size_t i) { return begin + i; });
+      shards_.push_back({begin, mass > 0.0, std::move(table)});
+      plan.shard_weights.push_back(mass);
+    }
+    return plan;
+  }
+
+  size_t SampleSource(const train::SgdStep& ctx, util::Rng& r) const {
+    const size_t s = ctx.shard;
+    if (s != train::kNoShard && s < shards_.size() && shards_[s].has_mass) {
+      return shards_[s].begin + shards_[s].table.Sample(r);
+    }
+    const size_t i = source_table_.Sample(r);
+    return sources_.empty() ? i : sources_[i];
+  }
+  size_t SampleNoise(util::Rng& r) const { return noise_table_.Sample(r); }
+
+ private:
+  struct Shard {
+    size_t begin;
+    bool has_mass;
+    util::AliasTable table;
+  };
+
+  /// P_c over the `count` arcs arc(0), arc(1), …, with its mass. Without
+  /// mass (every destination a leaf: no connected tie pairs) it is uniform.
+  template <typename ArcAt>
+  static std::pair<util::AliasTable, double> SourceTable(const TieIndex& idx,
+                                                         size_t count,
+                                                         ArcAt arc) {
+    std::vector<double> weights(count);
+    double mass = 0.0;
+    for (size_t i = 0; i < count; ++i) {
+      weights[i] = idx.TieDegree(arc(i));
+      mass += weights[i];
+    }
+    if (mass <= 0.0) std::fill(weights.begin(), weights.end(), 1.0);
+    return {util::AliasTable(weights), mass};
+  }
+
+  static std::vector<double> NoiseWeights(const TieIndex& idx,
+                                          bool uniform) {
+    std::vector<double> weights(idx.num_arcs(), 1.0);
+    if (uniform) return weights;
+    for (size_t e = 0; e < weights.size(); ++e) {
+      weights[e] = std::pow(static_cast<double>(idx.TieDegree(e)) + 1.0, 0.75);
+    }
+    return weights;
+  }
+
+  std::vector<uint32_t> sources_;
+  util::AliasTable source_table_;
+  util::AliasTable noise_table_;
+  std::vector<Shard> shards_;
+};
+
+/// The storage environment of every E-step run (see the contract in the
+/// file comment). `Rows` is MatrixRows or train::ShardedStore&, so a row
+/// access costs the heap path no extra indirection. Pattern() is consulted
+/// only for sampled sources, which is what makes an update's arc-masked
+/// pattern arena safe.
+template <typename Rows>
+struct EStepEnv {
+  const TieIndex& idx;
+  const PatternPrecompute& patterns;
+  Rows rows;
+  const Samplers& samplers;
+
+  struct PatternView {
+    bool degree_active;
+    double pseudo_label;
+    std::span<const std::pair<uint32_t, uint32_t>> triads;
+  };
+
+  size_t num_arcs() const { return idx.num_arcs(); }
+  std::span<float> MRow(size_t e) { return rows.EmbRow(e); }
+  std::span<float> NRow(size_t e) { return rows.ConnRow(e); }
+  size_t SampleSource(const train::SgdStep& ctx, util::Rng& r) const {
+    return samplers.SampleSource(ctx, r);
+  }
+  size_t SampleNoise(util::Rng& r) const { return samplers.SampleNoise(r); }
+  size_t SampleConnectedTie(size_t e, util::Rng& r) const {
+    return idx.SampleConnectedTie(e, r);
+  }
+  ArcClass ClassOf(size_t e) const { return idx.Class(e); }
+  bool IsLabeled(size_t e) const { return idx.IsLabeled(e); }
+  double Label(size_t e) const { return idx.Label(e); }
+  uint32_t TieDegreeOf(size_t e) const { return idx.TieDegree(e); }
+  PatternView Pattern(size_t e) const {
+    const uint32_t s = patterns.slot[e];
+    const uint32_t t_begin = patterns.triad_offsets[s];
+    const uint32_t t_end = patterns.triad_offsets[s + 1];
+    return {patterns.degree_active[s] != 0, patterns.degree_pseudo_label[s],
+            std::span(patterns.triad_pairs).subspan(t_begin, t_end - t_begin)};
+  }
+};
+
+/// Driver options of an E-step run of `steps` steps seeded by `seed`, with
+/// the joint classifier (w′ in the first l slots, b′ in the last) as the
+/// dense block. Callers add what only their path has: epochs, a
+/// checkpointer, a shard plan.
+inline train::SgdOptions EStepOptions(const DeepDirectConfig& config,
+                                      uint64_t steps, uint64_t seed,
+                                      std::span<double> classifier,
+                                      std::string metrics_prefix) {
+  train::SgdOptions options;
+  options.steps = steps;
+  options.num_threads = config.num_threads;
+  options.lr = config.Schedule();
+  options.shard_seed = seed;
+  options.progress = config.progress;
+  options.report_every = config.report_every;
+  options.metrics_prefix = std::move(metrics_prefix);
+  options.dense = classifier;
+  return options;
+}
+
+/// Runs EStepStep over `env` for `options.steps` steps with per-worker
+/// gradient scratch and sampler tallies, then flushes the tallies.
+template <typename Rows>
+void RunEStep(EStepEnv<Rows> env, const train::SgdOptions& options,
+              const DeepDirectConfig& config, util::Rng& rng) {
+  // Loss tracking costs a LogSigmoid per sample; pay it when the caller
+  // listens (progress callback) or telemetry is being recorded. The loss
+  // value never feeds back into updates, so tracking cannot perturb them.
+  const bool track_loss =
+      static_cast<bool>(config.progress) || obs::Enabled();
+  train::SgdDriver driver(options);
+  // Each worker's gradient row starts a 4 KiB block of its own, and
+  // hardware prefetchers stay inside such a block, so a worker's stores and
+  // the prefetches along them never pull in a line another worker writes.
+  // On perfbench discover's graph (two workers, 4-vCPU x86-64 host), rows
+  // packed back to back cost 11% more per step than rows a block apart.
+  constexpr uintptr_t kBlockBytes = 4096;
+  constexpr size_t kBlock = kBlockBytes / sizeof(double);
+  const size_t stride = (config.dimensions + kBlock - 1) / kBlock * kBlock;
+  std::vector<double> scratch(driver.num_workers() * stride + kBlock);
+  double* const grad_rows = reinterpret_cast<double*>(
+      (reinterpret_cast<uintptr_t>(scratch.data()) + kBlockBytes - 1) &
+      ~(kBlockBytes - 1));
+  std::vector<EStepTally> tallies(driver.num_workers());
+  driver.Run(rng, [&](auto access, const train::SgdStep& ctx) -> double {
+    using A = decltype(access);
+    return EStepStep<A>(env, ctx, config, options.steps, track_loss,
+                        {grad_rows + ctx.worker * stride, config.dimensions},
+                        tallies[ctx.worker]);
+  });
+  FlushTallies(tallies);
+}
+
+/// The D-step (Sec. 4.5.2): an L2 logistic regression over the embedding
+/// rows of the labeled arcs, warm-started from the E-step classifier
+/// `classifier` = (w′, b′).
+template <typename Rows>
+ml::LogisticRegression TrainDStep(Rows& rows, const TieIndex& idx,
+                                  std::span<const double> classifier,
+                                  const ml::LogisticRegressionConfig& config) {
+  const size_t l = classifier.size() - 1;
+  ml::Dataset data(l);
+  std::vector<double> features(l);
+  for (size_t e = 0; e < idx.num_arcs(); ++e) {
+    if (!idx.IsLabeled(e)) continue;
+    const auto row = rows.EmbRow(e);
+    for (size_t k = 0; k < l; ++k) features[k] = row[k];
+    data.Add(features, idx.Label(e));
+  }
+  ml::LogisticRegression d_step(
+      std::vector<double>(classifier.begin(), classifier.begin() + l),
+      classifier[l]);
+  d_step.Train(data, config);
+  return d_step;
 }
 
 }  // namespace deepdirect::core::internal

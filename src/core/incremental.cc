@@ -6,13 +6,9 @@
 #include <utility>
 
 #include "core/estep_body.h"
-#include "kernels/kernels.h"
-#include "ml/dataset.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "train/parallel.h"
-#include "train/sgd_driver.h"
-#include "util/alias_table.h"
 #include "util/random.h"
 
 namespace deepdirect::core {
@@ -25,48 +21,6 @@ namespace {
 // Salt separating new-row initialization streams from the pattern
 // precompute's per-arc streams (both key on (seed, arc index)).
 constexpr uint64_t kNewRowSalt = 0x9e3779b97f4a7c15ULL;
-
-// Storage environment for the incremental E-step: the merged in-RAM state,
-// with sources sampled from the affected arc set A only. Pattern() is only
-// ever consulted for sampled sources, which is what makes the arc-masked
-// pattern arena safe (see PrecomputePatterns).
-struct AffectedEnv {
-  const TieIndex& idx;
-  const PatternPrecompute& patterns;
-  ml::Matrix& m;
-  ml::Matrix& n;
-  const std::vector<uint32_t>& affected;   // A, ascending arc ids
-  const util::AliasTable& affected_table;  // P_c ∝ deg_tie over A
-  const util::AliasTable& noise_table;     // P_n over ALL arcs
-
-  struct PatternView {
-    bool degree_active;
-    double pseudo_label;
-    std::span<const std::pair<uint32_t, uint32_t>> triads;
-  };
-
-  size_t num_arcs() const { return idx.num_arcs(); }
-  std::span<float> MRow(size_t e) { return m.Row(e); }
-  std::span<float> NRow(size_t e) { return n.Row(e); }
-  size_t SampleSource(const train::SgdStep&, util::Rng& r) const {
-    return affected[affected_table.Sample(r)];
-  }
-  size_t SampleNoise(util::Rng& r) const { return noise_table.Sample(r); }
-  size_t SampleConnectedTie(size_t e, util::Rng& r) const {
-    return idx.SampleConnectedTie(e, r);
-  }
-  ArcClass ClassOf(size_t e) const { return idx.Class(e); }
-  bool IsLabeled(size_t e) const { return idx.IsLabeled(e); }
-  double Label(size_t e) const { return idx.Label(e); }
-  uint32_t TieDegreeOf(size_t e) const { return idx.TieDegree(e); }
-  PatternView Pattern(size_t e) const {
-    const uint32_t s = patterns.slot[e];
-    const uint32_t t_begin = patterns.triad_offsets[s];
-    const uint32_t t_end = patterns.triad_offsets[s + 1];
-    return {patterns.degree_active[s] != 0, patterns.degree_pseudo_label[s],
-            std::span(patterns.triad_pairs).subspan(t_begin, t_end - t_begin)};
-  }
-};
 
 util::Status BatchLineError(const train::TieDelta& tie,
                             const std::string& what) {
@@ -231,25 +185,15 @@ util::Result<IncrementalUpdate> DeepDirectModel::ApplyTieBatch(
   const uint64_t quota = static_cast<uint64_t>(
       std::ceil(options.epochs_per_batch *
                 static_cast<double>(stats.affected_pair_mass)));
+  internal::MatrixRows rows{m, n};
   if (quota > 0 && stats.affected_pair_mass > 0) {
     phase.emplace("update.patterns");
     const PatternPrecompute patterns =
         PrecomputePatterns(merged, idx, config, affected_mask);
 
     phase.emplace("update.estep");
-    std::vector<double> pc_weights(affected.size());
-    for (size_t s = 0; s < affected.size(); ++s) {
-      pc_weights[s] = idx.TieDegree(affected[s]);
-    }
-    std::vector<double> pn_weights(num_arcs);
-    for (size_t e = 0; e < num_arcs; ++e) {
-      pn_weights[e] =
-          config.uniform_negative_sampling
-              ? 1.0
-              : std::pow(static_cast<double>(idx.TieDegree(e)) + 1.0, 0.75);
-    }
-    const util::AliasTable affected_table(pc_weights);
-    const util::AliasTable noise_table(pn_weights);
+    const internal::Samplers samplers(
+        idx, config.uniform_negative_sampling, std::move(affected));
 
     // The embedding is already shaped by the base run, so the classifier
     // losses apply at full strength from the first step — warming them up
@@ -257,37 +201,17 @@ util::Result<IncrementalUpdate> DeepDirectModel::ApplyTieBatch(
     DeepDirectConfig step_config = config;
     step_config.classifier_warmup_fraction = 0.0;
 
-    const bool track_loss =
-        static_cast<bool>(config.progress) || obs::Enabled();
     // Chained batches must not replay one RNG stream; keying on the state
     // generation keeps each update deterministic yet distinct.
     const uint64_t stream_seed =
         train::PerItemSeed(config.seed, state.epochs_done);
-
-    train::SgdOptions sgd;
-    sgd.steps = quota;
-    sgd.num_threads = config.num_threads;
-    sgd.lr = config.Schedule();
-    sgd.shard_seed = stream_seed;
-    sgd.progress = config.progress;
-    sgd.report_every = config.report_every;
-    sgd.metrics_prefix = "update.estep";
-    sgd.dense = classifier;
-    train::SgdDriver driver(sgd);
-
-    std::vector<std::vector<double>> grad_scratch(
-        driver.num_workers(), std::vector<double>(l, 0.0));
-    std::vector<internal::EStepTally> tallies(driver.num_workers());
-    AffectedEnv env{idx,      patterns,       m, n, affected,
-                    affected_table, noise_table};
     util::Rng rng(stream_seed);
-    driver.Run(rng, [&](auto access, const train::SgdStep& ctx) -> double {
-      using A = decltype(access);
-      return internal::EStepStep<A>(env, ctx, step_config, quota, track_loss,
-                                    grad_scratch[ctx.worker],
-                                    tallies[ctx.worker]);
-    });
-    internal::FlushTallies(tallies);
+    internal::RunEStep(
+        internal::EStepEnv<internal::MatrixRows>{idx, patterns, rows,
+                                                 samplers},
+        internal::EStepOptions(config, quota, stream_seed, classifier,
+                               "update.estep"),
+        step_config, rng);
     stats.estep_steps = quota;
   }
   model->e_step_weights_.assign(classifier.begin(), classifier.begin() + l);
@@ -297,19 +221,9 @@ util::Result<IncrementalUpdate> DeepDirectModel::ApplyTieBatch(
   // run. The incremental path is self-contained: it neither writes nor
   // resumes D-step checkpoints.
   phase.emplace("update.dstep");
-  ml::Dataset data(l);
-  std::vector<double> features(l);
-  for (size_t e = 0; e < num_arcs; ++e) {
-    if (!idx.IsLabeled(e)) continue;
-    const auto row = m.Row(e);
-    for (size_t k = 0; k < l; ++k) features[k] = row[k];
-    data.Add(features, idx.Label(e));
-  }
   ml::LogisticRegressionConfig d_config = config.d_step;
   d_config.checkpoint = {};
-  model->d_step_ =
-      ml::LogisticRegression(model->e_step_weights_, model->e_step_bias_);
-  model->d_step_.Train(data, d_config);
+  model->d_step_ = internal::TrainDStep(rows, idx, classifier, d_config);
 
   if (obs::Enabled()) {
     obs::Registry& registry = obs::Registry::Default();

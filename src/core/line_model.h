@@ -28,7 +28,7 @@ struct LineModelConfig {
       embedding::EdgeOperator::kConcatenate;
   ml::LogisticRegressionConfig regression = {
       .epochs = 20, .learning_rate = 0.05, .min_lr_fraction = 0.1,
-      .l2 = 1e-4, .seed = 27, .shuffle = true};
+      .l2 = 1e-4, .seed = 27, .shuffle = true, .checkpoint = {}};
 };
 
 /// Trained LINE + logistic-regression directionality model.

@@ -1,29 +1,33 @@
 // ShardedDeepDirectModel: DeepDirect trained out-of-core.
 //
-// Identical algorithm to DeepDirectModel::Train — the same preprocessing,
-// the same E-step body (core/estep_body.h), the same warm-started D-step —
-// but the |E|×l embedding matrix M and connection matrix N never live on
-// the heap. They live in a train::ShardedStore (mmap-backed DDSH shard
-// files, graph/shard_format.h), and a fixed resident budget
+// Identical algorithm to DeepDirectModel::Train — the same preprocessing
+// and the same E-step and D-step pipeline (core/estep_body.h) — but the
+// |E|×l embedding matrix M and connection matrix N never live on the heap.
+// They live in a train::ShardedStore (mmap-backed DDSH shard files,
+// graph/shard_format.h), and a fixed resident budget
 // (`config.sharding.ram_budget_mb`) bounds how many parameter pages stay
-// mapped in at once, so graphs whose matrices dwarf RAM still train.
+// mapped in at once, so graphs whose matrices dwarf RAM still train. The
+// closure TieIndex, the pattern arena and the sampling tables stay on the
+// heap, as in RAM: they are small next to M and N.
 //
 // Determinism contract:
 //   * num_threads == 1 is bit-identical to the in-RAM trainer for ANY
 //     shard count: the store fills embeddings in the exact
 //     ml::Matrix::FillUniform draw order, the serial driver path samples
-//     globally (shard affinity off), and the shared step body runs the
-//     same arithmetic against spans that merely point at mmap instead of
-//     heap. Goldens in tests/sharded_store_test.cc pin this.
+//     globally (shard affinity off), and the shared pipeline runs the same
+//     arithmetic against spans that merely point at mmap instead of heap.
+//     Goldens in tests/sharded_store_test.cc pin this.
 //   * num_threads > 1 runs shard-affine Hogwild (SgdOptions::ShardPlan):
 //     shard s pins to worker s % N, each worker interleaves its shards in
 //     rounds, and steps sample sources from their shard, keeping each
 //     worker's resident pages hot. Like all Hogwild runs, not
 //     bit-reproducible.
 //
-// The trained model serves d(u, v) straight off the (sealed) store — no
-// full-matrix materialization at any point. Checkpoint/resume is not
-// supported out-of-core yet (the store itself is the durable E-step
+// A run reports under the in-RAM trainer's phase names and metrics prefix,
+// plus its own `deepdirect.sharded.create_store` phase and `train.store.*`
+// counters. The trained model serves d(u, v) straight off the (sealed)
+// store — no full-matrix materialization at any point. Checkpoint/resume
+// is not supported out-of-core yet (the store itself is the durable E-step
 // state); `config.checkpoint.dir` must be empty.
 
 #ifndef DEEPDIRECT_CORE_SHARDED_TRAINER_H_
@@ -31,10 +35,12 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/deepdirect.h"
 #include "core/directionality.h"
+#include "core/tie_index.h"
 #include "train/sharded_store.h"
 
 namespace deepdirect::core {
@@ -52,9 +58,9 @@ class ShardedDeepDirectModel : public DirectionalityModel {
   static util::Result<std::unique_ptr<ShardedDeepDirectModel>> Train(
       const graph::MixedSocialNetwork& g, const DeepDirectConfig& config);
 
-  /// d(u, v) = σ(w·m_uv + b), read straight from the store (faulting the
-  /// row's shard in under the budget if needed). The pair must host a tie
-  /// of the training network.
+  /// d(u, v) = σ(w·m_uv + b), read straight from the store (admitting the
+  /// row's pages under the budget if needed). The pair must host a tie of
+  /// the training network.
   double Directionality(graph::NodeId u, graph::NodeId v) const override;
 
   /// d(u, v) when the pair hosts a training tie; NotFound otherwise.
@@ -76,9 +82,13 @@ class ShardedDeepDirectModel : public DirectionalityModel {
   const ml::LogisticRegression& d_step_regression() const { return d_step_; }
 
  private:
-  explicit ShardedDeepDirectModel(std::unique_ptr<train::ShardedStore> store)
-      : store_(std::move(store)), d_step_(store_->dimensions()) {}
+  ShardedDeepDirectModel(TieIndex index,
+                         std::unique_ptr<train::ShardedStore> store)
+      : index_(std::move(index)),
+        store_(std::move(store)),
+        d_step_(store_->dimensions()) {}
 
+  TieIndex index_;
   std::unique_ptr<train::ShardedStore> store_;
   std::vector<double> e_step_weights_;
   double e_step_bias_ = 0.0;

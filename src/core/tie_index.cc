@@ -1,6 +1,7 @@
 #include "core/tie_index.h"
 
 #include <algorithm>
+#include <string>
 
 namespace deepdirect::core {
 
@@ -70,6 +71,15 @@ size_t TieIndex::TryIndexOf(NodeId u, NodeId v) const {
   const auto it = std::lower_bound(neighbors.begin(), neighbors.end(), v);
   if (it == neighbors.end() || *it != v) return num_arcs();
   return offsets_[u] + static_cast<size_t>(it - neighbors.begin());
+}
+
+util::Status TieIndex::CheckTie(NodeId u, NodeId v) const {
+  if (u < num_nodes() && TryIndexOf(u, v) < num_arcs()) {
+    return util::Status::OK();
+  }
+  return util::Status::NotFound("no tie between " + std::to_string(u) +
+                                " and " + std::to_string(v) +
+                                " in the training network");
 }
 
 size_t TieIndex::IndexOf(NodeId u, NodeId v) const {

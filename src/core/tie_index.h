@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "graph/mixed_graph.h"
+#include "util/status.h"
 
 namespace deepdirect::core {
 
@@ -43,6 +44,10 @@ class TieIndex {
 
   /// Index of arc (u, v), or num_arcs() if the pair has no tie.
   size_t TryIndexOf(graph::NodeId u, graph::NodeId v) const;
+
+  /// OK when (u, v) is a closure arc; a NotFound naming the pair when it
+  /// hosts no tie of the training network (u may be any node id).
+  util::Status CheckTie(graph::NodeId u, graph::NodeId v) const;
 
   /// Endpoints of arc `idx` as (src, dst).
   std::pair<graph::NodeId, graph::NodeId> ArcAt(size_t idx) const {
@@ -116,13 +121,11 @@ class TieIndex {
     return base + pick;
   }
 
-  /// Raw flat views for serialization (shard store construction). The
+  /// Raw CSR views for serialization (the DDS1 servable export). The
   /// adjacency span doubles as the arc → dst map: arc e's destination is
   /// Adjacency()[e] by construction of the dense index.
   std::span<const size_t> Offsets() const { return offsets_; }
   std::span<const graph::NodeId> Adjacency() const { return adj_; }
-  std::span<const graph::NodeId> Sources() const { return src_; }
-  std::span<const ArcClass> RawClasses() const { return classes_; }
 
  private:
   // Rank of neighbor w within u's sorted neighbor list.

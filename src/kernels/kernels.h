@@ -76,7 +76,8 @@ inline double DotRows(std::span<const float> a, std::span<const float> b) {
   return acc;
 }
 
-/// y[i] += float(alpha · x[i]) — the row-update kernel; mirrors ml::Axpy.
+/// y[i] += float(alpha · x[i]) — the row-update kernel (float-rounded
+/// product added to each entry).
 template <typename A>
 inline void AxpyRows(std::span<float> y, double alpha,
                      std::span<const float> x) {

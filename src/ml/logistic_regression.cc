@@ -24,6 +24,15 @@ double LogisticRegression::Predict(std::span<const double> features) const {
   return Sigmoid(Score(features));
 }
 
+double LogisticRegression::PredictRow(std::span<const float> row) const {
+  DD_CHECK_EQ(row.size(), weights_.size());
+  double score = bias_;
+  for (size_t k = 0; k < weights_.size(); ++k) {
+    score += weights_[k] * static_cast<double>(row[k]);
+  }
+  return Sigmoid(score);
+}
+
 double LogisticRegression::Train(const Dataset& data,
                                  const LogisticRegressionConfig& config) {
   DD_CHECK_EQ(data.num_features(), weights_.size());

@@ -71,6 +71,11 @@ class LogisticRegression {
   /// Raw linear score w·x + b.
   double Score(std::span<const double> features) const;
 
+  /// Predict() over one f32 embedding row, without widening it into a
+  /// buffer: the score accumulates b first, then w[k]·double(row[k]) in
+  /// ascending k, the order of Score() on the widened row.
+  double PredictRow(std::span<const float> row) const;
+
   /// Trains by weighted SGD on cross-entropy + L2. Existing parameters are
   /// the starting point (zero for a fresh model). Returns the final average
   /// training loss (cross-entropy + L2 term), useful for convergence tests.

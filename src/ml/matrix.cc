@@ -12,10 +12,6 @@ void Matrix::FillUniform(util::Rng& rng, float lo, float hi) {
   }
 }
 
-void Matrix::FillZero() {
-  std::fill(data_.begin(), data_.end(), 0.0f);
-}
-
 double Dot(std::span<const float> a, std::span<const float> b) {
   DD_CHECK_EQ(a.size(), b.size());
   double acc = 0.0;
@@ -23,13 +19,6 @@ double Dot(std::span<const float> a, std::span<const float> b) {
     acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
   }
   return acc;
-}
-
-void Axpy(double alpha, std::span<const float> x, std::span<float> y) {
-  DD_CHECK_EQ(x.size(), y.size());
-  for (size_t i = 0; i < x.size(); ++i) {
-    y[i] += static_cast<float>(alpha * static_cast<double>(x[i]));
-  }
 }
 
 double Norm2(std::span<const float> a) {

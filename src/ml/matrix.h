@@ -55,9 +55,6 @@ class Matrix {
   /// init is [-0.5/l, 0.5/l).
   void FillUniform(util::Rng& rng, float lo, float hi);
 
-  /// Fills entries with zeros.
-  void FillZero();
-
  private:
   size_t rows_, cols_;
   std::vector<float> data_;
@@ -65,9 +62,6 @@ class Matrix {
 
 /// Dot product of equal-length spans.
 double Dot(std::span<const float> a, std::span<const float> b);
-
-/// y += alpha * x for equal-length spans.
-void Axpy(double alpha, std::span<const float> x, std::span<float> y);
 
 /// Euclidean (L2) norm.
 double Norm2(std::span<const float> a);

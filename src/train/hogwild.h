@@ -20,10 +20,10 @@
 // body still reaches the copy through the policy; only its own worker
 // touches a copy, so those accesses never race.
 //
-// The span helpers are thin forwards into the kernel layer
+// The row kernels that take a policy live in the kernel layer
 // (src/kernels/kernels.h), which dispatches each call between the exact
-// policy-scalar loops (bit-identical to ml::Dot / ml::Axpy) and the SIMD
-// ops table — see kernels/dispatch.h for the mode switch.
+// policy-scalar loops and the SIMD ops table — see kernels/dispatch.h for
+// the mode switch.
 
 #ifndef DEEPDIRECT_TRAIN_HOGWILD_H_
 #define DEEPDIRECT_TRAIN_HOGWILD_H_
@@ -62,21 +62,6 @@ struct HogwildAccess {
     std::atomic_ref<double>(x).store(v, std::memory_order_relaxed);
   }
 };
-
-/// Dot product of embedding rows under policy `A`; scalar dispatch is
-/// term-for-term identical to ml::Dot (double accumulation).
-template <typename A>
-inline double DotRows(std::span<const float> a, std::span<const float> b) {
-  return kernels::DotRows<A>(a, b);
-}
-
-/// y[i] += float(alpha · x[i]) under policy `A`; scalar dispatch mirrors
-/// ml::Axpy.
-template <typename A>
-inline void AxpyRows(std::span<float> y, double alpha,
-                     std::span<const float> x) {
-  kernels::AxpyRows<A>(y, alpha, x);
-}
 
 }  // namespace deepdirect::train
 

@@ -1,9 +1,12 @@
 #include "train/sharded_store.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
+#include <utility>
 
 #include "train/container.h"
 #include "util/check.h"
@@ -23,65 +26,35 @@ util::Status EnsureDir(const std::string& dir) {
                                ec.message());
 }
 
-/// Expected per-section payload sizes of a graph file with this meta.
-util::Result<std::vector<uint64_t>> GraphSectionSizes(
-    const fmt::GraphMeta& meta) {
-  std::vector<uint64_t> sizes(fmt::kGraphSectionCount);
-  sizes[0] = sizeof(fmt::GraphMeta);
-  // num_nodes + 1 wraps only at 2^64 - 1, to an empty offsets section that
-  // CheckCsr rejects.
-  DD_RETURN_NOT_OK(container::CheckedMul(meta.num_nodes + 1, sizeof(uint64_t),
-                                         "num_nodes", &sizes[1]));
-  DD_RETURN_NOT_OK(container::CheckedMul(meta.num_arcs, sizeof(uint32_t),
-                                         "num_arcs", &sizes[2]));
-  sizes[3] = sizes[2];
-  sizes[4] = meta.num_arcs;
-  return sizes;
-}
-
 /// Expected per-section payload sizes of a shard file with this meta.
 util::Result<std::vector<uint64_t>> ShardSectionSizes(
     const fmt::ShardMeta& meta) {
-  const uint64_t arcs = meta.arc_end - meta.arc_begin;
-  std::vector<uint64_t> sizes(fmt::kShardSectionCount);
+  std::vector<uint64_t> sizes(std::size(fmt::kShardSectionOrder));
   sizes[0] = sizeof(fmt::ShardMeta);
-  DD_RETURN_NOT_OK(container::CheckedMul(arcs, sizeof(uint32_t), "arc_end",
-                                         &sizes[1]));
-  DD_RETURN_NOT_OK(container::CheckedMul(meta.num_slots, sizeof(double),
-                                         "num_slots", &sizes[2]));
-  sizes[3] = meta.num_slots;
-  // num_slots * 8 fits, so num_slots + 1 cannot wrap.
-  if (meta.num_slots != 0) {
-    DD_RETURN_NOT_OK(container::CheckedMul(
-        meta.num_slots + 1, sizeof(uint32_t), "num_slots", &sizes[4]));
-  }
-  DD_RETURN_NOT_OK(container::CheckedMul(meta.num_triad_pairs,
-                                         sizeof(fmt::TriadPair),
-                                         "num_triad_pairs", &sizes[5]));
   uint64_t cells = 0;
+  DD_RETURN_NOT_OK(container::CheckedMul(meta.arc_end - meta.arc_begin,
+                                         meta.dimensions, "dimensions",
+                                         &cells));
   DD_RETURN_NOT_OK(
-      container::CheckedMul(arcs, meta.dimensions, "dimensions", &cells));
-  DD_RETURN_NOT_OK(
-      container::CheckedMul(cells, sizeof(float), "dimensions", &sizes[6]));
-  sizes[7] = sizes[6];
+      container::CheckedMul(cells, sizeof(float), "dimensions", &sizes[1]));
+  sizes[2] = sizes[1];
   return sizes;
 }
+
+/// ⌈a/b⌉ without the wrap of (a + b − 1)/b; b must be nonzero.
+uint64_t CeilDiv(uint64_t a, uint64_t b) { return a / b + (a % b != 0); }
 
 /// Shards that receive arcs when `num_arcs` arcs are cut into contiguous
 /// ranges of ⌈num_arcs/num_shards⌉: ⌈N/⌈N/S⌉⌉, at most S. Both counts
 /// must be nonzero.
 uint64_t ShardsWithArcs(uint64_t num_arcs, uint64_t num_shards) {
-  const auto ceil_div = [](uint64_t a, uint64_t b) {
-    return a / b + (a % b != 0 ? 1 : 0);
-  };
-  return ceil_div(num_arcs, ceil_div(num_arcs, num_shards));
+  return CeilDiv(num_arcs, CeilDiv(num_arcs, num_shards));
 }
 
 }  // namespace
 
-ShardedStore::ShardedStore(std::string dir, uint64_t ram_budget_bytes)
-    : dir_(std::move(dir)),
-      budget_bytes_(ram_budget_bytes),
+ShardedStore::ShardedStore(uint64_t ram_budget_bytes)
+    : budget_bytes_(ram_budget_bytes),
       page_bytes_(serve::MmapRwFile::PageSize()),
       page_shift_(static_cast<unsigned>(std::countr_zero(page_bytes_))) {
   DD_CHECK(std::has_single_bit(page_bytes_));
@@ -90,114 +63,42 @@ ShardedStore::ShardedStore(std::string dir, uint64_t ram_budget_bytes)
 util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Create(
     const ShardedStoreOptions& options, const ShardedStoreInit& init,
     util::Rng& rng, float init_lo, float init_hi) {
-  const size_t num_arcs = init.adjacency.size();
-  DD_CHECK_GT(num_arcs, 0u);
+  DD_CHECK_GT(init.num_arcs, 0u);
   DD_CHECK_GT(options.num_shards, 0u);
   DD_CHECK_GT(init.dimensions, 0u);
-  DD_CHECK_EQ(init.sources.size(), num_arcs);
-  DD_CHECK_EQ(init.classes.size(), num_arcs);
-  DD_CHECK_EQ(init.slot.size(), num_arcs);
-  DD_CHECK_EQ(init.degree_pseudo_label.size(), init.degree_active.size());
-  DD_CHECK_EQ(init.triad_offsets.size(), init.degree_pseudo_label.size() + 1);
   DD_RETURN_NOT_OK(EnsureDir(options.dir));
 
   std::unique_ptr<ShardedStore> store(
-      new ShardedStore(options.dir, options.ram_budget_bytes));
-
-  fmt::GraphMeta meta{};
-  meta.kind = fmt::kGraphKind;
-  meta.num_nodes = init.offsets.size() - 1;
-  meta.num_arcs = num_arcs;
-  meta.dimensions = init.dimensions;
+      new ShardedStore(options.ram_budget_bytes));
+  fmt::ShardMeta geometry{};
   // ⌈N/S⌉ arcs per shard can leave the last shards empty (or starting past
   // the last arc), so S shrinks to the shards that receive arcs. Any S that
   // leaves no shard empty is kept as is.
-  meta.num_shards = ShardsWithArcs(num_arcs, options.num_shards);
-  meta.num_connected_pairs = init.num_connected_pairs;
-  meta.arc_hash = init.arc_hash;
+  geometry.num_shards = ShardsWithArcs(init.num_arcs, options.num_shards);
+  geometry.num_arcs = init.num_arcs;
+  geometry.dimensions = init.dimensions;
+  geometry.arc_hash = init.arc_hash;
+  store->SetGeometry(geometry);
 
-  // --- Graph file: built in memory, written atomically, sealed at birth.
-  static_assert(sizeof(size_t) == sizeof(uint64_t));
-  const container::Payload graph[fmt::kGraphSectionCount] = {
-      {&meta, sizeof(meta)},
-      {init.offsets.data(), init.offsets.size_bytes()},
-      {init.adjacency.data(), init.adjacency.size_bytes()},
-      {init.sources.data(), init.sources.size_bytes()},
-      {init.classes.data(), init.classes.size_bytes()},
-  };
-  const std::string graph_path = options.dir + "/" + fmt::GraphFileName();
-  DD_RETURN_NOT_OK(container::WriteFile(fmt::kGraphFormat, graph, graph_path));
-  DD_RETURN_NOT_OK(store->MapGraph(graph_path));
-
-  // --- Shard files: pattern arena partitioned by owning arc range, emb
-  // filled from `rng` in global row-major arc order (shards are laid out
-  // in arc order, so sequential per-shard fills consume the exact draw
-  // sequence of ml::Matrix::FillUniform on the whole matrix).
-  const size_t num_shards = store->num_shards();
-  store->shards_.reset(new Shard[num_shards]);
-  for (size_t s = 0; s < num_shards; ++s) {
-    const uint64_t arc_begin = s * store->arcs_per_shard_;
-    const uint64_t arc_end =
-        std::min<uint64_t>(num_arcs, (s + 1) * store->arcs_per_shard_);
-    const uint64_t arc_count = arc_end - arc_begin;
-
-    // Gather this shard's pattern subset with re-numbered local slots.
-    std::vector<uint32_t> local_slot(arc_count, UINT32_MAX);
-    std::vector<double> local_label;
-    std::vector<uint8_t> local_active;
-    std::vector<uint32_t> local_triad_off;
-    std::vector<fmt::TriadPair> local_pairs;
-    for (uint64_t e = arc_begin; e < arc_end; ++e) {
-      const uint32_t g = init.slot[e];
-      if (g == UINT32_MAX) continue;
-      local_slot[e - arc_begin] = static_cast<uint32_t>(local_label.size());
-      local_label.push_back(init.degree_pseudo_label[g]);
-      local_active.push_back(init.degree_active[g]);
-      local_triad_off.push_back(static_cast<uint32_t>(local_pairs.size()));
-      for (uint32_t t = init.triad_offsets[g]; t < init.triad_offsets[g + 1];
-           ++t) {
-        local_pairs.push_back(init.triad_pairs[t]);
-      }
-    }
-    if (!local_label.empty()) {
-      local_triad_off.push_back(static_cast<uint32_t>(local_pairs.size()));
-    }
-
-    fmt::ShardMeta smeta{};
-    smeta.kind = fmt::kShardKind;
-    smeta.shard_index = s;
-    smeta.arc_begin = arc_begin;
-    smeta.arc_end = arc_end;
-    smeta.dimensions = init.dimensions;
-    smeta.num_slots = local_label.size();
-    smeta.num_triad_pairs = local_pairs.size();
-    smeta.arc_hash = init.arc_hash;
-
-    const auto sizes = ShardSectionSizes(smeta);
+  // Shards are laid out in arc order, so filling emb shard by shard
+  // consumes the exact draw sequence of ml::Matrix::FillUniform on the
+  // whole matrix.
+  store->shards_.reserve(store->num_shards());
+  for (size_t s = 0; s < store->num_shards(); ++s) {
+    const fmt::ShardMeta meta = store->MetaOf(s);
+    const auto sizes = ShardSectionSizes(meta);
     if (!sizes.ok()) return sizes.status();
     container::Layout layout = container::MakeLayout(sizes.value());
-    const std::string path =
-        options.dir + "/" + fmt::ShardFileName(s);
+    const std::string path = options.dir + "/" + fmt::ShardFileName(s);
     auto mapped = serve::MmapRwFile::Create(path, layout.file_size,
                                             serve::MmapAdvice::kRandom);
     if (!mapped.ok()) return mapped.status();
-    Shard& shard = store->shards_[s];
+    Shard& shard = store->shards_.emplace_back();
     shard.file = std::move(mapped).value();
-    shard.Wire(smeta, std::move(layout));
+    shard.Wire(meta, std::move(layout));
     auto* base = static_cast<unsigned char*>(shard.file.data());
-    const auto put = [&](size_t i, const void* data) {
-      if (shard.layout.sizes[i] > 0) {
-        std::memcpy(base + shard.layout.offsets[i], data,
-                    shard.layout.sizes[i]);
-      }
-    };
-    put(0, &smeta);
-    put(1, local_slot.data());
-    put(2, local_label.data());
-    put(3, local_active.data());
-    put(4, local_triad_off.data());
-    put(5, local_pairs.data());
-    const uint64_t values = arc_count * init.dimensions;
+    std::memcpy(base + shard.layout.offsets[0], &meta, sizeof(meta));
+    const uint64_t values = (meta.arc_end - meta.arc_begin) * init.dimensions;
     for (uint64_t i = 0; i < values; ++i) {
       shard.emb[i] = static_cast<float>(rng.NextDoubleIn(init_lo, init_hi));
     }
@@ -214,54 +115,33 @@ util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Create(
 
 util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Open(
     const std::string& dir, uint64_t ram_budget_bytes) {
-  std::unique_ptr<ShardedStore> store(new ShardedStore(dir, ram_budget_bytes));
-  DD_RETURN_NOT_OK(store->MapGraph(dir + "/" + fmt::GraphFileName()));
-  store->shards_.reset(new Shard[store->meta_.num_shards]);
-  for (size_t s = 0; s < store->meta_.num_shards; ++s) {
+  std::unique_ptr<ShardedStore> store(new ShardedStore(ram_budget_bytes));
+  // Shard 0 sets the geometry, and with it the shard count.
+  DD_RETURN_NOT_OK(store->AttachShard(0, dir + "/" + fmt::ShardFileName(0)));
+  for (size_t s = 1; s < store->num_shards(); ++s) {
     DD_RETURN_NOT_OK(store->AttachShard(s, dir + "/" + fmt::ShardFileName(s)));
   }
   store->InitPages();
   return store;
 }
 
-util::Status ShardedStore::MapGraph(const std::string& path) {
-  auto mapped = serve::MmapFile::Open(path, serve::MmapAdvice::kRandom);
-  if (!mapped.ok()) return mapped.status();
-  graph_file_ = std::move(mapped).value();
-  auto read = container::Reader::Open(fmt::kGraphFormat, path,
-                                      graph_file_.data(), graph_file_.size());
-  if (!read.ok()) return read.status();
-  const container::Reader& reader = read.value();
-  fmt::GraphMeta meta;
-  DD_RETURN_NOT_OK(reader.ReadMeta(&meta));
-  if (meta.kind != fmt::kGraphKind) {
-    return reader.Defect("meta kind is not a graph");
-  }
-  if (meta.reserved0 != 0) return reader.Defect("nonzero reserved meta field");
-  // Create() never writes a shard without arcs, so a count that would
-  // leave one empty is a defect.
-  if (meta.num_arcs == 0 || meta.num_shards == 0 || meta.dimensions == 0 ||
-      ShardsWithArcs(meta.num_arcs, meta.num_shards) != meta.num_shards) {
-    return reader.Defect("degenerate meta geometry");
-  }
-  DD_RETURN_NOT_OK(reader.CheckSizes(GraphSectionSizes(meta)));
-  // The store samples from the CSR without bounds checks on the hot path.
-  const auto offsets = reader.Array<uint64_t>(1);
-  const auto adj = reader.Array<uint32_t>(2);
-  const auto src = reader.Array<uint32_t>(3);
-  DD_RETURN_NOT_OK(reader.CheckCsr(offsets, adj));
-  if (std::any_of(src.begin(), src.end(),
-                  [&](uint32_t u) { return u >= meta.num_nodes; })) {
-    return reader.Defect("arc source out of range");
-  }
-  meta_ = meta;
-  arcs_per_shard_ = (meta.num_arcs + meta.num_shards - 1) / meta.num_shards;
-  row_bytes_ = meta.dimensions * sizeof(float);
-  offsets_ = offsets.data();
-  adj_ = adj.data();
-  src_ = src.data();
-  classes_ = reader.Array<uint8_t>(4).data();
-  return util::Status::OK();
+void ShardedStore::SetGeometry(const fmt::ShardMeta& meta) {
+  num_shards_ = meta.num_shards;
+  num_arcs_ = meta.num_arcs;
+  dimensions_ = meta.dimensions;
+  arc_hash_ = meta.arc_hash;
+  arcs_per_shard_ = CeilDiv(num_arcs_, num_shards_);
+  row_bytes_ = dimensions_ * sizeof(float);
+}
+
+fmt::ShardMeta ShardedStore::MetaOf(size_t index) const {
+  return {index,
+          num_shards_,
+          num_arcs_,
+          dimensions_,
+          arc_hash_,
+          index * arcs_per_shard_,
+          std::min<uint64_t>(num_arcs_, (index + 1) * arcs_per_shard_)};
 }
 
 util::Status ShardedStore::AttachShard(size_t index,
@@ -273,55 +153,27 @@ util::Status ShardedStore::AttachShard(size_t index,
                                       file.size());
   if (!read.ok()) return read.status();
   const container::Reader& reader = read.value();
-  fmt::ShardMeta smeta;
-  DD_RETURN_NOT_OK(reader.ReadMeta(&smeta));
-  if (smeta.kind != fmt::kShardKind) {
-    return reader.Defect("meta kind is not a shard");
+  fmt::ShardMeta meta;
+  DD_RETURN_NOT_OK(reader.ReadMeta(&meta));
+  if (index == 0) {
+    // Create() never writes a shard without arcs, so a count that would
+    // leave one empty is a defect.
+    if (meta.num_arcs == 0 || meta.num_shards == 0 || meta.dimensions == 0 ||
+        ShardsWithArcs(meta.num_arcs, meta.num_shards) != meta.num_shards) {
+      return reader.Defect("degenerate store geometry");
+    }
+    SetGeometry(meta);
   }
-  if (smeta.shard_index != index) {
-    return reader.Defect("shard index does not match its file name");
+  if (meta != MetaOf(index)) {
+    return reader.Defect(
+        "shard meta disagrees with the store geometry of shard 0 or with "
+        "its own place in the partition");
   }
-  if (smeta.arc_hash != meta_.arc_hash ||
-      smeta.dimensions != meta_.dimensions) {
-    return reader.Defect("shard does not belong to this store's graph");
-  }
-  const uint64_t want_begin = index * arcs_per_shard_;
-  const uint64_t want_end =
-      std::min<uint64_t>(meta_.num_arcs, (index + 1) * arcs_per_shard_);
-  if (smeta.arc_begin != want_begin || smeta.arc_end != want_end) {
-    return reader.Defect("shard arc range disagrees with the partition");
-  }
-  const auto sizes = ShardSectionSizes(smeta);
+  const auto sizes = ShardSectionSizes(meta);
   DD_RETURN_NOT_OK(reader.CheckSizes(sizes));
-  // Local slots and triad CSR must stay in bounds — the training hot path
-  // indexes through them unchecked.
-  for (uint32_t slot : reader.Array<uint32_t>(1)) {
-    if (slot != UINT32_MAX && slot >= smeta.num_slots) {
-      return reader.Defect("pattern slot out of range");
-    }
-  }
-  if (smeta.num_slots > 0) {
-    const auto off = reader.Array<uint32_t>(4);
-    if (off[0] != 0 || off[smeta.num_slots] != smeta.num_triad_pairs) {
-      return reader.Defect("triad CSR does not span the pair arena");
-    }
-    for (uint64_t t = 0; t < smeta.num_slots; ++t) {
-      if (off[t] > off[t + 1]) {
-        return reader.Defect("triad CSR offsets not monotone");
-      }
-    }
-    for (const fmt::TriadPair& pair : reader.Array<fmt::TriadPair>(5)) {
-      if (pair.first >= meta_.num_arcs || pair.second >= meta_.num_arcs) {
-        return reader.Defect("triad pair arc index out of range");
-      }
-    }
-  } else if (smeta.num_triad_pairs != 0) {
-    return reader.Defect("triad pairs without pattern slots");
-  }
-
-  Shard& shard = shards_[index];
+  Shard& shard = shards_.emplace_back();
   shard.file = std::move(file);
-  shard.Wire(smeta, container::MakeLayout(sizes.value()));
+  shard.Wire(meta, container::MakeLayout(sizes.value()));
   return util::Status::OK();
 }
 
@@ -329,23 +181,16 @@ void ShardedStore::Shard::Wire(const fmt::ShardMeta& meta,
                                container::Layout file_layout) {
   layout = std::move(file_layout);
   auto* base = static_cast<unsigned char*>(file.data());
-  const auto at = [&](size_t i) { return base + layout.offsets[i]; };
   arc_begin = meta.arc_begin;
   arc_end = meta.arc_end;
-  slot = reinterpret_cast<const uint32_t*>(at(1));
-  label = reinterpret_cast<const double*>(at(2));
-  active = at(3);
-  triad_off = reinterpret_cast<const uint32_t*>(at(4));
-  triad_pairs = reinterpret_cast<const fmt::TriadPair*>(at(5));
-  emb = reinterpret_cast<float*>(at(6));
-  conn = reinterpret_cast<float*>(at(7));
+  emb = reinterpret_cast<float*>(base + layout.offsets[1]);
+  conn = reinterpret_cast<float*>(base + layout.offsets[2]);
 }
 
 void ShardedStore::InitPages() {
   num_pages_ = 0;
-  for (size_t s = 0; s < num_shards(); ++s) {
-    Shard& shard = shards_[s];
-    shard.page_offset = shard.layout.offsets[6] & ~(page_bytes_ - 1);
+  for (Shard& shard : shards_) {
+    shard.page_offset = shard.layout.offsets[1] & ~(page_bytes_ - 1);
     shard.page_origin =
         reinterpret_cast<uintptr_t>(shard.file.data()) + shard.page_offset;
     shard.first_page = num_pages_;
@@ -375,15 +220,14 @@ void ShardedStore::Admit(size_t p) {
       continue;
     }
     // The victim's shard is the last one whose range starts at or before q.
-    Shard* victim =
-        std::upper_bound(shards_.get(), shards_.get() + num_shards(), q,
-                         [](size_t index, const Shard& s) {
-                           return index < s.first_page;
-                         }) -
-        1;
+    Shard& victim = *(std::upper_bound(shards_.begin(), shards_.end(), q,
+                                       [](size_t index, const Shard& s) {
+                                         return index < s.first_page;
+                                       }) -
+                      1);
     page.resident.store(0, std::memory_order_release);
-    victim->file.DropResident(
-        victim->page_offset + ((q - victim->first_page) << page_shift_), 1);
+    victim.file.DropResident(
+        victim.page_offset + ((q - victim.first_page) << page_shift_), 1);
     resident_bytes_ -= page_bytes_;
     ++evictions_;
   }
@@ -399,17 +243,14 @@ util::Status ShardedStore::Seal() {
   // one shard's pages at a time. The release is not an eviction.
   {
     std::lock_guard<std::mutex> lock(admit_mu_);
-    for (size_t s = 0; s < meta_.num_shards; ++s) {
-      shards_[s].file.DropResident(0, shards_[s].file.size());
-    }
+    for (Shard& shard : shards_) shard.file.DropResident(0, shard.file.size());
     for (size_t p = 0; p < num_pages_; ++p) {
       pages_[p].resident.store(0, std::memory_order_relaxed);
       pages_[p].referenced.store(0, std::memory_order_relaxed);
     }
     resident_bytes_ = 0;
   }
-  for (size_t s = 0; s < meta_.num_shards; ++s) {
-    Shard& shard = shards_[s];
+  for (Shard& shard : shards_) {
     // Sequential sweep for the CRC pass, back to random afterwards.
     shard.file.Advise(0, shard.file.size(), serve::MmapAdvice::kSequential);
     container::Stamp(fmt::kShardFormat, shard.layout, shard.file.data(),

@@ -1,13 +1,14 @@
-// ShardedStore: out-of-core storage for the E-step's working set.
+// ShardedStore: out-of-core storage for the E-step's parameter rows.
 //
-// A store is a directory in the DDSH container format (graph/shard_format.h):
-// one sealed graph file holding the symmetric-closure CSR, and one file per
-// shard holding that shard's slice of the embedding matrix M, the
-// connection matrix N, and the pattern arena for its undirected arcs. All
-// of it is served through MAP_SHARED mmap, so the heap never holds the
-// |E|×l parameter matrices — the kernel's page cache does, and a fixed
-// resident budget (`ram_budget_bytes`) bounds how much of it stays mapped
-// in at once:
+// A store is a directory in the DDSH container format (graph/shard_format.h)
+// holding one file per shard: that shard's contiguous slice of the embedding
+// matrix M and the connection matrix N. That is all it holds — the closure
+// index, the pattern arena and the sampling tables stay on the trainer's
+// heap, because they are small next to M and N, which are what the budget
+// is for. The rows are served through MAP_SHARED mmap, so the heap never
+// holds the |E|×l parameter matrices — the kernel's page cache does, and a
+// fixed resident budget (`ram_budget_bytes`) bounds how much of it stays
+// mapped in at once:
 //
 //   * The unit of residency is one page (sysconf(_SC_PAGESIZE)). A shard's
 //     budgeted range runs from the page holding its first emb byte to the
@@ -26,10 +27,6 @@
 //   * The returned spans stay valid for the store's lifetime even across
 //     eviction (the mapping is never unmapped mid-run), so Hogwild workers
 //     can race on rows exactly as they do on in-RAM matrices.
-//   * Graph topology (offsets/adj/src/classes) is served from a read-only
-//     MADV_RANDOM mapping of the sealed graph file and is not counted
-//     against the budget; neither is the pattern arena (both are small
-//     next to M and N and always hot).
 //
 // State is two bytes per page (resident, referenced), and the accounting
 // is exact (GetStats). Seal() releases every page before its CRC pass and
@@ -45,14 +42,12 @@
 #ifndef DEEPDIRECT_TRAIN_SHARDED_STORE_H_
 #define DEEPDIRECT_TRAIN_SHARDED_STORE_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/shard_format.h"
@@ -70,44 +65,34 @@ struct ShardedStoreOptions {
   uint64_t ram_budget_bytes = uint64_t{256} << 20;
 };
 
-/// Flat inputs Create() serializes; all spans reference caller memory and
-/// are not retained. The pattern arrays are the global arena produced by
-/// core::PrecomputePatterns (slot per arc, per-slot pseudo-labels, CSR of
-/// triad pairs over *global* arc indices).
+/// The geometry of a new store: what every shard's meta records.
 struct ShardedStoreInit {
-  std::span<const size_t> offsets;      ///< num_nodes + 1
-  std::span<const uint32_t> adjacency;  ///< num_arcs (also arc → dst)
-  std::span<const uint32_t> sources;    ///< num_arcs (arc → src)
-  std::span<const uint8_t> classes;     ///< num_arcs (core::ArcClass bytes)
-  uint64_t num_connected_pairs = 0;
+  uint64_t num_arcs = 0;
+  /// Fingerprint of the network the rows belong to (core::HashTieIndex).
   uint64_t arc_hash = 0;
   size_t dimensions = 0;
-
-  std::span<const uint32_t> slot;               ///< num_arcs; UINT32_MAX = none
-  std::span<const double> degree_pseudo_label;  ///< per slot
-  std::span<const uint8_t> degree_active;       ///< per slot
-  std::span<const uint32_t> triad_offsets;      ///< num_slots + 1
-  std::span<const graph::shard::TriadPair> triad_pairs;
 };
 
 /// See the file comment. Not movable (holds atomics and a mutex); factory
 /// functions hand back a unique_ptr.
 class ShardedStore {
  public:
-  /// Creates a store under `options.dir`: writes and seals the graph file,
-  /// lays out one file per shard, and fills the embedding sections with
-  /// uniform draws from `rng` in [init_lo, init_hi), consuming draws in
-  /// global row-major arc order (the ml::Matrix::FillUniform order). The
-  /// connection sections start zero. Shard files are left unsealed for
-  /// training; call Seal() when the parameters are final.
+  /// Creates a store under `options.dir`: lays out one file per shard and
+  /// fills the embedding sections with uniform draws from `rng` in
+  /// [init_lo, init_hi), consuming draws in global row-major arc order (the
+  /// ml::Matrix::FillUniform order). The connection sections start zero.
+  /// Shard files are left unsealed for training; call Seal() when the
+  /// parameters are final.
   static util::Result<std::unique_ptr<ShardedStore>> Create(
       const ShardedStoreOptions& options, const ShardedStoreInit& init,
       util::Rng& rng, float init_lo, float init_hi);
 
   /// Opens an existing, fully sealed store. Every file passes the shared
   /// container reader, train::container::Reader (header, meta CRC,
-  /// per-section CRCs, canonical offsets, zero padding), and then its meta,
-  /// section-size and CSR checks before any of it is trusted.
+  /// per-section CRCs, canonical offsets, zero padding), and then its meta
+  /// and section-size checks before any of it is trusted. Shard 0 names
+  /// the store geometry; a shard that disagrees with it, or whose arc range
+  /// is not its place in the partition, is an InvalidArgument.
   static util::Result<std::unique_ptr<ShardedStore>> Open(
       const std::string& dir, uint64_t ram_budget_bytes);
 
@@ -115,13 +100,9 @@ class ShardedStore {
   ShardedStore& operator=(const ShardedStore&) = delete;
 
   // --- Geometry ---------------------------------------------------------
-  size_t num_nodes() const { return static_cast<size_t>(meta_.num_nodes); }
-  size_t num_arcs() const { return static_cast<size_t>(meta_.num_arcs); }
-  size_t dimensions() const { return static_cast<size_t>(meta_.dimensions); }
-  size_t num_shards() const { return static_cast<size_t>(meta_.num_shards); }
-  uint64_t num_connected_pairs() const { return meta_.num_connected_pairs; }
-  uint64_t arc_hash() const { return meta_.arc_hash; }
-  const std::string& dir() const { return dir_; }
+  size_t num_arcs() const { return static_cast<size_t>(num_arcs_); }
+  size_t dimensions() const { return static_cast<size_t>(dimensions_); }
+  size_t num_shards() const { return static_cast<size_t>(num_shards_); }
 
   /// Shard owning global arc `e` (contiguous uniform partition).
   size_t ShardOf(size_t e) const { return e / arcs_per_shard_; }
@@ -133,81 +114,17 @@ class ShardedStore {
   /// (the CLOCK evicts past the budget) and marks resident ones referenced.
   std::span<float> EmbRow(size_t e) {
     const Shard& s = shards_[ShardOf(e)];
-    float* row = s.emb + (e - s.arc_begin) * meta_.dimensions;
+    float* row = s.emb + (e - s.arc_begin) * dimensions_;
     Touch(s, row);
-    return {row, static_cast<size_t>(meta_.dimensions)};
+    return {row, static_cast<size_t>(dimensions_)};
   }
 
   /// Row e of the connection matrix N; same admission discipline.
   std::span<float> ConnRow(size_t e) {
     const Shard& s = shards_[ShardOf(e)];
-    float* row = s.conn + (e - s.arc_begin) * meta_.dimensions;
+    float* row = s.conn + (e - s.arc_begin) * dimensions_;
     Touch(s, row);
-    return {row, static_cast<size_t>(meta_.dimensions)};
-  }
-
-  // --- Pattern arena ----------------------------------------------------
-  /// Pattern data of one undirected arc; `has` is false for arcs without a
-  /// pattern slot. Triad pairs reference global arc indices.
-  struct PatternView {
-    bool has = false;
-    bool degree_active = false;
-    double pseudo_label = 0.0;
-    std::span<const graph::shard::TriadPair> triads;
-  };
-  PatternView Pattern(size_t e) const {
-    const Shard& s = shards_[ShardOf(e)];
-    const uint32_t ls = s.slot[e - s.arc_begin];
-    if (ls == UINT32_MAX) return {};
-    PatternView view;
-    view.has = true;
-    view.degree_active = s.active[ls] != 0;
-    view.pseudo_label = s.label[ls];
-    view.triads = {s.triad_pairs + s.triad_off[ls],
-                   s.triad_off[ls + 1] - s.triad_off[ls]};
-    return view;
-  }
-
-  // --- Graph topology (mirrors core::TieIndex) --------------------------
-  uint32_t Degree(uint32_t v) const {
-    return static_cast<uint32_t>(offsets_[v + 1] - offsets_[v]);
-  }
-  std::span<const uint32_t> Neighbors(uint32_t v) const {
-    return {adj_ + offsets_[v], offsets_[v + 1] - offsets_[v]};
-  }
-  uint32_t ArcSrc(size_t e) const { return src_[e]; }
-  uint32_t ArcDst(size_t e) const { return adj_[e]; }
-  uint8_t ClassByte(size_t e) const { return classes_[e]; }
-  /// Tie degree |c(e)| = Degree(dst) − 1 (see TieIndex::TieDegree).
-  uint32_t TieDegree(size_t e) const { return Degree(adj_[e]) - 1; }
-
-  /// Dense index of arc (u, v), or num_arcs() if absent.
-  size_t TryIndexOf(uint32_t u, uint32_t v) const {
-    if (u >= meta_.num_nodes) return num_arcs();
-    const uint32_t* begin = adj_ + offsets_[u];
-    const uint32_t* end = adj_ + offsets_[u + 1];
-    const uint32_t* it = std::lower_bound(begin, end, v);
-    if (it == end || *it != v) return num_arcs();
-    return offsets_[u] + static_cast<size_t>(it - begin);
-  }
-
-  /// Samples a connected tie e' of arc e uniformly; returns num_arcs()
-  /// when c(e) is empty. Replicates TieIndex::SampleConnectedTie exactly
-  /// (same arithmetic, same single NextIndex draw) so a sharded nt=1 run
-  /// consumes the identical RNG stream as the in-RAM trainer.
-  template <typename RngT>
-  size_t SampleConnectedTie(size_t e, RngT& rng) const {
-    const uint32_t u = src_[e];
-    const uint32_t v = adj_[e];
-    const uint32_t deg = Degree(v);
-    if (deg <= 1) return num_arcs();
-    const size_t base = offsets_[v];
-    const uint32_t* row = adj_ + base;
-    const size_t rank_of_u =
-        static_cast<size_t>(std::lower_bound(row, row + deg, u) - row);
-    size_t pick = rng.NextIndex(deg - 1);
-    if (pick >= rank_of_u) ++pick;
-    return base + pick;
+    return {row, static_cast<size_t>(dimensions_)};
   }
 
   // --- Lifecycle --------------------------------------------------------
@@ -234,11 +151,6 @@ class ShardedStore {
     serve::MmapRwFile file;
     uint64_t arc_begin = 0;
     uint64_t arc_end = 0;
-    const uint32_t* slot = nullptr;
-    const double* label = nullptr;
-    const uint8_t* active = nullptr;
-    const uint32_t* triad_off = nullptr;
-    const graph::shard::TriadPair* triad_pairs = nullptr;
     float* emb = nullptr;
     float* conn = nullptr;
     container::Layout layout;  ///< what Seal() restamps
@@ -260,14 +172,17 @@ class ShardedStore {
     std::atomic<uint8_t> referenced{0};
   };
 
-  ShardedStore(std::string dir, uint64_t ram_budget_bytes);
+  explicit ShardedStore(uint64_t ram_budget_bytes);
 
-  /// Maps the sealed graph file, validates it, and wires meta_ and the
-  /// topology pointers.
-  util::Status MapGraph(const std::string& path);
+  /// Records the store geometry that every shard's meta repeats: the
+  /// shard count, arc count, dimensions and arc hash of `meta`.
+  void SetGeometry(const graph::shard::ShardMeta& meta);
 
-  /// Maps one sealed shard file, validates every byte, and wires its
-  /// section pointers into shards_[index].
+  /// The meta of shard `index` under the store geometry.
+  graph::shard::ShardMeta MetaOf(size_t index) const;
+
+  /// Maps sealed shard file `index`, validates every byte, checks its meta
+  /// against the geometry (which shard 0 sets), and appends it to shards_.
   util::Status AttachShard(size_t index, const std::string& path);
 
   /// Lays the shards' budgeted ranges end to end as the CLOCK's pages,
@@ -292,21 +207,17 @@ class ShardedStore {
   /// Admits page `p` under the budget, evicting with the CLOCK first.
   void Admit(size_t p);
 
-  std::string dir_;
-  graph::shard::GraphMeta meta_{};
+  uint64_t num_arcs_ = 0;
+  uint64_t dimensions_ = 0;
+  uint64_t num_shards_ = 0;
+  uint64_t arc_hash_ = 0;
   size_t arcs_per_shard_ = 1;
   uint64_t budget_bytes_ = 0;
   uint64_t page_bytes_ = 0;
   unsigned page_shift_ = 0;
   uint64_t row_bytes_ = 0;
 
-  serve::MmapFile graph_file_;
-  const uint64_t* offsets_ = nullptr;
-  const uint32_t* adj_ = nullptr;
-  const uint32_t* src_ = nullptr;
-  const uint8_t* classes_ = nullptr;
-
-  std::unique_ptr<Shard[]> shards_;
+  std::vector<Shard> shards_;
   std::unique_ptr<Page[]> pages_;
   size_t num_pages_ = 0;
 

@@ -483,7 +483,7 @@ TEST_P(EStepGradientTest, StepAppliesMinusLrTimesGradient) {
   config.weight_by_tie_degree = c.weight_by_tie_degree;
 
   util::Rng init(17);
-  FixedDrawEnv env{.l = l};
+  FixedDrawEnv env{.l = l, .m = {}, .n = {}, .pattern = {}};
   env.m.resize(FixedDrawEnv::kArcs * l);
   env.n.resize(FixedDrawEnv::kArcs * l);
   for (float& x : env.m) x = static_cast<float>(init.NextDoubleIn(-0.5, 0.5));

@@ -1,9 +1,10 @@
 // Tests for out-of-core training: the DDSH shard store round-trip,
 // every-length truncation and every-byte corruption sweeps over a sealed
-// store, the bit-identity goldens (sharded nt=1 vs in-RAM, every shard
-// count vs 1 shard, tiny-budget eviction churn), the page CLOCK's
-// accounting, second chance, data safety, Seal() release and concurrent
-// admission, and the shard-affine Hogwild path.
+// store, forged shards that disagree on geometry, the bit-identity goldens
+// (sharded nt=1 vs in-RAM, every shard count vs 1 shard, tiny-budget
+// eviction churn), the page CLOCK's accounting, second chance, data
+// safety, Seal() release and concurrent admission, and the shard-affine
+// Hogwild path.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -380,11 +381,10 @@ TEST(ShardedStoreTest, SealedStoreReopensWithSameGeometryAndRows) {
   }
 }
 
-TEST(ShardedStoreTest, LayoutIsOneGraphFilePlusOneFilePerShard) {
+TEST(ShardedStoreTest, LayoutIsOneFilePerShard) {
   const auto files = StoreFiles(TinySealedStoreDir());
   EXPECT_EQ(files,
-            (std::vector<std::string>{"graph.dds", "shard-0000.dds",
-                                      "shard-0001.dds"}));
+            (std::vector<std::string>{"shard-0000.dds", "shard-0001.dds"}));
 }
 
 TEST(ShardedStoreTest, TruncationSweepEveryLengthNeverOpens) {
@@ -462,87 +462,88 @@ void EditMeta(std::string& section, Edit edit) {
 
 TEST(ShardedStoreTest, WrappingSectionSizesAreRejected) {
   namespace shard = graph::shard;
-  // Each forged store has consistent CRCs, so only the checked size
-  // arithmetic can reject it.
-  {
-    // arcs x 2^62 x 4 wraps to 0, which empty emb and conn sections match.
-    const std::string dir = CopyStore("dd_shard_wrap_dims");
-    const uint64_t dims = uint64_t{1} << 62;
-    Reforge(dir + "/graph.dds", shard::kGraphFormat, [&](auto& sections) {
-      EditMeta<shard::GraphMeta>(
-          sections[0], [&](shard::GraphMeta& m) { m.dimensions = dims; });
+  // The forged store has consistent CRCs, so only the checked size
+  // arithmetic can reject it: arcs x 2^62 x 4 wraps to 0, which empty emb
+  // and conn sections match.
+  const std::string dir = CopyStore("dd_shard_wrap_dims");
+  const uint64_t dims = uint64_t{1} << 62;
+  for (const char* file : {"shard-0000.dds", "shard-0001.dds"}) {
+    Reforge(dir + "/" + file, shard::kShardFormat, [&](auto& sections) {
+      EditMeta<shard::ShardMeta>(
+          sections[0], [&](shard::ShardMeta& m) { m.dimensions = dims; });
+      sections[1].clear();
+      sections[2].clear();
     });
-    for (const char* file : {"shard-0000.dds", "shard-0001.dds"}) {
-      Reforge(dir + "/" + file, shard::kShardFormat, [&](auto& sections) {
-        EditMeta<shard::ShardMeta>(
-            sections[0], [&](shard::ShardMeta& m) { m.dimensions = dims; });
-        sections[6].clear();
-        sections[7].clear();
-      });
-    }
-    auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
-    ASSERT_FALSE(opened.ok())
-        << "opened with dimensions " << opened.value()->dimensions();
-    EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
-    EXPECT_NE(opened.status().message().find("'dimensions'"),
-              std::string::npos)
-        << opened.status().ToString();
   }
-  {
-    // (num_nodes + 1) x 8 wraps to a 64-byte offsets section; reading the
-    // CSR behind it would run past the end of the mapping.
-    const std::string dir = CopyStore("dd_shard_wrap_nodes");
-    Reforge(dir + "/graph.dds", shard::kGraphFormat, [](auto& sections) {
-      EditMeta<shard::GraphMeta>(sections[0], [](shard::GraphMeta& m) {
-        m.num_nodes = (uint64_t{1} << 61) + 7;
-      });
-      sections[1].resize(64);
-    });
+  auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
+  ASSERT_FALSE(opened.ok())
+      << "opened with dimensions " << opened.value()->dimensions();
+  EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find("'dimensions'"), std::string::npos)
+      << opened.status().ToString();
+}
+
+TEST(ShardedStoreTest, ShardsThatDisagreeOnGeometryAreRejected) {
+  namespace shard = graph::shard;
+  // Each forged store has consistent CRCs and section sizes that match its
+  // own meta, so only the cross-shard check can reject it.
+  const std::vector<std::pair<const char*,
+                              std::function<void(shard::ShardMeta&)>>>
+      forgeries = {
+          {"arc hash", [](shard::ShardMeta& m) { m.arc_hash ^= 1; }},
+          {"arc count", [](shard::ShardMeta& m) { ++m.num_arcs; }},
+          {"shard count", [](shard::ShardMeta& m) { ++m.num_shards; }},
+          {"shard index", [](shard::ShardMeta& m) { m.shard_index = 0; }},
+          {"arc range",
+           [](shard::ShardMeta& m) {
+             ++m.arc_begin;
+             ++m.arc_end;
+           }},
+      };
+  for (const auto& [what, forge] : forgeries) {
+    SCOPED_TRACE(what);
+    const std::string dir = CopyStore("dd_shard_disagree");
+    Reforge(dir + "/shard-0001.dds", shard::kShardFormat,
+            [&](auto& sections) {
+              EditMeta<shard::ShardMeta>(sections[0], forge);
+            });
     auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
     ASSERT_FALSE(opened.ok());
     EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
-    EXPECT_NE(opened.status().message().find("'num_nodes'"),
-              std::string::npos)
+    EXPECT_NE(opened.status().message().find("disagrees"), std::string::npos)
         << opened.status().ToString();
-    EXPECT_EQ(opened.status().message().find("CSR"), std::string::npos)
+  }
+  {
+    // Dimensions too, with emb and conn resized to match the forged width.
+    const std::string dir = CopyStore("dd_shard_disagree");
+    Reforge(dir + "/shard-0001.dds", shard::kShardFormat,
+            [](auto& sections) {
+              uint64_t dims = 0;
+              EditMeta<shard::ShardMeta>(sections[0], [&](shard::ShardMeta& m) {
+                dims = ++m.dimensions;
+                sections[1].assign((m.arc_end - m.arc_begin) * dims * 4, '\0');
+              });
+              sections[2] = sections[1];
+            });
+    auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().message().find("disagrees"), std::string::npos)
         << opened.status().ToString();
   }
 }
 
-/// Everything ShardedStore::Create reads, built from one split. `init`
-/// points into the other members, so an instance never moves.
+/// Everything ShardedStore::Create reads, built from one split.
 struct StoreInputs {
   StoreInputs(graph::HiddenDirectionSplit from, size_t dimensions)
-      : split(std::move(from)),
-        idx(split.network),
-        patterns(PrecomputePatterns(split.network, idx,
-                                    BaseConfig(dimensions, 0.5))) {
-    init.offsets = idx.Offsets();
-    init.adjacency = {
-        reinterpret_cast<const uint32_t*>(idx.Adjacency().data()),
-        idx.Adjacency().size()};
-    init.sources = {reinterpret_cast<const uint32_t*>(idx.Sources().data()),
-                    idx.Sources().size()};
-    init.classes = {
-        reinterpret_cast<const uint8_t*>(idx.RawClasses().data()),
-        idx.RawClasses().size()};
-    init.num_connected_pairs = idx.NumConnectedTiePairs();
+      : split(std::move(from)), idx(split.network) {
+    init.num_arcs = idx.num_arcs();
     init.arc_hash = HashTieIndex(idx);
     init.dimensions = dimensions;
-    init.slot = patterns.slot;
-    init.degree_pseudo_label = patterns.degree_pseudo_label;
-    init.degree_active = patterns.degree_active;
-    init.triad_offsets = patterns.triad_offsets;
-    init.triad_pairs = {reinterpret_cast<const graph::shard::TriadPair*>(
-                            patterns.triad_pairs.data()),
-                        patterns.triad_pairs.size()};
   }
-  StoreInputs(const StoreInputs&) = delete;
-  StoreInputs& operator=(const StoreInputs&) = delete;
 
   graph::HiddenDirectionSplit split;
   TieIndex idx;
-  PatternPrecompute patterns;
   train::ShardedStoreInit init;
 };
 

@@ -16,6 +16,7 @@
 #include "data/generators.h"
 #include "embedding/line.h"
 #include "graph/algorithms.h"
+#include "kernels/kernels.h"
 #include "ml/dataset.h"
 #include "ml/logistic_regression.h"
 #include "train/checkpoint.h"
@@ -495,13 +496,13 @@ TEST(SgdDriverTest, HogwildDenseCopiesSeeOwnStepsAndMergedOnes) {
 TEST(HogwildAccessTest, PoliciesAgreeOnRowHelpers) {
   std::vector<float> a{0.5f, -1.25f, 2.0f};
   std::vector<float> b{1.0f, 0.25f, -0.5f};
-  const double serial = DotRows<SerialAccess>(a, b);
-  const double hogwild = DotRows<HogwildAccess>(a, b);
+  const double serial = kernels::DotRows<SerialAccess>(a, b);
+  const double hogwild = kernels::DotRows<HogwildAccess>(a, b);
   EXPECT_EQ(serial, hogwild);
 
   std::vector<float> y1 = a, y2 = a;
-  AxpyRows<SerialAccess>(y1, 0.3, b);
-  AxpyRows<HogwildAccess>(y2, 0.3, b);
+  kernels::AxpyRows<SerialAccess>(y1, 0.3, b);
+  kernels::AxpyRows<HogwildAccess>(y2, 0.3, b);
   for (size_t i = 0; i < y1.size(); ++i) EXPECT_EQ(y1[i], y2[i]);
 }
 
