@@ -49,7 +49,7 @@ int main() {
         graph::HoldOutTies(net, link_config.holdout_fraction, rng);
 
     const auto original =
-        core::RunLinkPrediction(net, holdout, nullptr, link_config);
+        core::RunLinkPrediction(holdout, nullptr, link_config);
     cells[0][d] = original.auc;
     session.Add("auc", "fraction", "higher", original.auc,
                 {{"dataset", data::DatasetName(datasets[d])},
@@ -63,7 +63,7 @@ int main() {
     for (core::Method method : core::AllMethods()) {
       const auto model = core::TrainMethod(holdout.network, method, configs);
       const auto result =
-          core::RunLinkPrediction(net, holdout, model.get(), link_config);
+          core::RunLinkPrediction(holdout, model.get(), link_config);
       cells[row][d] = result.auc;
       session.Add("auc", "fraction", "higher", result.auc,
                   {{"dataset", data::DatasetName(datasets[d])},

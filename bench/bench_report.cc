@@ -1,10 +1,10 @@
 #include "bench_report.h"
 
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <thread>
+
+#include "obs/metrics.h"
 
 // Build facts baked in by bench/CMakeLists.txt; defaults keep the file
 // compilable standalone (tests, tooling).
@@ -20,37 +20,8 @@
 
 namespace deepdirect::bench {
 
-namespace {
-
-// Local JSON fragment helpers. Deliberately not shared with the obs
-// layer's (obs/metrics.cc): those are compiled out under
-// DEEPDIRECT_ENABLE_METRICS=OFF while bench reports must always work.
-std::string JsonNumber(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g",
-                std::isfinite(value) ? value : 0.0);
-  return buffer;
-}
-
-std::string JsonString(const std::string& text) {
-  std::string out = "\"";
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-      out += buffer;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
+using obs::internal::JsonNumber;
+using obs::internal::JsonString;
 
 BenchEnvironment BenchEnvironment::Collect() {
   BenchEnvironment env;

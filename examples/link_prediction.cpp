@@ -43,7 +43,7 @@ int main() {
 
   // Baseline: original binary adjacency matrix.
   const core::LinkPredictionResult baseline =
-      core::RunLinkPrediction(network, holdout, nullptr, link_config);
+      core::RunLinkPrediction(holdout, nullptr, link_config);
 
   // Quantified: train DeepDirect on G' and replace bidirectional cells with
   // directionality values.
@@ -53,7 +53,7 @@ int main() {
   dd_config.seed = 211;
   const auto model = core::DeepDirectModel::Train(holdout.network, dd_config);
   const core::LinkPredictionResult quantified =
-      core::RunLinkPrediction(network, holdout, model.get(), link_config);
+      core::RunLinkPrediction(holdout, model.get(), link_config);
 
   util::TablePrinter table({"adjacency", "AUC", "candidates", "positives"});
   table.AddRow({"original (binary)",

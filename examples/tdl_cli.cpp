@@ -3,14 +3,14 @@
 //   tdl_cli generate --dataset twitter [--scale 1.0] --output net.edges
 //       Writes a synthetic mixed social network in edge-list format.
 //
-//   tdl_cli discover --input net.edges [--method deepdirect] \
+//   tdl_cli discover --input net.edges [--method deepdirect]
 //                    [--output predictions.csv] [--hide 0.5] [--seed 42]
 //       Trains the chosen method on the network's directed ties and
 //       predicts the direction of every undirected tie. With --hide F, the
 //       input's directed ties are first split (F remain directed) and the
 //       prediction accuracy on the hidden part is reported.
 //
-//   tdl_cli quantify --input net.edges [--method deepdirect] \
+//   tdl_cli quantify --input net.edges [--method deepdirect]
 //                    [--output directionality.csv]
 //       Emits the directionality values d(u,v), d(v,u) for every
 //       bidirectional tie (the directionality adjacency matrix entries).
@@ -19,7 +19,7 @@
 //       Trains DeepDirect and exports the tie embedding matrix M
 //       (one row per closure arc: u, v, m_uv...).
 //
-//   tdl_cli update --input net.edges --batch new1.edges[,new2.edges...] \
+//   tdl_cli update --input net.edges --batch new1.edges[,new2.edges...]
 //                  --checkpoint-dir ckpt [--epochs-per-batch E]
 //       Absorbs batches of newly-arrived ties into a trained DeepDirect
 //       model: warm-starts M/N/(w', b') from the newest E-step checkpoint

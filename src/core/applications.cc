@@ -175,8 +175,7 @@ double LinkScore(const WeightedAdjacency& adjacency, LinkScoreType type,
   return 0.0;
 }
 
-LinkPredictionResult RunLinkPrediction(const MixedSocialNetwork& g,
-                                       const graph::TieHoldout& holdout,
+LinkPredictionResult RunLinkPrediction(const graph::TieHoldout& holdout,
                                        const DirectionalityModel* model,
                                        const LinkPredictionConfig& config) {
   const MixedSocialNetwork& reduced = holdout.network;
@@ -229,7 +228,7 @@ LinkPredictionResult RunLinkPrediction(const MixedSocialNetwork& g,
         if (config.ordered) {
           // Both orientations, each a separate candidate (unless excluded
           // as the reverse of a removed directed tie).
-          for (const auto [a, b] :
+          for (const auto& [a, b] :
                {std::pair<NodeId, NodeId>{u, v}, {v, u}}) {
             if (excluded_oriented.contains(ordered_key(a, b))) continue;
             const int label =

@@ -159,14 +159,13 @@ struct LinkPredictionResult {
   size_t num_positives = 0;
 };
 
-/// Runs the Sec. 6.3 protocol: removes holdout ties from `g` to get G',
-/// scores ordered 2-hop pairs of G' with the (model-quantified or original)
-/// adjacency, and labels a pair positive iff it is a removed tie of `g`.
+/// Runs the Sec. 6.3 protocol on `holdout`: scores ordered 2-hop pairs of
+/// its reduced network G' with the (model-quantified or original)
+/// adjacency, and labels a pair positive iff it is one of the removed ties.
 /// `model` must be trained on G' (or pass nullptr for the original binary
-/// adjacency baseline). The same holdout (derived from config.seed) is used
-/// for identical configs, so methods are comparable.
-LinkPredictionResult RunLinkPrediction(const graph::MixedSocialNetwork& g,
-                                       const graph::TieHoldout& holdout,
+/// adjacency baseline). Scoring the same holdout with identical configs
+/// keeps methods comparable.
+LinkPredictionResult RunLinkPrediction(const graph::TieHoldout& holdout,
                                        const DirectionalityModel* model,
                                        const LinkPredictionConfig& config);
 

@@ -193,7 +193,8 @@ class DeepDirectModel : public DirectionalityModel {
   /// step quota, retrains the D-step, and returns the merged network, the
   /// updated model, and the chained warm-start state. Purely functional:
   /// on any error — a tie duplicating an existing edge (line-numbered), a
-  /// state/network mismatch — nothing is mutated and no file is written.
+  /// state/network mismatch, a node count too large to allocate
+  /// (ResourceExhausted) — nothing is mutated and no file is written.
   static util::Result<IncrementalUpdate> ApplyTieBatch(
       const graph::MixedSocialNetwork& g, const train::TieBatch& batch,
       const train::EStepState& state, const DeepDirectConfig& config,

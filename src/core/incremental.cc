@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <new>
 #include <optional>
 #include <utility>
 
@@ -119,7 +120,21 @@ util::Result<IncrementalUpdate> DeepDirectModel::ApplyTieBatch(
       return BatchLineError(tie, "rejected: " + status.ToString());
     }
   }
-  MixedSocialNetwork merged = std::move(builder).Build();
+  // The batch's `# nodes` line, which the grammar accepts up to 2^32 - 1,
+  // sizes the per-node arrays; nothing has been written yet. The network's
+  // 8-byte offsets go first, so a count too large fails before the 1-byte
+  // `touched` flags are zero-filled.
+  std::optional<MixedSocialNetwork> built;
+  std::vector<uint8_t> touched;
+  try {
+    built.emplace(std::move(builder).Build());
+    touched.assign(num_nodes, 0);
+  } catch (const std::bad_alloc&) {
+    return util::Status::ResourceExhausted(
+        "cannot allocate the per-node arrays of the merged network's " +
+        std::to_string(num_nodes) + " nodes");
+  }
+  MixedSocialNetwork merged = std::move(*built);
   TieIndex merged_index(merged);
   const size_t num_arcs = merged_index.num_arcs();
   std::unique_ptr<DeepDirectModel> model(
@@ -153,7 +168,6 @@ util::Result<IncrementalUpdate> DeepDirectModel::ApplyTieBatch(
   }
 
   // --- Affected set A: new arcs ∪ arcs with a touched endpoint. ---------
-  std::vector<uint8_t> touched(num_nodes, 0);
   for (const train::TieDelta& tie : batch.ties) {
     touched[tie.u] = 1;
     touched[tie.v] = 1;

@@ -209,26 +209,4 @@ util::Status WriteStatusNetworkEdgeList(const GeneratorConfig& config,
   return util::Status::OK();
 }
 
-MixedSocialNetwork GenerateErdosRenyi(size_t num_nodes, double tie_probability,
-                                      double bidirectional_fraction,
-                                      uint64_t seed) {
-  DD_CHECK_GE(tie_probability, 0.0);
-  DD_CHECK_LE(tie_probability, 1.0);
-  util::Rng rng(seed);
-  GraphBuilder builder(num_nodes);
-  for (NodeId a = 0; a < num_nodes; ++a) {
-    for (NodeId b = a + 1; b < num_nodes; ++b) {
-      if (!rng.NextBool(tie_probability)) continue;
-      if (rng.NextBool(bidirectional_fraction)) {
-        DD_CHECK(builder.AddTie(a, b, TieType::kBidirectional).ok());
-      } else if (rng.NextBool(0.5)) {
-        DD_CHECK(builder.AddTie(a, b, TieType::kDirected).ok());
-      } else {
-        DD_CHECK(builder.AddTie(b, a, TieType::kDirected).ok());
-      }
-    }
-  }
-  return std::move(builder).Build();
-}
-
 }  // namespace deepdirect::data

@@ -102,14 +102,6 @@ util::Status WriteStatusNetworkEdgeList(const GeneratorConfig& config,
 /// direction/status agreement rate.
 std::vector<double> GeneratorStatuses(const GeneratorConfig& config);
 
-/// G(n, p) Erdős–Rényi graph; each present tie is bidirectional with
-/// probability `bidirectional_fraction`, else directed with a fair-coin
-/// direction. Used by property tests as a patternless control.
-graph::MixedSocialNetwork GenerateErdosRenyi(size_t num_nodes,
-                                             double tie_probability,
-                                             double bidirectional_fraction,
-                                             uint64_t seed);
-
 }  // namespace deepdirect::data
 
 #endif  // DEEPDIRECT_DATA_GENERATORS_H_

@@ -133,30 +133,6 @@ MixedSocialNetwork InducedSubnetwork(const MixedSocialNetwork& g,
 
 }  // namespace
 
-MixedSocialNetwork BfsSample(const MixedSocialNetwork& g, NodeId seed_node,
-                             size_t target_nodes) {
-  DD_CHECK_LT(seed_node, g.num_nodes());
-  DD_CHECK_GT(target_nodes, 0u);
-  std::vector<uint8_t> keep(g.num_nodes(), 0);
-  std::deque<NodeId> queue;
-  size_t kept = 0;
-  keep[seed_node] = 1;
-  ++kept;
-  queue.push_back(seed_node);
-  while (!queue.empty() && kept < target_nodes) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (NodeId v : g.UndirectedNeighbors(u)) {
-      if (!keep[v]) {
-        keep[v] = 1;
-        queue.push_back(v);
-        if (++kept >= target_nodes) break;
-      }
-    }
-  }
-  return InducedSubnetwork(g, keep);
-}
-
 MixedSocialNetwork TopDegreeSubnetwork(const MixedSocialNetwork& g,
                                        double fraction) {
   DD_CHECK_GT(fraction, 0.0);

@@ -1,7 +1,7 @@
 // Basic graph algorithms over the undirected view of a mixed social network:
-// BFS distances, connected components, and the sampling / transformation
-// utilities the paper's experimental pipeline relies on (BFS subnetwork
-// sampling, top-degree extraction, hiding directions of directed ties).
+// BFS distances, connected components, and the transformation utilities
+// the paper's experimental pipeline relies on (top-degree extraction,
+// hiding directions of directed ties, tie hold-out).
 
 #ifndef DEEPDIRECT_GRAPH_ALGORITHMS_H_
 #define DEEPDIRECT_GRAPH_ALGORITHMS_H_
@@ -46,12 +46,6 @@ struct HiddenDirectionSplit {
 /// Bidirectional ties are untouched.
 HiddenDirectionSplit HideDirections(const MixedSocialNetwork& g,
                                     double directed_fraction, util::Rng& rng);
-
-/// BFS-samples a subnetwork of approximately `target_nodes` nodes starting
-/// from `seed_node` (paper Sec. 6.1 preprocessing). Keeps every tie whose
-/// both endpoints were visited. Node ids are re-densified.
-MixedSocialNetwork BfsSample(const MixedSocialNetwork& g, NodeId seed_node,
-                             size_t target_nodes);
 
 /// Extracts the subnetwork induced by the `fraction` of nodes with highest
 /// total degree (paper Sec. 6.2.5 visualization protocol). Node ids are

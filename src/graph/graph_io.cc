@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <new>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -105,7 +106,15 @@ util::Result<MixedSocialNetwork> ReadEdgeList(std::istream& in,
     registry.GetGauge("graph.load.nodes")
         ->Set(static_cast<double>(num_nodes));
   }
-  return std::move(builder).Build();
+  // The grammar accepts node counts up to 2^32 - 1, and Build() sizes its
+  // per-node arrays by the count, not by the ties.
+  try {
+    return std::move(builder).Build();
+  } catch (const std::bad_alloc&) {
+    return util::Status::ResourceExhausted(
+        "cannot allocate the per-node arrays of " +
+        std::to_string(num_nodes) + " nodes");
+  }
 }
 
 }  // namespace deepdirect::graph

@@ -125,7 +125,8 @@ util::Result<MixedSocialNetwork> LoadEdgeList(const std::string& path,
 /// shortest legal line is 6 bytes, a typical one well over 12), so at most
 /// one doubling ever happens and small files never over-allocate. The obs
 /// counter "graph.load.tie_reallocs" records the buffer growths that
-/// happened anyway.
+/// happened anyway. A node count (declared or implied by the largest id)
+/// whose per-node arrays cannot be allocated returns ResourceExhausted.
 util::Result<MixedSocialNetwork> ReadEdgeList(std::istream& in,
                                               size_t num_threads = 1,
                                               size_t size_hint_bytes = 0);

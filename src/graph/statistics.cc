@@ -41,27 +41,6 @@ double DegreeAssortativity(const MixedSocialNetwork& g) {
   return cov / var;
 }
 
-DegreeSummary SummarizeDegrees(const MixedSocialNetwork& g) {
-  DegreeSummary summary;
-  const size_t n = g.num_nodes();
-  if (n == 0) return summary;
-  std::vector<double> degrees(n);
-  double total = 0.0;
-  for (NodeId u = 0; u < n; ++u) {
-    degrees[u] = g.UndirectedDegree(u);
-    total += degrees[u];
-  }
-  std::sort(degrees.begin(), degrees.end());
-  summary.mean = total / static_cast<double>(n);
-  summary.max = degrees.back();
-  summary.p90 = degrees[static_cast<size_t>(0.9 * (n - 1))];
-  const size_t top = std::max<size_t>(1, n / 100);
-  double top_total = 0.0;
-  for (size_t i = 0; i < top; ++i) top_total += degrees[n - 1 - i];
-  summary.top1_percent_share = total > 0.0 ? top_total / total : 0.0;
-  return summary;
-}
-
 double AveragePathLengthSampled(const MixedSocialNetwork& g,
                                 size_t num_sources, util::Rng& rng) {
   const size_t n = g.num_nodes();

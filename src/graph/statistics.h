@@ -1,6 +1,6 @@
 // Network-level descriptive statistics used for dataset validation and the
-// Table 2 report: reciprocity, degree assortativity, degree distribution
-// summaries, and (sampled) average path length.
+// Table 2 report: reciprocity, degree assortativity, and (sampled) average
+// path length.
 
 #ifndef DEEPDIRECT_GRAPH_STATISTICS_H_
 #define DEEPDIRECT_GRAPH_STATISTICS_H_
@@ -21,17 +21,6 @@ double Reciprocity(const MixedSocialNetwork& g);
 /// Pearson correlation of endpoint undirected degrees over all ties
 /// (degree assortativity, Newman 2002). Returns 0 for degenerate inputs.
 double DegreeAssortativity(const MixedSocialNetwork& g);
-
-/// Summary of the undirected degree distribution.
-struct DegreeSummary {
-  double mean = 0.0;
-  double max = 0.0;
-  /// Degree at the 90th percentile.
-  double p90 = 0.0;
-  /// Share of total degree held by the top 1% of nodes (hubbiness).
-  double top1_percent_share = 0.0;
-};
-DegreeSummary SummarizeDegrees(const MixedSocialNetwork& g);
 
 /// Average shortest-path length estimated from `num_sources` BFS sources
 /// (exact when num_sources >= num_nodes). Unreachable pairs are skipped.

@@ -13,7 +13,6 @@
 #define DEEPDIRECT_GRAPH_TYPES_H_
 
 #include <cstdint>
-#include <string>
 
 namespace deepdirect::graph {
 
@@ -36,9 +35,6 @@ enum class TieType : uint8_t {
   kUndirected = 2,     ///< direction unknown (to be learned)
 };
 
-/// Returns a short lowercase name ("directed", "bidirectional", "undirected").
-const char* TieTypeToString(TieType type);
-
 /// One ordered arc of a social tie.
 struct Arc {
   NodeId src = kInvalidNode;
@@ -49,9 +45,6 @@ struct Arc {
     return src == other.src && dst == other.dst && type == other.type;
   }
 };
-
-/// Renders an arc as "u->v[t]" for diagnostics.
-std::string ArcToString(const Arc& arc);
 
 }  // namespace deepdirect::graph
 

@@ -59,7 +59,6 @@ double LogisticRegression::Train(const Dataset& data,
 
   train::SgdOptions options;
   options.steps = total_steps;
-  options.total_steps = total_steps;
   options.steps_per_epoch = n;
   options.num_threads = config.num_threads;
   options.lr = config.Schedule();

@@ -21,12 +21,6 @@ double Dot(std::span<const float> a, std::span<const float> b) {
   return acc;
 }
 
-double Norm2(std::span<const float> a) {
-  double acc = 0.0;
-  for (float v : a) acc += static_cast<double>(v) * static_cast<double>(v);
-  return std::sqrt(acc);
-}
-
 double Sigmoid(double x) { return kernels::Sigmoid(x); }
 
 double LogSigmoid(double x) {

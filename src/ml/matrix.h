@@ -63,9 +63,6 @@ class Matrix {
 /// Dot product of equal-length spans.
 double Dot(std::span<const float> a, std::span<const float> b);
 
-/// Euclidean (L2) norm.
-double Norm2(std::span<const float> a);
-
 /// Numerically safe logistic sigmoid, clamped to ±kernels::kSigmoidClamp
 /// (word2vec-style ±6) so extreme and infinite arguments saturate to
 /// σ(±6) instead of drifting toward 0/1 — consistent with the SIMD

@@ -57,92 +57,4 @@ double AreaUnderRoc(const std::vector<double>& scores,
   return auc;
 }
 
-double LogLoss(const std::vector<double>& scores,
-               const std::vector<int>& labels) {
-  DD_CHECK_EQ(scores.size(), labels.size());
-  if (scores.empty()) return 0.0;
-  const double eps = 1e-12;
-  double total = 0.0;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    const double p = std::clamp(scores[i], eps, 1.0 - eps);
-    total -= labels[i] == 1 ? std::log(p) : std::log(1.0 - p);
-  }
-  return total / static_cast<double>(scores.size());
-}
-
-double Confusion::Precision() const {
-  const size_t denom = true_positive + false_positive;
-  return denom == 0 ? 0.0
-                    : static_cast<double>(true_positive) /
-                          static_cast<double>(denom);
-}
-
-double Confusion::Recall() const {
-  const size_t denom = true_positive + false_negative;
-  return denom == 0 ? 0.0
-                    : static_cast<double>(true_positive) /
-                          static_cast<double>(denom);
-}
-
-double Confusion::F1() const {
-  const double p = Precision();
-  const double r = Recall();
-  return (p + r) == 0.0 ? 0.0 : 2.0 * p * r / (p + r);
-}
-
-double BrierScore(const std::vector<double>& scores,
-                  const std::vector<int>& labels) {
-  DD_CHECK_EQ(scores.size(), labels.size());
-  if (scores.empty()) return 0.0;
-  double total = 0.0;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    const double delta = scores[i] - static_cast<double>(labels[i]);
-    total += delta * delta;
-  }
-  return total / static_cast<double>(scores.size());
-}
-
-double ExpectedCalibrationError(const std::vector<double>& scores,
-                                const std::vector<int>& labels,
-                                size_t bins) {
-  DD_CHECK_EQ(scores.size(), labels.size());
-  DD_CHECK_GT(bins, 0u);
-  if (scores.empty()) return 0.0;
-  std::vector<double> confidence_sum(bins, 0.0);
-  std::vector<double> accuracy_sum(bins, 0.0);
-  std::vector<size_t> counts(bins, 0);
-  for (size_t i = 0; i < scores.size(); ++i) {
-    const double p = std::clamp(scores[i], 0.0, 1.0);
-    size_t bin = static_cast<size_t>(p * static_cast<double>(bins));
-    if (bin == bins) bin = bins - 1;  // p == 1.0
-    confidence_sum[bin] += p;
-    accuracy_sum[bin] += labels[i];
-    ++counts[bin];
-  }
-  double ece = 0.0;
-  const double n = static_cast<double>(scores.size());
-  for (size_t b = 0; b < bins; ++b) {
-    if (counts[b] == 0) continue;
-    const double c = static_cast<double>(counts[b]);
-    ece += (c / n) *
-           std::abs(confidence_sum[b] / c - accuracy_sum[b] / c);
-  }
-  return ece;
-}
-
-Confusion ConfusionAtHalf(const std::vector<double>& scores,
-                          const std::vector<int>& labels) {
-  DD_CHECK_EQ(scores.size(), labels.size());
-  Confusion c;
-  for (size_t i = 0; i < scores.size(); ++i) {
-    const bool predicted = scores[i] >= 0.5;
-    const bool actual = labels[i] == 1;
-    if (predicted && actual) ++c.true_positive;
-    if (predicted && !actual) ++c.false_positive;
-    if (!predicted && !actual) ++c.true_negative;
-    if (!predicted && actual) ++c.false_negative;
-  }
-  return c;
-}
-
 }  // namespace deepdirect::ml

@@ -1,6 +1,5 @@
 // Evaluation metrics: accuracy for direction discovery (Sec. 6.2) and AUC
-// for the link-prediction experiment (Sec. 6.3), plus generic binary
-// classification helpers used in tests.
+// for the link-prediction experiment (Sec. 6.3).
 
 #ifndef DEEPDIRECT_ML_METRICS_H_
 #define DEEPDIRECT_ML_METRICS_H_
@@ -19,37 +18,6 @@ double Accuracy(const std::vector<double>& scores,
 /// of tied scores. Returns 0.5 when either class is empty.
 double AreaUnderRoc(const std::vector<double>& scores,
                     const std::vector<int>& labels);
-
-/// Mean binary cross-entropy of probabilistic scores against labels.
-double LogLoss(const std::vector<double>& scores,
-               const std::vector<int>& labels);
-
-/// 2x2 confusion counts at threshold 0.5.
-struct Confusion {
-  size_t true_positive = 0;
-  size_t false_positive = 0;
-  size_t true_negative = 0;
-  size_t false_negative = 0;
-
-  double Precision() const;
-  double Recall() const;
-  double F1() const;
-};
-
-Confusion ConfusionAtHalf(const std::vector<double>& scores,
-                          const std::vector<int>& labels);
-
-/// Brier score: mean squared error of probabilistic scores against binary
-/// labels. 0 is perfect; 0.25 is an uninformative constant 0.5.
-double BrierScore(const std::vector<double>& scores,
-                  const std::vector<int>& labels);
-
-/// Expected calibration error over `bins` equal-width probability bins:
-/// Σ_b (|b|/n) · |mean confidence_b − empirical accuracy_b|. Measures how
-/// trustworthy the directionality values are *as probabilities* (relevant
-/// for the quantification application, Sec. 5.2).
-double ExpectedCalibrationError(const std::vector<double>& scores,
-                                const std::vector<int>& labels, size_t bins);
 
 }  // namespace deepdirect::ml
 

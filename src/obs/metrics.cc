@@ -5,8 +5,6 @@
 
 #include "util/csv_writer.h"
 
-#if DEEPDIRECT_OBS
-
 namespace deepdirect::obs {
 
 namespace internal {
@@ -272,34 +270,3 @@ void Registry::Reset() {
 }
 
 }  // namespace deepdirect::obs
-
-#else  // !DEEPDIRECT_OBS
-
-namespace deepdirect::obs {
-
-util::Status MetricsSnapshot::WriteJson(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.good()) {
-    return util::Status::IOError("cannot open for writing: " + path);
-  }
-  out << "{}\n";
-  return util::Status::OK();
-}
-
-util::Status MetricsSnapshot::WriteCsv(const std::string& path) const {
-  util::CsvWriter csv(path);
-  if (!csv.ok()) {
-    return util::Status::IOError("cannot open for writing: " + path);
-  }
-  csv.WriteRow({"kind", "name", "field", "value"});
-  return util::Status::OK();
-}
-
-Registry& Registry::Default() {
-  static Registry registry;
-  return registry;
-}
-
-}  // namespace deepdirect::obs
-
-#endif  // DEEPDIRECT_OBS

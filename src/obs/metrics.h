@@ -13,13 +13,10 @@
 // The registry additionally stores *series* — append-only value lists
 // (per-epoch losses) recorded under a mutex on cold paths only.
 //
-// Two gates keep the disabled cost negligible:
-//   * compile time — building with DEEPDIRECT_OBS=0 (CMake option
-//     DEEPDIRECT_ENABLE_METRICS=OFF) replaces every class below with an
-//     inline no-op shell, so instrumented call sites compile away;
-//   * run time    — the registry starts disabled; recording call sites gate
-//     on obs::Enabled() (one relaxed atomic load), and surfaces that want
-//     telemetry (tdl_cli --metrics-out, DD_BENCH_METRICS) switch it on.
+// A runtime gate keeps the disabled cost negligible: the registry starts
+// disabled, recording call sites gate on obs::Enabled() (one relaxed atomic
+// load), and surfaces that want telemetry (tdl_cli --metrics-out,
+// DD_BENCH_METRICS) switch it on.
 // Instrumentation must never perturb training: nothing in this layer draws
 // from any Rng, and loss/timing taps read values the trainers already
 // compute.
@@ -27,24 +24,17 @@
 #ifndef DEEPDIRECT_OBS_METRICS_H_
 #define DEEPDIRECT_OBS_METRICS_H_
 
-#ifndef DEEPDIRECT_OBS
-#define DEEPDIRECT_OBS 1
-#endif
-
+#include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "util/status.h"
-
-#if DEEPDIRECT_OBS
-
-#include <atomic>
-#include <cmath>
-#include <limits>
-#include <memory>
-#include <mutex>
 
 namespace deepdirect::obs {
 
@@ -267,71 +257,5 @@ class Registry {
 inline bool Enabled() { return Registry::Default().enabled(); }
 
 }  // namespace deepdirect::obs
-
-#else  // !DEEPDIRECT_OBS — compiled-out no-op shells with the same API.
-
-namespace deepdirect::obs {
-
-struct HistogramStats {
-  uint64_t count = 0;
-  double sum = 0.0, min = 0.0, max = 0.0, mean = 0.0;
-  double p50 = 0.0, p95 = 0.0, p99 = 0.0;
-};
-
-class Counter {
- public:
-  void Add(uint64_t = 1) {}
-  uint64_t Value() const { return 0; }
-  void Reset() {}
-};
-
-class Gauge {
- public:
-  void Set(double) {}
-  double Value() const { return 0.0; }
-  void Reset() {}
-};
-
-class Histogram {
- public:
-  void Observe(double) {}
-  HistogramStats Stats() const { return {}; }
-  void Reset() {}
-};
-
-struct MetricsSnapshot {
-  std::map<std::string, uint64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, HistogramStats> histograms;
-  std::map<std::string, std::vector<double>> series;
-  bool empty() const { return true; }
-  std::string ToJson() const { return "{}"; }
-  util::Status WriteJson(const std::string& path) const;
-  util::Status WriteCsv(const std::string& path) const;
-};
-
-class Registry {
- public:
-  static Registry& Default();
-  Counter* GetCounter(const std::string&) { return &counter_; }
-  Gauge* GetGauge(const std::string&) { return &gauge_; }
-  Histogram* GetHistogram(const std::string&) { return &histogram_; }
-  void Append(const std::string&, double) {}
-  bool enabled() const { return false; }
-  void set_enabled(bool) {}
-  MetricsSnapshot Snapshot() const { return {}; }
-  void Reset() {}
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-inline constexpr bool Enabled() { return false; }
-
-}  // namespace deepdirect::obs
-
-#endif  // DEEPDIRECT_OBS
 
 #endif  // DEEPDIRECT_OBS_METRICS_H_

@@ -1,7 +1,5 @@
 #include "obs/timeline.h"
 
-#if DEEPDIRECT_OBS
-
 #include <algorithm>
 #include <chrono>
 
@@ -106,5 +104,3 @@ std::string TimelineWriter::SnapshotLine(double wall_seconds,
 }
 
 }  // namespace deepdirect::obs
-
-#endif  // DEEPDIRECT_OBS

@@ -13,26 +13,19 @@
 // never writes a metric, so training output is unaffected by sampling.
 // One final tick is always appended on Stop(), so even runs shorter than
 // the interval yield a curve point.
-//
-// With the obs layer compiled out (DEEPDIRECT_OBS=0) the writer is an
-// inert shell: Start() succeeds, no thread is spawned, nothing is written.
 
 #ifndef DEEPDIRECT_OBS_TIMELINE_H_
 #define DEEPDIRECT_OBS_TIMELINE_H_
-
-#include <string>
-
-#include "obs/metrics.h"
-#include "util/status.h"
-
-#if DEEPDIRECT_OBS
 
 #include <condition_variable>
 #include <cstdint>
 #include <fstream>
 #include <mutex>
+#include <string>
 #include <thread>
 
+#include "obs/metrics.h"
+#include "util/status.h"
 #include "util/timer.h"
 
 namespace deepdirect::obs {
@@ -83,26 +76,5 @@ class TimelineWriter {
 };
 
 }  // namespace deepdirect::obs
-
-#else  // !DEEPDIRECT_OBS — inert shell.
-
-namespace deepdirect::obs {
-
-class TimelineWriter {
- public:
-  TimelineWriter(std::string, double) {}
-  util::Status Start() { return util::Status::OK(); }
-  void Stop() {}
-  uint64_t ticks() const { return 0; }
-  static std::string SnapshotLine(double, const MetricsSnapshot&) {
-    return "{}";
-  }
-  TimelineWriter(const TimelineWriter&) = delete;
-  TimelineWriter& operator=(const TimelineWriter&) = delete;
-};
-
-}  // namespace deepdirect::obs
-
-#endif  // DEEPDIRECT_OBS
 
 #endif  // DEEPDIRECT_OBS_TIMELINE_H_

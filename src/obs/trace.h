@@ -16,10 +16,10 @@
 // The two gates are independent: the registry gate (Registry::set_enabled)
 // controls the aggregate metrics, the buffer gate
 // (TraceBuffer::set_enabled) controls timeline events, and either can be
-// on without the other. When both are disabled (runtime) or the layer is
-// compiled out, constructing a scope does nothing measurable. A gate that
-// turns off mid-span suppresses that span's teardown recording — a span
-// must never write into a registry or buffer the owner has switched off.
+// on without the other. When both are disabled, constructing a scope does
+// nothing measurable. A gate that turns off mid-span suppresses that span's
+// teardown recording — a span must never write into a registry or buffer
+// the owner has switched off.
 
 #ifndef DEEPDIRECT_OBS_TRACE_H_
 #define DEEPDIRECT_OBS_TRACE_H_
@@ -31,8 +31,6 @@
 #include "util/timer.h"
 
 namespace deepdirect::obs {
-
-#if DEEPDIRECT_OBS
 
 /// RAII timeline span; records one TraceEvent into the default buffer at
 /// scope exit when tracing is enabled.
@@ -65,17 +63,6 @@ class TraceSpan {
   uint32_t depth_ = 0;
   uint64_t start_ns_ = 0;
 };
-
-#else  // !DEEPDIRECT_OBS
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const std::string&) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-};
-
-#endif  // DEEPDIRECT_OBS
 
 /// RAII span that times `phase.<name>` into the default registry and
 /// mirrors the span into the trace buffer.

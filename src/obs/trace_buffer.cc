@@ -4,8 +4,6 @@
 #include <chrono>
 #include <fstream>
 
-#if DEEPDIRECT_OBS
-
 namespace deepdirect::obs {
 
 namespace internal {
@@ -116,26 +114,3 @@ util::Status TraceBuffer::WriteChromeTrace(const std::string& path) const {
 }
 
 }  // namespace deepdirect::obs
-
-#else  // !DEEPDIRECT_OBS
-
-namespace deepdirect::obs {
-
-TraceBuffer& TraceBuffer::Default() {
-  static TraceBuffer buffer;
-  return buffer;
-}
-
-util::Status TraceBuffer::WriteChromeTrace(const std::string& path) const {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out.good()) {
-    return util::Status::IOError("cannot open for writing: " + path);
-  }
-  out << ToChromeTraceJson();
-  if (!out.good()) return util::Status::IOError("write failed: " + path);
-  return util::Status::OK();
-}
-
-}  // namespace deepdirect::obs
-
-#endif  // DEEPDIRECT_OBS

@@ -12,10 +12,8 @@
 // state: a stable small integer thread id and a nesting-depth counter.
 //
 // Gating mirrors the registry: the buffer starts disabled and every
-// TraceSpan checks one relaxed atomic load; building with
-// DEEPDIRECT_ENABLE_METRICS=OFF (DEEPDIRECT_OBS=0) replaces everything
-// with inline no-op shells. Nothing here draws from any Rng — tracing can
-// never perturb training.
+// TraceSpan checks one relaxed atomic load. Nothing here draws from any
+// Rng — tracing can never perturb training.
 //
 // The buffer is bounded (shard_capacity events per shard); once a shard is
 // full further spans are dropped and counted, so a runaway span source
@@ -24,17 +22,14 @@
 #ifndef DEEPDIRECT_OBS_TRACE_BUFFER_H_
 #define DEEPDIRECT_OBS_TRACE_BUFFER_H_
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "util/status.h"
-
-#if DEEPDIRECT_OBS
-
-#include <atomic>
-#include <mutex>
 
 namespace deepdirect::obs {
 
@@ -123,41 +118,5 @@ class TraceBuffer {
 inline bool TraceEnabled() { return TraceBuffer::Default().enabled(); }
 
 }  // namespace deepdirect::obs
-
-#else  // !DEEPDIRECT_OBS — compiled-out no-op shells with the same API.
-
-namespace deepdirect::obs {
-
-struct TraceEvent {
-  std::string name;
-  uint32_t tid = 0;
-  uint64_t start_ns = 0;
-  uint64_t end_ns = 0;
-  uint32_t depth = 0;
-};
-
-class TraceBuffer {
- public:
-  static constexpr size_t kDefaultShardCapacity = 128 * 1024;
-  static TraceBuffer& Default();
-  bool enabled() const { return false; }
-  void set_enabled(bool) {}
-  void Record(TraceEvent) {}
-  std::vector<TraceEvent> Events() const { return {}; }
-  uint64_t dropped() const { return 0; }
-  void Reset() {}
-  void set_shard_capacity(size_t) {}
-  std::string ToChromeTraceJson() const {
-    return "{\"traceEvents\": []}\n";
-  }
-  util::Status WriteChromeTrace(const std::string& path) const;
-  static uint64_t NowNs() { return 0; }
-};
-
-inline constexpr bool TraceEnabled() { return false; }
-
-}  // namespace deepdirect::obs
-
-#endif  // DEEPDIRECT_OBS
 
 #endif  // DEEPDIRECT_OBS_TRACE_BUFFER_H_

@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/check.h"
+#include "util/timer.h"
 
 namespace deepdirect::train {
 namespace {
@@ -476,7 +477,6 @@ void Checkpointer::Write(const EpochEnd& end, const util::Rng& rng) {
     registry.GetHistogram("checkpoint.write_seconds")
         ->Observe(write_timer.ElapsedSeconds());
   }
-  since_last_write_.Reset();
   Prune();
 }
 
@@ -500,12 +500,7 @@ bool Checkpointer::AtEpochBoundary(const EpochEnd& end,
       // need the fully-trained state.
       if (policy.write_final) Write(end, rng);
     } else {
-      const bool epoch_due = policy.every_n_epochs > 0 &&
-                             (end.epoch + 1) % policy.every_n_epochs == 0;
-      const bool time_due =
-          policy.every_seconds > 0.0 &&
-          since_last_write_.ElapsedSeconds() >= policy.every_seconds;
-      if (epoch_due || time_due) Write(end, rng);
+      if ((end.epoch + 1) % policy.every_n_epochs == 0) Write(end, rng);
     }
   }
   if (options_.stop_after_epochs > 0 &&

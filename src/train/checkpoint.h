@@ -46,7 +46,6 @@
 #include "train/lr_schedule.h"
 #include "util/random.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace deepdirect::train {
 
@@ -188,11 +187,8 @@ class CheckpointData {
 
 /// When and how many checkpoints to keep.
 struct CheckpointPolicy {
-  /// Write after every N completed epochs; 0 disables the epoch trigger.
+  /// Write after every N completed epochs; 0 disables checkpointing.
   uint64_t every_n_epochs = 1;
-  /// Additionally write at the first epoch boundary after T seconds have
-  /// elapsed since the last write; 0 disables the time trigger.
-  double every_seconds = 0.0;
   /// Keep only the newest K checkpoints of this trainer (older ones are
   /// pruned after each write); 0 keeps all.
   size_t keep_last = 3;
@@ -201,9 +197,6 @@ struct CheckpointPolicy {
   /// incremental tie-batch updates (train/incremental.h) read the *final*
   /// E-step state, not the one-epoch-short snapshot resume needs.
   bool write_final = false;
-
-  /// True when either trigger can fire.
-  bool Active() const { return every_n_epochs > 0 || every_seconds > 0.0; }
 };
 
 /// Per-trainer checkpoint configuration carried in trainer configs.
@@ -260,7 +253,7 @@ class Checkpointer {
 
   /// True when checkpoints will be written.
   bool enabled() const {
-    return !options_.dir.empty() && options_.policy.Active();
+    return !options_.dir.empty() && options_.policy.every_n_epochs > 0;
   }
 
   /// Scans the directory for the newest valid checkpoint of this trainer,
@@ -296,7 +289,6 @@ class Checkpointer {
   LoadFn load_;
   uint64_t epochs_this_run_ = 0;
   bool stopped_ = false;
-  util::Timer since_last_write_;
 };
 
 }  // namespace deepdirect::train

@@ -30,9 +30,9 @@ using ProgressCallback =
 /// Thread-safe windowed loss/throughput tracker.
 class ProgressReporter {
  public:
-  /// `total` is the global step budget and `step_offset` the global index
-  /// of the first step this reporter will see (non-zero when a trainer
-  /// drives several epoch-sized runs against one budget). A non-empty
+  /// `total` is the step budget and `step_offset` the index of the first
+  /// step this reporter will see (non-zero when a run resumes from a
+  /// checkpoint). A non-empty
   /// `metrics_prefix` mirrors window losses into the obs registry when it
   /// is enabled.
   ProgressReporter(ProgressCallback callback, uint64_t report_every,

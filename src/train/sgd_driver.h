@@ -90,13 +90,8 @@ struct SgdOptions {
   uint64_t steps = 0;
   /// Worker count: 1 = deterministic serial path, 0 = all hardware threads.
   size_t num_threads = 1;
-  /// Learning-rate schedule over the global budget.
+  /// Learning-rate schedule over the step budget.
   LrSchedule lr;
-  /// Global index of this run's first step (non-zero when a trainer drives
-  /// several epoch-sized runs against one decay budget).
-  uint64_t step_offset = 0;
-  /// Global budget for LR decay and progress totals; 0 = step_offset+steps.
-  uint64_t total_steps = 0;
   /// Base seed for per-worker RNG streams (multi-worker runs only; the
   /// serial path draws from the trainer's own Rng instead).
   uint64_t shard_seed = 0;
@@ -164,32 +159,27 @@ class SgdDriver {
   template <typename Body>
   double Run(util::Rng& rng, Body&& body) {
     const uint64_t steps = options_.steps;
-    const uint64_t begin = options_.step_offset;
-    const uint64_t end = begin + steps;
-    const uint64_t total =
-        options_.total_steps != 0 ? options_.total_steps : end;
     const uint64_t spe =
         options_.steps_per_epoch != 0 ? options_.steps_per_epoch : steps;
     // Resume: everything below the restored epoch boundary already ran in
     // a previous process; skip it without touching the RNG (its stream was
     // restored from the checkpoint).
-    uint64_t cursor = begin;
+    uint64_t cursor = 0;
     if (options_.start_epoch > 0 && spe > 0) {
-      cursor = std::min(end, std::max(begin, options_.start_epoch * spe));
+      cursor = std::min(steps, options_.start_epoch * spe);
     }
     ProgressReporter reporter(options_.progress, options_.report_every,
-                              total, cursor, options_.metrics_prefix);
+                              steps, cursor, options_.metrics_prefix);
     std::optional<ThreadPool> pool;
     if (workers_ > 1) pool.emplace(workers_);
 
     double loss_sum = 0.0;
     uint64_t executed = 0;
     std::vector<uint64_t> worker_steps(workers_, 0);
-    while (cursor < end) {
+    while (cursor < steps) {
       const uint64_t epoch = spe > 0 ? cursor / spe : 0;
-      const uint64_t chunk_end = spe > 0
-                                     ? std::min<uint64_t>(end, (epoch + 1) * spe)
-                                     : end;
+      const uint64_t chunk_end =
+          spe > 0 ? std::min<uint64_t>(steps, (epoch + 1) * spe) : steps;
       if (options_.epoch_start) options_.epoch_start(epoch);
       // One timeline span per epoch chunk (named runs only). The span is
       // pure steady-clock bookkeeping recorded at the quiesced boundary —
@@ -202,7 +192,7 @@ class SgdDriver {
       double epoch_loss = 0.0;
       if (workers_ == 1) {
         for (uint64_t step = cursor; step < chunk_end; ++step) {
-          const SgdStep ctx{0, step, options_.lr.At(step, total), rng,
+          const SgdStep ctx{0, step, options_.lr.At(step, steps), rng,
                             kNoShard, options_.dense};
           const double loss = body(SerialAccess{}, ctx);
           epoch_loss += loss;
@@ -210,14 +200,14 @@ class SgdDriver {
         }
         worker_steps[0] += chunk_end - cursor;
       } else {
-        epoch_loss = RunChunkHogwild(cursor, chunk_end, epoch, total,
-                                     reporter, *pool, worker_steps, body);
+        epoch_loss = RunChunkHogwild(cursor, chunk_end, epoch, reporter,
+                                     *pool, worker_steps, body);
       }
       loss_sum += epoch_loss;
       executed += chunk_end - cursor;
       cursor = chunk_end;
 
-      const EpochEnd boundary{epoch, cursor, epoch_loss, cursor >= end};
+      const EpochEnd boundary{epoch, cursor, epoch_loss, cursor >= steps};
       if (options_.epoch_end) options_.epoch_end(boundary);
       if (!options_.metrics_prefix.empty() && obs::Enabled()) {
         obs::Registry::Default().Append(
@@ -250,9 +240,9 @@ class SgdDriver {
   /// whole decay once whatever q_w is, and every shard sees all of it.
   template <typename Body>
   double RunChunkHogwild(uint64_t chunk_begin, uint64_t chunk_end,
-                         uint64_t epoch, uint64_t total,
-                         ProgressReporter& reporter, ThreadPool& pool,
-                         std::vector<uint64_t>& worker_steps, Body&& body) {
+                         uint64_t epoch, ProgressReporter& reporter,
+                         ThreadPool& pool, std::vector<uint64_t>& worker_steps,
+                         Body&& body) {
     const bool single_chunk = options_.steps_per_epoch == 0 ||
                               options_.steps_per_epoch >= options_.steps;
     const ShardedRng shards(single_chunk
@@ -281,8 +271,8 @@ class SgdDriver {
       uint64_t window_steps = 0;
       uint64_t steps_run = 0;
       auto run_step = [&](uint64_t step, size_t shard) {
-        const SgdStep ctx{w, step, options_.lr.At(step, total), worker_rng,
-                          shard, dense.params()};
+        const SgdStep ctx{w, step, options_.lr.At(step, options_.steps),
+                          worker_rng, shard, dense.params()};
         const double loss = body(HogwildAccess{}, ctx);
         loss_sum += loss;
         window_loss += loss;

@@ -41,6 +41,20 @@ util::Result<std::vector<uint64_t>> ShardSectionSizes(
   return sizes;
 }
 
+/// Removes the shard files of an earlier store in `dir` that a store of
+/// `num_shards` shards does not rewrite. A store numbers its files from 0
+/// without gaps, so the sweep stops at the first name that is not there.
+util::Status RemoveStaleShards(const std::string& dir, size_t num_shards) {
+  for (size_t s = num_shards;; ++s) {
+    const std::string path = dir + "/" + fmt::ShardFileName(s);
+    std::error_code ec;
+    if (std::filesystem::remove(path, ec)) continue;
+    if (!ec) return util::Status::OK();
+    return util::Status::IOError("cannot remove stale shard file " + path +
+                                 ": " + ec.message());
+  }
+}
+
 /// ⌈a/b⌉ without the wrap of (a + b − 1)/b; b must be nonzero.
 uint64_t CeilDiv(uint64_t a, uint64_t b) { return a / b + (a % b != 0); }
 
@@ -79,6 +93,7 @@ util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Create(
   geometry.dimensions = init.dimensions;
   geometry.arc_hash = init.arc_hash;
   store->SetGeometry(geometry);
+  DD_RETURN_NOT_OK(RemoveStaleShards(options.dir, store->num_shards()));
 
   // Shards are laid out in arc order, so filling emb shard by shard
   // consumes the exact draw sequence of ml::Matrix::FillUniform on the

@@ -81,8 +81,9 @@ class ShardedStore {
   /// fills the embedding sections with uniform draws from `rng` in
   /// [init_lo, init_hi), consuming draws in global row-major arc order (the
   /// ml::Matrix::FillUniform order). The connection sections start zero.
-  /// Shard files are left unsealed for training; call Seal() when the
-  /// parameters are final.
+  /// Shard files of an earlier store beyond the new shard count are
+  /// removed; files of any other name stay. Shard files are left unsealed
+  /// for training; call Seal() when the parameters are final.
   static util::Result<std::unique_ptr<ShardedStore>> Create(
       const ShardedStoreOptions& options, const ShardedStoreInit& init,
       util::Rng& rng, float init_lo, float init_hi);

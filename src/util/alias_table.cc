@@ -18,15 +18,12 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
   }
   DD_CHECK_GT(total, 0.0);
 
-  normalized_.resize(n);
-  for (size_t i = 0; i < n; ++i) normalized_[i] = weights[i] / total;
-
   prob_.assign(n, 0.0);
   alias_.assign(n, 0);
 
   // Scaled probabilities; buckets with scaled < 1 are "small".
   std::vector<double> scaled(n);
-  for (size_t i = 0; i < n; ++i) scaled[i] = normalized_[i] * n;
+  for (size_t i = 0; i < n; ++i) scaled[i] = weights[i] / total * n;
 
   std::vector<uint32_t> small, large;
   small.reserve(n);
@@ -53,11 +50,6 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
 size_t AliasTable::Sample(Rng& rng) const {
   const size_t bucket = rng.NextIndex(prob_.size());
   return rng.NextDouble() < prob_[bucket] ? bucket : alias_[bucket];
-}
-
-double AliasTable::Probability(size_t i) const {
-  DD_CHECK_LT(i, normalized_.size());
-  return normalized_[i];
 }
 
 }  // namespace deepdirect::util

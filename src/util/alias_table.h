@@ -28,13 +28,9 @@ class AliasTable {
   /// Number of outcomes.
   size_t size() const { return prob_.size(); }
 
-  /// Probability assigned to outcome `i` (normalized). Exposed for testing.
-  double Probability(size_t i) const;
-
  private:
-  std::vector<double> prob_;    // acceptance probability per bucket
+  std::vector<double> prob_;     // acceptance probability per bucket
   std::vector<uint32_t> alias_;  // alternative outcome per bucket
-  std::vector<double> normalized_;  // normalized input weights (for tests)
 };
 
 }  // namespace deepdirect::util

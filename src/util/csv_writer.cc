@@ -1,10 +1,5 @@
 #include "util/csv_writer.h"
 
-#include <sys/stat.h>
-#include <sys/types.h>
-
-#include <cerrno>
-#include <cstring>
 #include <sstream>
 
 namespace deepdirect::util {
@@ -47,11 +42,6 @@ std::string CsvWriter::Escape(const std::string& field) {
   }
   escaped += '"';
   return escaped;
-}
-
-Status EnsureDirectory(const std::string& path) {
-  if (mkdir(path.c_str(), 0755) == 0 || errno == EEXIST) return Status::OK();
-  return Status::IOError("mkdir(" + path + "): " + std::strerror(errno));
 }
 
 }  // namespace deepdirect::util

@@ -38,10 +38,6 @@ class CsvWriter {
   std::ofstream out_;
 };
 
-/// Creates the directory `path` (single level) if it does not exist.
-/// Returns OK when the directory exists afterwards.
-Status EnsureDirectory(const std::string& path);
-
 }  // namespace deepdirect::util
 
 #endif  // DEEPDIRECT_UTIL_CSV_WRITER_H_

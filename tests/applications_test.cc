@@ -171,9 +171,9 @@ TEST(LinkPredictionTest, OrderedProtocolRewardsDirectionality) {
   util::Rng rng(config.seed);
   const auto holdout = graph::HoldOutTies(net, 0.2, rng);
 
-  const auto binary = RunLinkPrediction(net, holdout, nullptr, config);
+  const auto binary = RunLinkPrediction(holdout, nullptr, config);
   const ScoreModel oracle(statuses);
-  const auto quantified = RunLinkPrediction(net, holdout, &oracle, config);
+  const auto quantified = RunLinkPrediction(holdout, &oracle, config);
   EXPECT_GT(quantified.auc, binary.auc);
 }
 
@@ -192,7 +192,7 @@ TEST(LinkPredictionTest, OracleQuantificationBeatsRandomScores) {
   util::Rng rng(config.seed);
   const auto holdout = graph::HoldOutTies(net, config.holdout_fraction, rng);
 
-  const auto result = RunLinkPrediction(net, holdout, nullptr, config);
+  const auto result = RunLinkPrediction(holdout, nullptr, config);
   // Jaccard on a clustered network must beat random ranking clearly.
   EXPECT_GT(result.auc, 0.55);
   EXPECT_GT(result.num_candidates, 100u);
@@ -211,8 +211,8 @@ TEST(LinkPredictionTest, DeterministicForFixedConfig) {
   util::Rng rng1(config.seed), rng2(config.seed);
   const auto holdout1 = graph::HoldOutTies(net, 0.2, rng1);
   const auto holdout2 = graph::HoldOutTies(net, 0.2, rng2);
-  const auto a = RunLinkPrediction(net, holdout1, nullptr, config);
-  const auto b = RunLinkPrediction(net, holdout2, nullptr, config);
+  const auto a = RunLinkPrediction(holdout1, nullptr, config);
+  const auto b = RunLinkPrediction(holdout2, nullptr, config);
   EXPECT_EQ(a.auc, b.auc);
   EXPECT_EQ(a.num_candidates, b.num_candidates);
 }
@@ -230,7 +230,7 @@ TEST(LinkPredictionTest, CandidateCapRetainsPositives) {
   config.seed = 23;
   util::Rng rng(config.seed);
   const auto holdout = graph::HoldOutTies(net, 0.2, rng);
-  const auto result = RunLinkPrediction(net, holdout, nullptr, config);
+  const auto result = RunLinkPrediction(holdout, nullptr, config);
   // AUC remains estimable (both classes present).
   EXPECT_GT(result.auc, 0.0);
   EXPECT_LT(result.auc, 1.0);

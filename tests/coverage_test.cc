@@ -182,19 +182,5 @@ TEST(GridSearchShapeTest, CellsAreRowMajorOverAlphaBeta) {
   EXPECT_DOUBLE_EQ(result.cells[3].beta, 1.5);
 }
 
-TEST(BfsSampleTest, DeterministicAndNested) {
-  data::GeneratorConfig gen;
-  gen.num_nodes = 300;
-  gen.seed = 19;
-  const auto net = data::GenerateStatusNetwork(gen);
-  const auto small = graph::BfsSample(net, 0, 50);
-  const auto large = graph::BfsSample(net, 0, 150);
-  EXPECT_EQ(small.num_nodes(), 50u);
-  EXPECT_EQ(large.num_nodes(), 150u);
-  // BFS from the same seed: the smaller sample's tie count cannot exceed
-  // the larger's.
-  EXPECT_LE(small.num_ties(), large.num_ties());
-}
-
 }  // namespace
 }  // namespace deepdirect

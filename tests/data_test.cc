@@ -224,19 +224,6 @@ TEST(GeneratorTest, DirectionsFollowStatusOrder) {
   }
 }
 
-TEST(ErdosRenyiTest, TieCountNearExpectation) {
-  const auto net = GenerateErdosRenyi(200, 0.05, 0.3, 23);
-  const double expected = 0.05 * 200 * 199 / 2;
-  EXPECT_NEAR(static_cast<double>(net.num_ties()), expected,
-              0.15 * expected);
-  EXPECT_EQ(net.num_undirected_ties(), 0u);
-}
-
-TEST(ErdosRenyiTest, ZeroProbabilityIsEmpty) {
-  const auto net = GenerateErdosRenyi(50, 0.0, 0.5, 29);
-  EXPECT_EQ(net.num_ties(), 0u);
-}
-
 TEST(DatasetsTest, AllFiveBuildWithExpectedShape) {
   for (DatasetId id : AllDatasets()) {
     const auto config = DatasetConfig(id);

@@ -267,7 +267,6 @@ TEST(DeepDirectTest, WorksWithoutUndirectedTies) {
   EXPECT_GE(model->Directionality(u, v), 0.0);
 }
 
-#if DEEPDIRECT_OBS
 TEST(DeepDirectTest, NegativeCollisionsAreRedrawnNotSkipped) {
   // On a tiny network the noise table frequently draws the positive
   // context. Collisions must be redrawn — every E-Step iteration still
@@ -305,7 +304,6 @@ TEST(DeepDirectTest, NegativeCollisionsAreRedrawnNotSkipped) {
   // ...yet every step still trained the full λ negatives.
   EXPECT_EQ(negatives, steps * config.negative_samples);
 }
-#endif  // DEEPDIRECT_OBS
 
 TEST(DeepDirectTest, PrecomputePatternsMultiThreadedDeterministic) {
   // The pattern precompute shards undirected arcs over fixed-size blocks

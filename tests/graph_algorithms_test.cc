@@ -1,5 +1,5 @@
 // Unit tests for BFS, connected components, and the experimental transforms
-// (HideDirections, BfsSample, TopDegreeSubnetwork, HoldOutTies).
+// (HideDirections, TopDegreeSubnetwork, HoldOutTies).
 
 #include <gtest/gtest.h>
 
@@ -111,33 +111,6 @@ TEST(HideDirectionsTest, ExtremeFractions) {
   // Fraction 0.0: the TDL problem requires |E_d| > 0, so one tie stays.
   const auto none = HideDirections(net, 0.0, rng);
   EXPECT_EQ(none.network.num_directed_ties(), 1u);
-}
-
-TEST(BfsSampleTest, RespectsTargetSize) {
-  data::GeneratorConfig config;
-  config.num_nodes = 500;
-  config.ties_per_node = 4.0;
-  config.seed = 29;
-  const auto net = data::GenerateStatusNetwork(config);
-  const auto sample = BfsSample(net, 0, 120);
-  EXPECT_EQ(sample.num_nodes(), 120u);
-  EXPECT_GT(sample.num_ties(), 0u);
-}
-
-TEST(BfsSampleTest, LargerTargetThanGraphKeepsComponent) {
-  const auto net = PathNetwork();
-  const auto sample = BfsSample(net, 0, 100);
-  // Node 4 is unreachable from 0; only the 4-node component is kept.
-  EXPECT_EQ(sample.num_nodes(), 4u);
-  EXPECT_EQ(sample.num_ties(), 3u);
-}
-
-TEST(BfsSampleTest, PreservesTieTypes) {
-  const auto net = PathNetwork();
-  const auto sample = BfsSample(net, 0, 100);
-  EXPECT_EQ(sample.num_directed_ties(), 1u);
-  EXPECT_EQ(sample.num_bidirectional_ties(), 1u);
-  EXPECT_EQ(sample.num_undirected_ties(), 1u);
 }
 
 TEST(TopDegreeSubnetworkTest, SelectsHighDegreeCore) {

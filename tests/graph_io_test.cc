@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "address_space_limit.h"
 #include "data/generators.h"
 #include "graph/graph_io.h"
 #include "obs/metrics.h"
@@ -175,6 +177,26 @@ TEST(GraphIoTest, RejectsIdsAndCountsBeyondNodeIdLineAnchored) {
     EXPECT_NE(loaded.status().message().find(c.needle), std::string::npos)
         << loaded.status().ToString();
   }
+}
+
+// A count the grammar accepts can still ask for more memory than there is:
+// Build() sizes its per-node arrays by the count, not by the ties.
+TEST(GraphIoTest, UnallocatableNodeCountIsResourceExhausted) {
+  if (deepdirect::testing::kSanitizerReservesAddressSpace) {
+    GTEST_SKIP() << "the sanitizer's shadow memory exceeds the cap";
+  }
+  EXPECT_EXIT(
+      {
+        std::stringstream in("# nodes 4294967295\n0 1 d\n");
+        if (!deepdirect::testing::CapAddressSpace()) std::exit(2);
+        const auto loaded = ReadEdgeList(in);
+        std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+        std::exit(!loaded.ok() && loaded.status().code() ==
+                                      util::StatusCode::kResourceExhausted
+                      ? 0
+                      : 1);
+      },
+      ::testing::ExitedWithCode(0), "RESOURCE_EXHAUSTED: .*4294967295 nodes");
 }
 
 TEST(GraphIoTest, RejectsDuplicateTies) {

@@ -228,14 +228,6 @@ TEST(Fig1Test, CommonNeighbors) {
   EXPECT_TRUE(net.CommonNeighbors(a, g).empty());
 }
 
-TEST(Fig1Test, ArcToStringAndTieTypeNames) {
-  EXPECT_STREQ(TieTypeToString(TieType::kDirected), "directed");
-  EXPECT_STREQ(TieTypeToString(TieType::kBidirectional), "bidirectional");
-  EXPECT_STREQ(TieTypeToString(TieType::kUndirected), "undirected");
-  Arc arc{3, 0, TieType::kDirected};
-  EXPECT_EQ(ArcToString(arc), "3->0[directed]");
-}
-
 TEST(GraphInvariantTest, TwinsAreInvolutions) {
   const auto net = Fig1Network();
   for (ArcId id = 0; id < net.num_arcs(); ++id) {

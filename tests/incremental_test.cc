@@ -10,13 +10,17 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "address_space_limit.h"
 #include "core/applications.h"
 #include "core/deepdirect.h"
 #include "core/incremental.h"
@@ -399,6 +403,52 @@ TEST_F(IncrementalTest, FailedBatchLeavesModelAndStoreUntouched) {
   const double d = base.model->Directionality(u, v);
   EXPECT_GE(d, 0.0);
   EXPECT_LE(d, 1.0);
+}
+
+// A batch's `# nodes` line sizes the merged network's per-node arrays; a
+// count the grammar accepts but memory cannot hold must fail as a typed
+// status, leaving the state and the store as they were.
+TEST_F(IncrementalTest, UnallocatableNodeCountIsResourceExhausted) {
+  if (deepdirect::testing::kSanitizerReservesAddressSpace) {
+    GTEST_SKIP() << "the sanitizer's shadow memory exceeds the cap";
+  }
+  const auto split = SmallSplit(23);
+  const DeepDirectConfig config = TestConfig();
+  TrainedBase base = TrainBase(split.network, config, dir_);
+  const train::EStepState before = base.state;
+  auto store_bytes = [this] {
+    std::vector<std::pair<std::string, std::string>> files;
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      std::ostringstream bytes;
+      bytes << in.rdbuf();
+      files.emplace_back(entry.path().string(), bytes.str());
+    }
+    std::sort(files.begin(), files.end());
+    return files;
+  };
+  const auto store_before = store_bytes();
+
+  const auto new_node = static_cast<graph::NodeId>(split.network.num_nodes());
+  train::TieBatch batch;
+  batch.declared_nodes = 4294967295u;
+  batch.ties.push_back({0, new_node, graph::TieType::kDirected, 2});
+  EXPECT_EXIT(
+      {
+        if (!deepdirect::testing::CapAddressSpace()) std::exit(2);
+        const auto updated = DeepDirectModel::ApplyTieBatch(
+            split.network, batch, base.state, config, {});
+        std::fprintf(stderr, "%s\n", updated.status().ToString().c_str());
+        const bool typed =
+            !updated.ok() && updated.status().code() ==
+                                 util::StatusCode::kResourceExhausted;
+        const bool untouched = base.state.m == before.m &&
+                               base.state.n == before.n &&
+                               base.state.w_prime == before.w_prime &&
+                               store_bytes() == store_before;
+        std::exit(typed && untouched ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "RESOURCE_EXHAUSTED: .*4294967295 nodes");
 }
 
 // ---------------------------------------------------------------------------

@@ -62,14 +62,14 @@ TEST(IntegrationTest, QuantificationImprovesLinkPrediction) {
   const auto holdout = graph::HoldOutTies(net, 0.2, rng);
 
   const auto baseline =
-      core::RunLinkPrediction(net, holdout, nullptr, link_config);
+      core::RunLinkPrediction(holdout, nullptr, link_config);
 
   core::DeepDirectConfig dd;
   dd.dimensions = 32;
   dd.epochs = 3.0;
   const auto model = core::DeepDirectModel::Train(holdout.network, dd);
   const auto quantified =
-      core::RunLinkPrediction(net, holdout, model.get(), link_config);
+      core::RunLinkPrediction(holdout, model.get(), link_config);
 
   EXPECT_GT(baseline.auc, 0.55);
   EXPECT_GT(quantified.auc, baseline.auc - 0.03);

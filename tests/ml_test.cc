@@ -45,7 +45,6 @@ TEST(VectorOpsTest, DotAndAxpyAndNorm) {
   std::vector<float> a{1.0f, 2.0f, 3.0f};
   std::vector<float> b{4.0f, -5.0f, 6.0f};
   EXPECT_DOUBLE_EQ(Dot(a, b), 4.0 - 10.0 + 18.0);
-  EXPECT_DOUBLE_EQ(Norm2(a), std::sqrt(14.0));
 }
 
 TEST(SigmoidTest, ValuesAndStability) {
@@ -298,48 +297,6 @@ TEST(MetricsTest, AucHandComputedWithTies) {
 TEST(MetricsTest, AucDegenerateSingleClass) {
   EXPECT_DOUBLE_EQ(AreaUnderRoc({0.1, 0.9}, {1, 1}), 0.5);
   EXPECT_DOUBLE_EQ(AreaUnderRoc({0.1, 0.9}, {0, 0}), 0.5);
-}
-
-TEST(MetricsTest, LogLossKnownValue) {
-  // -mean(log(0.8), log(1-0.2)) = -log(0.8).
-  EXPECT_NEAR(LogLoss({0.8, 0.2}, {1, 0}), -std::log(0.8), 1e-12);
-}
-
-TEST(MetricsTest, ConfusionAndDerived) {
-  const auto c = ConfusionAtHalf({0.9, 0.8, 0.3, 0.6, 0.2}, {1, 0, 0, 1, 1});
-  EXPECT_EQ(c.true_positive, 2u);
-  EXPECT_EQ(c.false_positive, 1u);
-  EXPECT_EQ(c.true_negative, 1u);
-  EXPECT_EQ(c.false_negative, 1u);
-  EXPECT_DOUBLE_EQ(c.Precision(), 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(c.Recall(), 2.0 / 3.0);
-  EXPECT_DOUBLE_EQ(c.F1(), 2.0 / 3.0);
-}
-
-TEST(MetricsTest, BrierScoreValues) {
-  // Perfect predictions -> 0; constant 0.5 -> 0.25.
-  EXPECT_DOUBLE_EQ(BrierScore({1.0, 0.0}, {1, 0}), 0.0);
-  EXPECT_DOUBLE_EQ(BrierScore({0.5, 0.5}, {1, 0}), 0.25);
-  EXPECT_NEAR(BrierScore({0.8, 0.3}, {1, 0}), (0.04 + 0.09) / 2.0, 1e-12);
-}
-
-TEST(MetricsTest, EceZeroForCalibratedBins) {
-  // Within one bin, confidence 0.7 with 70% positives -> ECE 0.
-  std::vector<double> scores(10, 0.7);
-  std::vector<int> labels{1, 1, 1, 1, 1, 1, 1, 0, 0, 0};
-  EXPECT_NEAR(ExpectedCalibrationError(scores, labels, 10), 0.0, 1e-12);
-}
-
-TEST(MetricsTest, EceDetectsOverconfidence) {
-  // Confidence 0.95 with only half correct -> ECE ~ 0.45.
-  std::vector<double> scores(10, 0.95);
-  std::vector<int> labels{1, 0, 1, 0, 1, 0, 1, 0, 1, 0};
-  EXPECT_NEAR(ExpectedCalibrationError(scores, labels, 10), 0.45, 1e-12);
-}
-
-TEST(MetricsTest, EceHandlesBoundaryScores) {
-  // p = 1.0 must fall into the last bin without crashing.
-  EXPECT_NEAR(ExpectedCalibrationError({1.0, 0.0}, {1, 0}, 10), 0.0, 1e-12);
 }
 
 // --------------------------------------------------------------- Scaler

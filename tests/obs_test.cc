@@ -63,8 +63,6 @@ graph::MixedSocialNetwork SmallNetwork(uint64_t seed) {
   return data::GenerateStatusNetwork(gen);
 }
 
-#if DEEPDIRECT_OBS
-
 // ------------------------------------------------------------- primitives
 
 TEST(ObsCounterTest, AddsAndResets) {
@@ -496,27 +494,11 @@ TEST(ObsEndToEndTest, PipelineSnapshotCoversAllFourTrainers) {
   std::remove(net_path.c_str());
 }
 
-#else  // !DEEPDIRECT_OBS — the compiled-out shells must stay inert.
-
-TEST(ObsCompiledOutTest, ShellsAreInert) {
-  EXPECT_FALSE(obs::Enabled());
-  obs::Registry& registry = obs::Registry::Default();
-  registry.set_enabled(true);  // must stay off: the layer is compiled out
-  EXPECT_FALSE(registry.enabled());
-  registry.GetCounter("events")->Add(5);
-  EXPECT_EQ(registry.GetCounter("events")->Value(), 0u);
-  EXPECT_TRUE(registry.Snapshot().empty());
-  EXPECT_EQ(registry.Snapshot().ToJson(), "{}");
-}
-
-#endif  // DEEPDIRECT_OBS
-
 // ------------------------------------------------- determinism regression
 
 // Telemetry must be a pure observer: with num_threads = 1 the E-Step (and
 // the D-Step head it feeds) must produce bit-identical parameters whether
-// the registry is recording or not. Runs in both build modes (with the
-// layer compiled out it degenerates to a plain reproducibility check).
+// the registry is recording or not.
 TEST(ObsDeterminismTest, SerialTrainingIsBitIdenticalWithMetricsOnAndOff) {
   const auto net = SmallNetwork(13);
   core::DeepDirectConfig config;

@@ -181,7 +181,6 @@ TEST(ShardedTrainerTest, EveryShardCountTrainsSealsAndReopens) {
   }
 }
 
-#if DEEPDIRECT_OBS
 TEST(ShardedTrainerTest, PublishesStoreResidencyWithoutChangingTheModel) {
   const auto split = MakeSplit(800, 7);
   const auto base = BaseConfig(64, 0.5);
@@ -211,7 +210,6 @@ TEST(ShardedTrainerTest, PublishesStoreResidencyWithoutChangingTheModel) {
   EXPECT_GT(stats.evictions, 0u);
   ExpectBitIdentical(split, *off.value(), *on.value());
 }
-#endif  // DEEPDIRECT_OBS
 
 TEST(ShardedTrainerTest, HogwildShardedTrainsToSaneAccuracy) {
   const auto split = MakeSplit();
@@ -570,6 +568,36 @@ TEST(ShardedStoreTest, UnsealedStoreIsRejected) {
   auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
   EXPECT_FALSE(opened.ok())
       << "an unsealed (mid-training) store must not validate";
+}
+
+TEST(ShardedStoreTest, CreateRemovesStaleShardFiles) {
+  // A store directory reused with fewer shards must not keep the earlier
+  // store's extra shard files; files of any other name stay.
+  const StoreInputs inputs(MakeSplit(60, 11), 4);
+  const std::string dir = FreshDir("dd_shard_stale");
+  ASSERT_NE(CreateStore(inputs, dir, 8), nullptr);
+  ASSERT_EQ(StoreFiles(dir).size(), 8u);
+  {
+    auto store = CreateStore(inputs, dir, 2);
+    ASSERT_NE(store, nullptr);
+    ASSERT_TRUE(store->Seal().ok());
+  }
+  EXPECT_EQ(StoreFiles(dir),
+            (std::vector<std::string>{"shard-0000.dds", "shard-0001.dds"}));
+  {
+    auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    EXPECT_EQ(opened.value()->num_shards(), 2u);
+  }
+
+  for (const char* name : {"notes.txt", "shard-2.dds", "shard-0002.dds.bak"}) {
+    WriteFile(dir + "/" + name, "x");
+  }
+  ASSERT_NE(CreateStore(inputs, dir, 1), nullptr);
+  EXPECT_EQ(StoreFiles(dir),
+            (std::vector<std::string>{"notes.txt", "shard-0000.dds",
+                                      "shard-0002.dds.bak", "shard-2.dds"}));
+  fs::remove_all(dir);
 }
 
 TEST(ShardedStoreTest, CreateFillsEmbeddingsInFillUniformOrder) {

@@ -60,18 +60,6 @@ TEST(AssortativityTest, PreferentialAttachmentIsDisassortative) {
   EXPECT_LT(DegreeAssortativity(net), 0.05);
 }
 
-TEST(DegreeSummaryTest, StarValues) {
-  GraphBuilder builder(11);
-  for (NodeId leaf = 1; leaf < 11; ++leaf) {
-    ASSERT_TRUE(builder.AddTie(0, leaf, TieType::kDirected).ok());
-  }
-  const auto summary = SummarizeDegrees(std::move(builder).Build());
-  EXPECT_DOUBLE_EQ(summary.max, 10.0);
-  EXPECT_NEAR(summary.mean, 20.0 / 11.0, 1e-12);
-  // Top 1% (1 node, the hub) holds 10 of 20 degree endpoints.
-  EXPECT_DOUBLE_EQ(summary.top1_percent_share, 0.5);
-}
-
 TEST(PathLengthTest, PathGraphExact) {
   GraphBuilder builder(4);
   ASSERT_TRUE(builder.AddTie(0, 1, TieType::kUndirected).ok());

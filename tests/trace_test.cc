@@ -33,8 +33,6 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
-#if DEEPDIRECT_OBS
-
 // Resets + enables the default trace buffer for a test and restores the
 // disabled default (and default capacity) afterwards. The buffer is a
 // process-wide singleton, so tests sharing one binary must clean up.
@@ -397,29 +395,6 @@ TEST(TraceEndToEndTest, TrainingEmitsPhaseEpochAndCheckpointSpans) {
     std::remove(path.c_str());
   }
 }
-
-#else  // !DEEPDIRECT_OBS — the compiled-out shells must stay inert.
-
-TEST(TraceCompiledOutTest, ShellsAreInert) {
-  EXPECT_FALSE(obs::TraceEnabled());
-  obs::TraceBuffer& buffer = obs::TraceBuffer::Default();
-  buffer.set_enabled(true);  // must stay off: the layer is compiled out
-  EXPECT_FALSE(buffer.enabled());
-  {
-    obs::TraceSpan span("dark");
-  }
-  EXPECT_TRUE(buffer.Events().empty());
-  EXPECT_EQ(buffer.dropped(), 0u);
-  const std::string json = buffer.ToChromeTraceJson();
-  EXPECT_TRUE(testing::JsonLinter::Valid(json)) << json;
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-
-  const std::string path = TempPath("trace_test_shell.json");
-  EXPECT_TRUE(buffer.WriteChromeTrace(path).ok());
-  std::remove(path.c_str());
-}
-
-#endif  // DEEPDIRECT_OBS
 
 }  // namespace
 }  // namespace deepdirect

@@ -310,24 +310,6 @@ TEST(SgdDriverTest, HogwildUpdatesLandFromAllWorkers) {
   EXPECT_DOUBLE_EQ(landed, static_cast<double>(kSteps));
 }
 
-TEST(SgdDriverTest, StepOffsetShiftsTheGlobalSchedule) {
-  SgdOptions options;
-  options.steps = 10;
-  options.step_offset = 90;
-  options.total_steps = 100;
-  options.lr = {1.0, 0.0, LrSchedule::Decay::kInterpolatedLinear};
-  SgdDriver driver(options);
-  util::Rng rng(1);
-  std::vector<double> rates;
-  driver.Run(rng, [&](auto, const SgdStep& ctx) -> double {
-    rates.push_back(ctx.lr);
-    return 0.0;
-  });
-  ASSERT_EQ(rates.size(), 10u);
-  EXPECT_DOUBLE_EQ(rates.front(), 1.0 - 0.9);  // step 90 of 100
-  EXPECT_DOUBLE_EQ(rates.back(), 1.0 - 0.99);  // step 99 of 100
-}
-
 TEST(SgdDriverTest, ProgressReportingThreadsThroughTheDriver) {
   SgdOptions options;
   options.steps = 100;
