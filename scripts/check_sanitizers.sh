@@ -43,12 +43,15 @@ cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
 # concurrent admission and eviction under one mutex), every reader sweep of
 # the aligned section container (the shared reader's truncation, corruption
 # and structure-aware mutation sweeps, and the DDS1 and DDSH sweeps through
-# their public Open), where an over-read on a malformed file is a finding
-# even when a check rejects the file afterwards, and the writers that
-# gather payloads from caller memory: the DDCK writer (CheckpointTest.*,
-# and the E-step state round trip through SaveEStepState/LoadEStepState),
-# the aligned container's WriteFile (ContainerTest.*), and the CRC-32 fold
-# they checksum with (KernelsTest.*).
+# their public Open, and the checkpoint sweeps over a real file of each
+# DDCK table through Checkpointer::Check), where an over-read on a
+# malformed file is a finding even when a check rejects the file
+# afterwards, and the writers that gather payloads from caller memory:
+# checkpoint writes from the trainers' live views (CheckpointTest.*, and
+# the E-step state round trip through SaveEStepState/LoadEStepState), the
+# aligned container's WriteFile (ContainerTest.*), and the CRC-32 fold
+# they checksum with (KernelsTest.*). The input-binding resume tests
+# (ResumeBindingTest.*) run through *Resume*.
 TARGETS=(train_test checkpoint_test deepdirect_test embedding_test
          ml_test obs_test trace_test centrality_test graph_test
          kernels_test serve_test incremental_test sharded_store_test

@@ -166,34 +166,32 @@ std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
 
   train::CheckpointOptions ckpt_options = config.checkpoint;
   if (ckpt_options.trainer.empty()) ckpt_options.trainer = "deepdirect.estep";
+  // Only a checkpointed run hashes its input: every closure arc with its
+  // class, which a new hidden split changes even where HashTieIndex does
+  // not. The tie hash binds the state to the network's closure arcs for a
+  // warm-start consumer (train/incremental.h).
+  train::InputHash input;
+  uint64_t tie_hash = 0;
+  if (!ckpt_options.dir.empty()) {
+    for (size_t e = 0; e < num_arcs; ++e) {
+      const auto [u, v] = idx.ArcAt(e);
+      input.Add(u);
+      input.Add(v);
+      input.Add(idx.Class(e));
+    }
+    tie_hash = HashTieIndex(idx);
+  }
+  const std::span<double> w_and_b(classifier);
   train::Checkpointer checkpointer(
       ckpt_options,
       train::RunShape{iterations, options.steps_per_epoch, config.seed,
-                      options.lr},
-      [&](train::CheckpointWriter& writer) {
-        writer.AddVector("m", m.data());
-        writer.AddVector("n", n.data());
-        writer.AddSection("w_prime", classifier.data(), l * sizeof(double));
-        writer.AddPod("b_prime", classifier[l]);
-        // Binds the snapshot to the training network's closure arcs so a
-        // warm-start consumer (train/incremental.h) rejects "same arc
-        // count, different network" instead of remapping rows silently.
-        writer.AddPod("tie_hash", HashTieIndex(idx));
-      },
-      [&](const train::CheckpointData& ckpt) -> util::Status {
-        std::vector<float> saved_m, saved_n;
-        DD_RETURN_NOT_OK(ckpt.ReadVector("m", &saved_m, m.data().size()));
-        DD_RETURN_NOT_OK(ckpt.ReadVector("n", &saved_n, n.data().size()));
-        std::vector<double> saved_w;
-        DD_RETURN_NOT_OK(ckpt.ReadVector("w_prime", &saved_w, l));
-        double saved_b = 0.0;
-        DD_RETURN_NOT_OK(ckpt.ReadPod("b_prime", &saved_b));
-        m.data() = std::move(saved_m);
-        n.data() = std::move(saved_n);
-        std::copy(saved_w.begin(), saved_w.end(), classifier.begin());
-        classifier[l] = saved_b;
-        return util::Status::OK();
-      });
+                      options.lr, input.value()},
+      train::kEStepCheckpoint,
+      {std::as_writable_bytes(std::span(m.data())),
+       std::as_writable_bytes(std::span(n.data())),
+       std::as_writable_bytes(w_and_b.first(l)),
+       std::as_writable_bytes(w_and_b.subspan(l)),
+       std::as_writable_bytes(std::span(&tie_hash, 1))});
   options.start_epoch = checkpointer.Resume(rng);
   options.checkpointer = &checkpointer;
 

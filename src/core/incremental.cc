@@ -85,7 +85,7 @@ util::Result<IncrementalUpdate> DeepDirectModel::ApplyTieBatch(
         std::to_string(old_idx.num_arcs()) +
         " (wrong checkpoint for this network?)");
   }
-  if (state.tie_hash != 0 && state.tie_hash != HashTieIndex(old_idx)) {
+  if (state.tie_hash != HashTieIndex(old_idx)) {
     return util::Status::InvalidArgument(
         "E-step state was trained on a different network (tie-index hash "
         "mismatch at equal arc count)");

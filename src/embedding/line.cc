@@ -76,31 +76,24 @@ LineEmbedding LineEmbedding::Train(const MixedSocialNetwork& g,
 
   train::CheckpointOptions ckpt_options = config.checkpoint;
   if (ckpt_options.trainer.empty()) ckpt_options.trainer = "line";
+  // Only a checkpointed run hashes its input: the arcs' endpoints, field by
+  // field.
+  train::InputHash input;
+  if (!ckpt_options.dir.empty()) {
+    for (ArcId id = 0; id < g.num_arcs(); ++id) {
+      input.Add(g.arc(id).src);
+      input.Add(g.arc(id).dst);
+    }
+  }
   train::Checkpointer checkpointer(
       ckpt_options,
       train::RunShape{options.steps, options.steps_per_epoch, config.seed,
-                      options.lr},
-      [&](train::CheckpointWriter& writer) {
-        writer.AddVector("first", first.data());
-        writer.AddVector("first_ctx", first_ctx.data());
-        writer.AddVector("second", second.data());
-        writer.AddVector("second_ctx", second_ctx.data());
-      },
-      [&](const train::CheckpointData& ckpt) -> util::Status {
-        std::vector<float> m1, m2, m3, m4;
-        DD_RETURN_NOT_OK(ckpt.ReadVector("first", &m1, first.data().size()));
-        DD_RETURN_NOT_OK(
-            ckpt.ReadVector("first_ctx", &m2, first_ctx.data().size()));
-        DD_RETURN_NOT_OK(
-            ckpt.ReadVector("second", &m3, second.data().size()));
-        DD_RETURN_NOT_OK(
-            ckpt.ReadVector("second_ctx", &m4, second_ctx.data().size()));
-        first.data() = std::move(m1);
-        first_ctx.data() = std::move(m2);
-        second.data() = std::move(m3);
-        second_ctx.data() = std::move(m4);
-        return util::Status::OK();
-      });
+                      options.lr, input.value()},
+      train::kLineCheckpoint,
+      {std::as_writable_bytes(std::span(first.data())),
+       std::as_writable_bytes(std::span(first_ctx.data())),
+       std::as_writable_bytes(std::span(second.data())),
+       std::as_writable_bytes(std::span(second_ctx.data()))});
   options.start_epoch = checkpointer.Resume(rng);
   options.checkpointer = &checkpointer;
 

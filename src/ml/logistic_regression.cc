@@ -77,33 +77,28 @@ double LogisticRegression::Train(const Dataset& data,
 
   // The shuffled visit order is cumulative state (each epoch permutes the
   // previous epoch's order), so it is part of the snapshot alongside the
-  // parameters.
+  // parameters. Only a checkpointed run hashes its input: the samples and
+  // the parameters it starts from.
   train::CheckpointOptions ckpt_options = config.checkpoint;
   if (ckpt_options.trainer.empty()) ckpt_options.trainer = "logreg";
+  train::InputHash input;
+  if (!ckpt_options.dir.empty()) {
+    for (size_t i = 0; i < n; ++i) {
+      input.AddAll(data.Row(i));
+      input.Add(data.Label(i));
+      input.Add(data.Weight(i));
+    }
+    input.AddAll(params);
+  }
+  const std::span<double> w_and_b(params);
   train::Checkpointer checkpointer(
       ckpt_options,
-      train::RunShape{total_steps, n, config.seed, options.lr},
-      [&](train::CheckpointWriter& writer) {
-        writer.AddSection("weights", params.data(), d * sizeof(double));
-        writer.AddPod("bias", params[d]);
-        writer.AddVector("order", order);
-        writer.AddPod("last_epoch_loss", last_epoch_loss);
-      },
-      [&](const train::CheckpointData& ckpt) -> util::Status {
-        std::vector<double> weights;
-        DD_RETURN_NOT_OK(ckpt.ReadVector("weights", &weights, d));
-        double bias = 0.0;
-        DD_RETURN_NOT_OK(ckpt.ReadPod("bias", &bias));
-        std::vector<uint64_t> saved_order;
-        DD_RETURN_NOT_OK(ckpt.ReadVector("order", &saved_order, n));
-        double saved_loss = 0.0;
-        DD_RETURN_NOT_OK(ckpt.ReadPod("last_epoch_loss", &saved_loss));
-        std::copy(weights.begin(), weights.end(), params.begin());
-        params[d] = bias;
-        order = std::move(saved_order);
-        last_epoch_loss = saved_loss;
-        return util::Status::OK();
-      });
+      train::RunShape{total_steps, n, config.seed, options.lr, input.value()},
+      train::kLogRegCheckpoint,
+      {std::as_writable_bytes(w_and_b.first(d)),
+       std::as_writable_bytes(w_and_b.subspan(d)),
+       std::as_writable_bytes(std::span(order)),
+       std::as_writable_bytes(std::span(&last_epoch_loss, 1))});
   options.start_epoch = checkpointer.Resume(rng);
   options.checkpointer = &checkpointer;
   options.dense = params;

@@ -1,20 +1,20 @@
 // Crash-safe checkpoint/resume for the SGD training engine.
 //
-// A checkpoint is a versioned, sectioned binary container: every section is
-// a (name, payload) pair protected by a CRC32 over its serialized bytes,
-// the header carries its own CRC, and the file ends in a footer magic. The
-// container is written atomically — gathered from the caller's buffers into
-// a temp file in the target directory, fsync'ed, renamed over the
-// destination, directory fsync'ed — so a crash at any byte leaves either
-// the old file or the new one, never a truncated hybrid. Readers validate
-// everything before exposing any byte: any truncation or bit flip yields a
-// Status error anchored to the failing offset or section, never a crash or
-// a silently-wrong parse.
+// A checkpoint ("DDCK", version 2) is a file of the aligned section
+// container (train/container.h) under one of three tables, one per trainer
+// state: the E-step, logistic regression and LINE. Every table starts with
+// the engine's sections — `meta` (CheckpointMeta), `trainer` (the tag) and
+// `rng` (the serial Rng stream) — and goes on with the trainer's own.
+// container::WriteFile writes a file atomically, and a reader takes it in
+// with one sized read and container::Reader::Open checks every byte, so a
+// truncated or corrupted file is a typed error, never a crash or a silently
+// wrong load.
 //
-// On top of the container, Checkpointer snapshots SGD state at epoch
-// boundaries: the engine-owned part (epoch/step counters, run shape, the
-// trainer's serial Rng stream) plus trainer-owned sections (parameter
-// matrices) contributed through a save callback. The resume contract:
+// Checkpointer snapshots SGD state at epoch boundaries from one mutable byte
+// view per trainer section, and Resume copies a candidate back into those
+// views only after it has passed every check. A candidate must match the
+// run shape and the input it was trained on (RunShape::input_hash). The
+// resume contract:
 //   * num_threads = 1 — restoring the newest checkpoint and finishing the
 //     budget is bit-identical to the uninterrupted run (the serial Rng
 //     stream is part of the snapshot);
@@ -22,168 +22,67 @@
 //     boundary; per-epoch worker streams are derived from (shard_seed,
 //     epoch), so the resumed epochs sample identically to the
 //     uninterrupted run and only the Hogwild update interleaving differs.
-//
-// Layout (version 1, host-endian):
-//   magic "DDCK" | u32 version | u64 section_count | u32 header_crc
-//   per section: u32 name_size | name | u64 payload_size | payload |
-//                u32 section_crc   (CRC32 over the section's own bytes)
-//   footer magic "DDEN"
 
 #ifndef DEEPDIRECT_TRAIN_CHECKPOINT_H_
 #define DEEPDIRECT_TRAIN_CHECKPOINT_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <functional>
-#include <map>
 #include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
 
-#include "kernels/crc32.h"
+#include "train/container.h"
 #include "train/lr_schedule.h"
 #include "util/random.h"
 #include "util/status.h"
 
 namespace deepdirect::train {
 
-/// CRC32 (IEEE 802.3, reflected 0xEDB88320); see kernels/crc32.h.
-using kernels::Crc32;
-using kernels::Crc32Update;
+inline constexpr std::array<char, 4> kCheckpointMagic{'D', 'D', 'C', 'K'};
+inline constexpr uint32_t kCheckpointVersion = 2;
 
-/// Atomically replaces `path` with the concatenation of `parts`: writes them
-/// in order to `path`.tmp in the same directory through one descriptor,
-/// fsyncs it, renames it over `path`, and fsyncs the directory. A crash at
-/// any point leaves either the old file or the new one; a failed write
-/// removes the temp file and leaves `path` as it was.
-util::Status AtomicWriteFile(const std::string& path,
-                             std::span<const std::string_view> parts);
+/// The engine's sections lead every table: meta, trainer, rng.
+inline constexpr size_t kEngineSections = 3;
 
-/// Builds one checkpoint container section by section, without copying
-/// payloads: AddSection and AddVector record a view of the caller's bytes,
-/// which must stay valid and unchanged until WriteAtomic or Serialize
-/// returns. AddPod copies its value, so it takes temporaries.
-class CheckpointWriter {
- public:
-  /// Appends a section viewing `size` bytes at `data`. Names must be unique,
-  /// non-empty, < 256 bytes.
-  void AddSection(std::string_view name, const void* data, size_t size);
-
-  /// Appends a copy of a trivially-copyable value as a section.
-  template <typename T>
-  void AddPod(std::string_view name, const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    AddSection(name, &value, sizeof(T));
-    Section& section = sections_.back();
-    section.copy.assign(section.view);
-    section.view = {};
-  }
-
-  /// Appends a section viewing a vector of trivially-copyable elements.
-  template <typename T>
-  void AddVector(std::string_view name, const std::vector<T>& values) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    AddSection(name, values.data(), values.size() * sizeof(T));
-  }
-
-  /// A temporary would be gone before the write.
-  template <typename T>
-  void AddVector(std::string_view name, const std::vector<T>&& values) =
-      delete;
-
-  /// Serializes the container (header, sections with CRCs, footer).
-  std::string Serialize() const;
-
-  /// Writes the container atomically to `path` (see AtomicWriteFile),
-  /// gathering it straight from the sections' bytes.
-  util::Status WriteAtomic(const std::string& path) const;
-
- private:
-  struct Section {
-    std::string name;
-    std::string_view view;  ///< the caller's bytes (AddSection, AddVector)
-    std::string copy;       ///< the section's own bytes (AddPod)
-    std::string_view payload() const { return copy.empty() ? view : copy; }
-  };
-
-  /// The container in file order, as views of `frame` and of the payloads.
-  /// `frame` receives every byte the container adds around the payloads:
-  /// the header, each section's size/name prefix and CRC, and the footer.
-  std::vector<std::string_view> Parts(std::string& frame) const;
-
-  std::vector<Section> sections_;
+/// Payload of the `meta` section: the epoch and step counters, and the
+/// RunShape a candidate must match to resume.
+struct CheckpointMeta {
+  uint64_t epochs_done = 0;
+  uint64_t next_step = 0;
+  uint64_t total_steps = 0;
+  uint64_t steps_per_epoch = 0;
+  uint64_t shard_seed = 0;
+  double lr_initial = 0.0;
+  double lr_min_fraction = 0.0;
+  uint32_t lr_decay = 0;
+  uint32_t pad = 0;
+  uint64_t input_hash = 0;
 };
+static_assert(sizeof(CheckpointMeta) == 72);
 
-/// A parsed, fully CRC-validated checkpoint container.
-class CheckpointData {
- public:
-  /// Parses and validates `bytes`; `origin` labels error messages (usually
-  /// the path). Every structural defect — wrong magic or version, truncated
-  /// header or section, CRC mismatch, duplicate section, trailing bytes —
-  /// returns InvalidArgument naming the byte offset or section.
-  static util::Result<CheckpointData> Parse(std::string bytes,
-                                            const std::string& origin);
+/// The E-step state: Train's checkpoints and SaveEStepState's files.
+inline constexpr const char* kEStepSections[] = {
+    "meta", "trainer", "rng", "m", "n", "w_prime", "b_prime", "tie_hash"};
+inline constexpr container::Format kEStepCheckpoint{
+    kCheckpointMagic, kCheckpointVersion, 0, kEStepSections};
 
-  /// Reads `path` and parses it. Unreadable files return IOError.
-  static util::Result<CheckpointData> Read(const std::string& path);
+/// Logistic regression (the deepdirect.dstep, line.regression and
+/// hf.regression tags).
+inline constexpr const char* kLogRegSections[] = {
+    "meta", "trainer", "rng", "weights", "bias", "order", "last_epoch_loss"};
+inline constexpr container::Format kLogRegCheckpoint{
+    kCheckpointMagic, kCheckpointVersion, 0, kLogRegSections};
 
-  bool Has(std::string_view name) const {
-    return sections_.contains(std::string(name));
-  }
-
-  /// Raw bytes of a section; NotFound when absent.
-  util::Result<std::string_view> Section(std::string_view name) const;
-
-  /// Copies a section into a trivially-copyable value; the section size
-  /// must match exactly.
-  template <typename T>
-  util::Status ReadPod(std::string_view name, T* out) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    auto section = Section(name);
-    if (!section.ok()) return section.status();
-    if (section.value().size() != sizeof(T)) {
-      return SizeMismatch(name, sizeof(T), section.value().size());
-    }
-    std::memcpy(out, section.value().data(), sizeof(T));
-    return util::Status::OK();
-  }
-
-  /// Copies a section into a vector of trivially-copyable elements. When
-  /// `expected_count` is non-zero the element count must match it exactly;
-  /// either way the byte size must be a whole number of elements.
-  template <typename T>
-  util::Status ReadVector(std::string_view name, std::vector<T>* out,
-                          size_t expected_count = 0) const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    auto section = Section(name);
-    if (!section.ok()) return section.status();
-    const std::string_view bytes = section.value();
-    if (bytes.size() % sizeof(T) != 0) {
-      return SizeMismatch(name, expected_count * sizeof(T), bytes.size());
-    }
-    const size_t count = bytes.size() / sizeof(T);
-    if (expected_count != 0 && count != expected_count) {
-      return SizeMismatch(name, expected_count * sizeof(T), bytes.size());
-    }
-    out->resize(count);
-    std::memcpy(out->data(), bytes.data(), bytes.size());
-    return util::Status::OK();
-  }
-
- private:
-  explicit CheckpointData(std::string bytes, std::string origin)
-      : bytes_(std::move(bytes)), origin_(std::move(origin)) {}
-
-  util::Status SizeMismatch(std::string_view name, size_t expected,
-                            size_t got) const;
-
-  std::string bytes_;
-  std::string origin_;
-  /// Section name → (offset, size) into bytes_.
-  std::map<std::string, std::pair<size_t, size_t>, std::less<>> sections_;
-};
+/// LINE's four matrices.
+inline constexpr const char* kLineSections[] = {
+    "meta", "trainer", "rng", "first", "first_ctx", "second", "second_ctx"};
+inline constexpr container::Format kLineCheckpoint{
+    kCheckpointMagic, kCheckpointVersion, 0, kLineSections};
 
 /// When and how many checkpoints to keep.
 struct CheckpointPolicy {
@@ -225,43 +124,101 @@ struct EpochEnd {
   bool last;           ///< no further steps remain in the budget
 };
 
-/// The run geometry a checkpoint must match to be resumable: resuming under
-/// a different budget, epoch size, shard seed, or LR schedule would
-/// silently break the determinism contract, so mismatches are rejected.
+/// What a checkpoint must match to be resumable: resuming under a
+/// different budget, epoch size, shard seed or LR schedule would silently
+/// break the determinism contract, and resuming on other input would
+/// restore a state trained on data the run does not see.
 struct RunShape {
   uint64_t total_steps = 0;
   uint64_t steps_per_epoch = 0;
   uint64_t shard_seed = 0;
   LrSchedule lr;
+  /// InputHash of everything the trainer reads; each trainer computes it
+  /// when checkpointing is on.
+  uint64_t input_hash = 0;
 };
+
+/// FNV-1a over 64-bit words, fed one field at a time so that no struct
+/// padding enters the hash.
+class InputHash {
+ public:
+  template <typename T>
+  void Add(T value) {
+    static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>);
+    uint64_t word = 0;
+    std::memcpy(&word, &value, sizeof(T));
+    hash_ = (hash_ ^ word) * 0x100000001b3ULL;
+  }
+  template <typename Range>
+  void AddAll(const Range& values) {
+    for (const auto value : values) Add(value);
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// `<dir>/<trainer>-<epochs_done, 8 digits>.ckpt`.
+std::string CheckpointPath(const std::string& dir, const std::string& trainer,
+                           uint64_t epochs_done);
+
+/// `trainer`'s checkpoint paths in `dir`, newest (highest epoch) first.
+std::vector<std::string> ListCheckpoints(const std::string& dir,
+                                         const std::string& trainer);
+
+/// Writes a checkpoint of `table` to CheckpointPath(dir, trainer,
+/// meta.epochs_done), creating `dir`: the engine's sections, then `state`,
+/// one payload per trainer section in table order.
+util::Status WriteCheckpoint(const container::Format& table,
+                             const std::string& dir,
+                             const std::string& trainer,
+                             const CheckpointMeta& meta,
+                             const std::array<uint64_t, 4>& rng,
+                             std::span<const container::Payload> state);
+
+/// Reads the regular file at `path` into `*bytes` with one sized read.
+/// Anything but a regular file, or a short read, is an IOError.
+util::Status ReadCheckpointFile(const std::string& path, std::string* bytes);
+
+/// Opens `bytes`, read from `path`, under `table`, checks that it is
+/// `trainer`'s, and copies its meta into `*meta`. The reader views `bytes`.
+util::Result<container::Reader> OpenCheckpoint(const container::Format& table,
+                                               const std::string& trainer,
+                                               const std::string& path,
+                                               std::string_view bytes,
+                                               CheckpointMeta* meta);
 
 /// Orchestrates checkpoint writes at epoch boundaries and resume scans.
 ///
-/// The trainer contributes its parameter state through the save callback
-/// (sections added to the writer) and restores it through the load
-/// callback. The load callback MUST be atomic: read every section into
-/// locals (ReadVector/ReadPod validate sizes), commit only after all reads
-/// succeeded — a failed load may be retried against an older checkpoint.
-/// Section names "meta", "trainer", and "rng" are reserved for the engine.
+/// The trainer hands over its table and one mutable byte view per trainer
+/// section (the table's sections after the engine's, in order). Write
+/// gathers the views; Resume overwrites them, but only with a candidate
+/// that passed Check, so no trainer checks or loads a section itself. The
+/// views must keep their memory and size while the Checkpointer lives.
 class Checkpointer {
  public:
-  using SaveFn = std::function<void(CheckpointWriter&)>;
-  using LoadFn = std::function<util::Status(const CheckpointData&)>;
-
-  Checkpointer(CheckpointOptions options, RunShape shape, SaveFn save_state,
-               LoadFn load_state);
+  Checkpointer(CheckpointOptions options, RunShape shape,
+               const container::Format& table,
+               std::vector<std::span<std::byte>> state);
 
   /// True when checkpoints will be written.
   bool enabled() const {
     return !options_.dir.empty() && options_.policy.every_n_epochs > 0;
   }
 
-  /// Scans the directory for the newest valid checkpoint of this trainer,
-  /// restores trainer state (load callback) and the serial Rng stream, and
-  /// returns the number of epochs already completed (0 = start fresh).
-  /// Corrupt or mismatched candidates are skipped with a warning on
-  /// stderr; they never abort the run. No-op unless options.resume is set.
+  /// Scans the directory for the newest candidate that passes Check, copies
+  /// its sections into the trainer's views, restores the serial Rng stream,
+  /// and returns the number of epochs already completed (0 = start fresh).
+  /// Candidates that fail are skipped with a warning on stderr and touch
+  /// neither the views nor `rng`. No-op unless options.resume is set.
   uint64_t Resume(util::Rng& rng);
+
+  /// The check Resume runs on a candidate read from `path`: the container,
+  /// the trainer tag, the run shape, the input hash, and every section's
+  /// size against the live views. Copies nothing.
+  util::Result<container::Reader> Check(const std::string& path,
+                                        std::string_view bytes) const;
 
   /// Engine hook: called by SgdDriver after every completed epoch, with
   /// all workers quiesced. Writes a checkpoint when the policy fires.
@@ -272,21 +229,14 @@ class Checkpointer {
   /// skip dependent phases (the process would not have reached them).
   bool stopped() const { return stopped_; }
 
-  /// This trainer's checkpoint paths, newest (highest epoch) first.
-  std::vector<std::string> ListCheckpoints() const;
-
-  /// The path a checkpoint for `epochs_done` completed epochs is written
-  /// to. Exposed for tests.
-  std::string PathFor(uint64_t epochs_done) const;
-
  private:
   void Write(const EpochEnd& end, const util::Rng& rng);
   void Prune() const;
 
   CheckpointOptions options_;
   RunShape shape_;
-  SaveFn save_;
-  LoadFn load_;
+  const container::Format* table_;
+  std::vector<std::span<std::byte>> state_;
   uint64_t epochs_this_run_ = 0;
   bool stopped_ = false;
 };

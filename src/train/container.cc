@@ -1,16 +1,21 @@
 #include "train/container.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstddef>
+#include <cstdio>
+#include <filesystem>
 #include <functional>
-#include <string_view>
 
 #include "obs/trace.h"
-#include "train/checkpoint.h"
 
 namespace deepdirect::train::container {
-
 namespace {
+
+namespace fs = std::filesystem;
 
 util::Status FormatDefect(const Format& format, const std::string& path,
                           const std::string& what) {
@@ -67,6 +72,54 @@ void StampHead(const Format& format, const Layout& layout,
 }
 
 }  // namespace
+
+util::Status AtomicWriteFile(const std::string& path,
+                             std::span<const std::string_view> parts) {
+  const fs::path target(path);
+  const fs::path dir =
+      target.has_parent_path() ? target.parent_path() : fs::path(".");
+  const std::string tmp_path = path + ".tmp";
+  const int fd =
+      ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    return util::Status::IOError("cannot open " + tmp_path + " for writing");
+  }
+  const auto fail = [&](const std::string& what) {
+    std::error_code ec;
+    fs::remove(tmp_path, ec);
+    return util::Status::IOError(what);
+  };
+  for (std::string_view part : parts) {
+    while (!part.empty()) {
+      const ssize_t written = ::write(fd, part.data(), part.size());
+      if (written < 0 && errno == EINTR) continue;
+      if (written <= 0) {
+        ::close(fd);
+        return fail("short write to " + tmp_path);
+      }
+      part.remove_prefix(static_cast<size_t>(written));
+    }
+  }
+  obs::TraceSpan span("train.file_sync");
+  // Flush file data to stable storage before the rename publishes it; a
+  // rename that survives a crash must never point at unflushed data.
+  if (::fsync(fd) != 0) {
+    ::close(fd);
+    return fail("fsync failed for " + tmp_path);
+  }
+  if (::close(fd) != 0) return fail("close failed for " + tmp_path);
+  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    return fail("rename " + tmp_path + " -> " + path + " failed");
+  }
+  // Persist the directory entry too; best-effort (some filesystems refuse
+  // O_RDONLY on directories), the data itself is already durable.
+  int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd >= 0) {
+    ::fsync(dir_fd);
+    ::close(dir_fd);
+  }
+  return util::Status::OK();
+}
 
 Layout MakeLayout(std::span<const uint64_t> sizes) {
   Layout layout;

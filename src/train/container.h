@@ -1,5 +1,6 @@
 // The aligned section container shared by the DDS1 servable model
-// (core/servable_format.h) and the DDSH shard store (graph/shard_format.h):
+// (core/servable_format.h), the DDSH shard store (graph/shard_format.h) and
+// the DDCK checkpoints (train/checkpoint.h):
 //
 //   Header (32 bytes)             magic, version, section count, total file
 //                                 size, meta CRC, flags
@@ -20,8 +21,8 @@
 // meta struct; the expected size of every section follows from it and is the
 // format's business (Reader::CheckSizes compares, CheckedMul computes).
 //
-// The streaming DDCK container (train/checkpoint.h) is a different design
-// and stays separate: see DESIGN.md, "Aligned section container".
+// DDCK checkpoints are read into a buffer rather than mapped: Reader::Open
+// checks any byte buffer.
 
 #ifndef DEEPDIRECT_TRAIN_CONTAINER_H_
 #define DEEPDIRECT_TRAIN_CONTAINER_H_
@@ -31,12 +32,26 @@
 #include <cstring>
 #include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
+#include "kernels/crc32.h"
 #include "util/status.h"
 
 namespace deepdirect::train::container {
+
+/// CRC32 (IEEE 802.3, reflected 0xEDB88320); see kernels/crc32.h.
+using kernels::Crc32;
+using kernels::Crc32Update;
+
+/// Atomically replaces `path` with the concatenation of `parts`: writes them
+/// in order to `path`.tmp in the same directory through one descriptor,
+/// fsyncs it, renames it over `path`, and fsyncs the directory. A crash at
+/// any point leaves either the old file or the new one; a failed write
+/// removes the temp file and leaves `path` as it was.
+util::Status AtomicWriteFile(const std::string& path,
+                             std::span<const std::string_view> parts);
 
 /// Payload alignment: covers every element type the formats carry and
 /// matches the cache-line size the rest of the repo assumes.

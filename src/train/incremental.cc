@@ -1,7 +1,6 @@
 #include "train/incremental.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <unordered_map>
@@ -13,8 +12,6 @@
 namespace deepdirect::train {
 namespace {
 
-namespace fs = std::filesystem;
-
 // Unordered-pair key for in-batch duplicate detection (same packing as
 // GraphBuilder's occupancy set).
 uint64_t PairKey(graph::NodeId u, graph::NodeId v) {
@@ -23,23 +20,43 @@ uint64_t PairKey(graph::NodeId u, graph::NodeId v) {
   return (hi << 32) | lo;
 }
 
-// Mirror of the engine-owned "meta" section layout (checkpoint.cc). The
-// state loader only needs the epoch counter; the writer fills the run-
-// shape fields with zeros, which makes Train's resume scan reject the
-// container with a shape mismatch (warn + skip) instead of resuming a
-// full-retrain budget from post-update state.
-struct CheckpointMetaMirror {
-  uint64_t epochs_done = 0;
-  uint64_t next_step = 0;
-  uint64_t total_steps = 0;
-  uint64_t steps_per_epoch = 0;
-  uint64_t shard_seed = 0;
-  double lr_initial = 0.0;
-  double lr_min_fraction = 0.0;
-  uint32_t lr_decay = 0;
-  uint32_t pad = 0;
-};
-static_assert(sizeof(CheckpointMetaMirror) == 64);
+// Loads the E-step state from the checkpoint at `path`. The classifier's
+// width fixes the row width and M's size the arc count; every other section
+// size follows from those two.
+util::Result<EStepState> LoadCandidate(const std::string& path,
+                                       const std::string& trainer) {
+  std::string bytes;
+  DD_RETURN_NOT_OK(ReadCheckpointFile(path, &bytes));
+  CheckpointMeta meta;
+  auto opened = OpenCheckpoint(kEStepCheckpoint, trainer, path, bytes, &meta);
+  if (!opened.ok()) return opened.status();
+  const container::Reader& reader = opened.value();
+  EStepState state;
+  state.dimensions = reader.Array<std::byte>(5).size() / sizeof(double);
+  if (state.dimensions == 0) return reader.Defect("empty w_prime");
+  state.num_arcs =
+      reader.Array<std::byte>(3).size() / sizeof(float) / state.dimensions;
+  const uint64_t rows = state.num_arcs * state.dimensions * sizeof(float);
+  DD_RETURN_NOT_OK(reader.CheckSizes(std::vector<uint64_t>{
+      sizeof(meta), trainer.size(), sizeof(std::array<uint64_t, 4>), rows,
+      rows, state.dimensions * sizeof(double), sizeof(double),
+      sizeof(uint64_t)}));
+  state.m.resize(state.num_arcs * state.dimensions);
+  state.n.resize(state.m.size());
+  state.w_prime.resize(state.dimensions);
+  const std::span<std::byte> targets[] = {
+      std::as_writable_bytes(std::span(state.m)),
+      std::as_writable_bytes(std::span(state.n)),
+      std::as_writable_bytes(std::span(state.w_prime)),
+      std::as_writable_bytes(std::span(&state.b_prime, 1)),
+      std::as_writable_bytes(std::span(&state.tie_hash, 1))};
+  for (size_t i = 0; i < std::size(targets); ++i) {
+    const auto section = reader.Array<std::byte>(kEngineSections + i);
+    std::copy(section.begin(), section.end(), targets[i].begin());
+  }
+  state.epochs_done = meta.epochs_done;
+  return state;
+}
 
 }  // namespace
 
@@ -98,62 +115,11 @@ util::Result<TieBatch> LoadTieBatch(const std::string& path) {
 
 util::Result<EStepState> LoadEStepState(const std::string& dir,
                                         const std::string& trainer) {
-  // A callback-less Checkpointer is just the directory-scan logic; the
-  // sections are read directly below (the engine's Resume would insist on
-  // a matching run shape, which a warm-start consumer has no use for).
-  CheckpointOptions options;
-  options.dir = dir;
-  options.trainer = trainer;
-  const Checkpointer scanner(options, RunShape{}, nullptr, nullptr);
-
-  for (const std::string& path : scanner.ListCheckpoints()) {
-    auto read = CheckpointData::Read(path);
-    if (!read.ok()) {
-      std::cerr << "[incremental] skipping " << path << ": "
-                << read.status().ToString() << "\n";
-      continue;
-    }
-    const CheckpointData& data = read.value();
-
-    EStepState state;
-    CheckpointMetaMirror meta;
-    util::Status status = data.ReadPod("meta", &meta);
-    if (status.ok()) status = data.ReadVector("w_prime", &state.w_prime);
-    if (status.ok() && state.w_prime.empty()) {
-      status = util::Status::InvalidArgument(path + ": empty w_prime");
-    }
-    if (status.ok()) status = data.ReadVector("m", &state.m);
-    if (status.ok()) status = data.ReadVector("n", &state.n);
-    if (status.ok()) status = data.ReadPod("b_prime", &state.b_prime);
-    if (status.ok()) {
-      state.dimensions = state.w_prime.size();
-      if (state.m.size() != state.n.size() ||
-          state.m.size() % state.dimensions != 0) {
-        status = util::Status::InvalidArgument(
-            path + ": embedding sections do not factor into " +
-            std::to_string(state.dimensions) + "-wide rows (m " +
-            std::to_string(state.m.size()) + ", n " +
-            std::to_string(state.n.size()) + " floats)");
-      }
-    }
-    if (!status.ok()) {
-      std::cerr << "[incremental] skipping " << path << ": "
-                << status.ToString() << "\n";
-      continue;
-    }
-    state.num_arcs = state.m.size() / state.dimensions;
-    state.epochs_done = meta.epochs_done;
-    if (data.Has("tie_hash")) {
-      // Optional (older checkpoints lack it); a bad read is a corrupt
-      // section, not a missing feature.
-      status = data.ReadPod("tie_hash", &state.tie_hash);
-      if (!status.ok()) {
-        std::cerr << "[incremental] skipping " << path << ": "
-                  << status.ToString() << "\n";
-        continue;
-      }
-    }
-    return state;
+  for (const std::string& path : ListCheckpoints(dir, trainer)) {
+    auto state = LoadCandidate(path, trainer);
+    if (state.ok()) return state;
+    std::cerr << "[incremental] skipping " << path << ": "
+              << state.status().ToString() << "\n";
   }
   return util::Status::NotFound(
       "no usable '" + trainer + "' checkpoint in " + dir +
@@ -174,29 +140,21 @@ util::Status SaveEStepState(const std::string& dir,
         std::to_string(state.n.size()) + ", w_prime " +
         std::to_string(state.w_prime.size()));
   }
-  CheckpointWriter writer;
-  CheckpointMetaMirror meta;
+  // The run-shape fields stay zero, so Train's resume scan rejects the file
+  // (warn + skip) instead of resuming a full-retrain budget from
+  // post-update state.
+  CheckpointMeta meta;
   meta.epochs_done = state.epochs_done;
-  writer.AddPod("meta", meta);
-  writer.AddSection("trainer", trainer.data(), trainer.size());
+  const container::Payload sections[] = {
+      {state.m.data(), state.m.size() * sizeof(float)},
+      {state.n.data(), state.n.size() * sizeof(float)},
+      {state.w_prime.data(), state.w_prime.size() * sizeof(double)},
+      {&state.b_prime, sizeof(double)},
+      {&state.tie_hash, sizeof(uint64_t)}};
   // A fresh, valid serial stream: the chained update derives its own RNG,
-  // so this section exists only to keep the container uniform.
-  const std::array<uint64_t, 4> rng_state =
-      util::Rng(state.epochs_done).state();
-  writer.AddSection("rng", rng_state.data(), rng_state.size() * 8);
-  writer.AddVector("m", state.m);
-  writer.AddVector("n", state.n);
-  writer.AddVector("w_prime", state.w_prime);
-  writer.AddPod("b_prime", state.b_prime);
-  writer.AddPod("tie_hash", state.tie_hash);
-
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  CheckpointOptions options;
-  options.dir = dir;
-  options.trainer = trainer;
-  const Checkpointer namer(options, RunShape{}, nullptr, nullptr);
-  return writer.WriteAtomic(namer.PathFor(state.epochs_done));
+  // so the rng section exists only to keep the table uniform.
+  return WriteCheckpoint(kEStepCheckpoint, dir, trainer, meta,
+                         util::Rng(state.epochs_done).state(), sections);
 }
 
 }  // namespace deepdirect::train

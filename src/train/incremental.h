@@ -19,10 +19,11 @@
 //     payload: the embedding matrix M, the connection matrix N (which the
 //     trained model does not retain), and the E-step classifier (w', b'),
 //     read from the newest valid "deepdirect.estep" checkpoint in a
-//     directory and written back as a chained checkpoint after each batch.
-//     Requires the producing run to have written its final state
-//     (CheckpointPolicy::write_final); an ordinary resume snapshot is one
-//     epoch short of the model that was actually served.
+//     directory and written back as a chained checkpoint after each batch,
+//     both under the E-step table (train::kEStepCheckpoint) that Train's
+//     checkpoints use. Requires the producing run to have written its final
+//     state (CheckpointPolicy::write_final); an ordinary resume snapshot is
+//     one epoch short of the model that was actually served.
 //
 // Layering: this file lives in deepdirect_train and must not link the
 // graph library (deepdirect_graph links train). graph/types.h provides
@@ -76,8 +77,7 @@ util::Result<TieBatch> LoadTieBatch(const std::string& path);
 /// The E-step training state a tie-batch update warm-starts from: flat
 /// row-major M and N (num_arcs × dimensions each) plus the joint
 /// classifier (w', b'). `tie_hash` binds the state to the closure arcs of
-/// the network it was trained on (core::HashTieIndex; 0 = unknown, for
-/// checkpoints written before the hash section existed). `epochs_done`
+/// the network it was trained on (core::HashTieIndex). `epochs_done`
 /// carries the checkpoint's counter so chained saves stay monotonic.
 struct EStepState {
   size_t dimensions = 0;
@@ -91,17 +91,18 @@ struct EStepState {
 };
 
 /// Scans `dir` for the newest valid checkpoint tagged `trainer` and
-/// extracts the warm-start state. Corrupt or malformed candidates are
-/// skipped with a warning on stderr, like Checkpointer::Resume; NotFound
-/// when no usable checkpoint exists.
+/// extracts the warm-start state. Corrupt or malformed candidates, and
+/// files of another table or version, are skipped with a warning on
+/// stderr, like Checkpointer::Resume; NotFound when no usable checkpoint
+/// exists.
 util::Result<EStepState> LoadEStepState(
     const std::string& dir, const std::string& trainer = "deepdirect.estep");
 
-/// Writes `state` as a checkpoint container named by its `epochs_done`
-/// counter (same `<trainer>-%08llu.ckpt` naming as the Checkpointer), so a
-/// later LoadEStepState — or the next chained update — finds it first.
-/// The container is not resumable by Train (its run shape belongs to no
-/// full-retrain budget); Train's resume scan warns and skips it.
+/// Writes `state` as a checkpoint named by its `epochs_done` counter
+/// (train::CheckpointPath), so a later LoadEStepState — or the next chained
+/// update — finds it first. The file is not resumable by Train (its run
+/// shape belongs to no full-retrain budget); Train's resume scan warns and
+/// skips it.
 util::Status SaveEStepState(const std::string& dir,
                             const std::string& trainer,
                             const EStepState& state);

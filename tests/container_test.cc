@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "file_size_limit.h"
-#include "train/checkpoint.h"
 #include "train/container.h"
 #include "util/random.h"
 

@@ -351,13 +351,14 @@ TEST(TraceEndToEndTest, TrainingEmitsPhaseEpochAndCheckpointSpans) {
   train::RunShape shape;
   shape.total_steps = 10;
   shape.steps_per_epoch = 10;
+  static constexpr const char* kSections[] = {"meta", "trainer", "rng",
+                                              "token"};
+  static constexpr train::container::Format kTable{
+      train::kCheckpointMagic, train::kCheckpointVersion, 0, kSections};
+  uint64_t token = 42;
   train::Checkpointer checkpointer(
-      options, shape,
-      [](train::CheckpointWriter& writer) {
-        const uint64_t token = 42;
-        writer.AddPod("token", token);
-      },
-      [](const train::CheckpointData&) { return util::Status::OK(); });
+      options, shape, kTable,
+      {std::as_writable_bytes(std::span(&token, 1))});
   util::Rng rng(3);
   // last=false: the policy only writes at non-final epoch boundaries.
   checkpointer.AtEpochBoundary({0, 10, 0.0, false}, rng);
@@ -391,7 +392,8 @@ TEST(TraceEndToEndTest, TrainingEmitsPhaseEpochAndCheckpointSpans) {
   EXPECT_TRUE(testing::JsonLinter::Valid(json));
   EXPECT_NE(json.find("deepdirect.estep"), std::string::npos);
 
-  for (const auto& path : checkpointer.ListCheckpoints()) {
+  for (const auto& path :
+       train::ListCheckpoints(options.dir, options.trainer)) {
     std::remove(path.c_str());
   }
 }

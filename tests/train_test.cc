@@ -6,13 +6,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <vector>
 
 #include "core/applications.h"
 #include "core/deepdirect.h"
+#include "core/incremental.h"
 #include "data/generators.h"
 #include "embedding/line.h"
 #include "graph/algorithms.h"
@@ -512,6 +515,10 @@ class ScratchDir {
   std::string path_;
 };
 
+constexpr const char* kDenseSections[] = {"meta", "trainer", "rng", "dense"};
+constexpr container::Format kDenseTable{kCheckpointMagic, kCheckpointVersion,
+                                        0, kDenseSections};
+
 // Hogwild run of a counting trainer: every step adds 1.0 to dense[0], with
 // a checkpoint at every epoch boundary (100 steps). Returns the block.
 std::vector<double> RunCountingTrainer(const std::string& dir, bool resume,
@@ -532,10 +539,7 @@ std::vector<double> RunCountingTrainer(const std::string& dir, bool resume,
       ckpt_options,
       RunShape{options.steps, options.steps_per_epoch, options.shard_seed,
                options.lr},
-      [&](CheckpointWriter& writer) { writer.AddVector("dense", block); },
-      [&](const CheckpointData& data) {
-        return data.ReadVector("dense", &block, block.size());
-      });
+      kDenseTable, {std::as_writable_bytes(std::span(block))});
   util::Rng rng(9);
   options.start_epoch = checkpointer.Resume(rng);
   options.checkpointer = &checkpointer;
@@ -558,12 +562,20 @@ TEST(SgdDriverTest, HogwildCheckpointsTheMergedDenseBlockAndResumes) {
   // Every snapshot holds exactly the steps of the epochs before it.
   size_t snapshots = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
-    auto data = CheckpointData::Read(entry.path().string());
+    const std::string path = entry.path().string();
+    std::string bytes;
+    ASSERT_TRUE(ReadCheckpointFile(path, &bytes).ok());
+    CheckpointMeta meta;
+    auto data = OpenCheckpoint(kDenseTable, "dense_counter", path, bytes,
+                               &meta);
     ASSERT_TRUE(data.ok()) << data.status().ToString();
-    std::vector<double> saved;
-    ASSERT_TRUE(data.value().ReadVector("dense", &saved, 2).ok());
+    const auto section = data.value().Array<std::byte>(3);
+    std::array<double, 2> saved;
+    ASSERT_EQ(section.size(), sizeof(saved));
+    std::memcpy(saved.data(), section.data(), sizeof(saved));
     const std::string name = entry.path().filename().string();
     const uint64_t epochs = std::stoull(name.substr(name.find('-') + 1));
+    EXPECT_EQ(meta.epochs_done, epochs) << name;
     EXPECT_EQ(saved[0], 100.0 * static_cast<double>(epochs)) << name;
     ++snapshots;
   }
@@ -711,6 +723,87 @@ TEST(ResumeGoldenTest, DeepDirectDStepResumeIsBitIdentical) {
   config.d_step.checkpoint.resume = true;
   const auto resumed = core::DeepDirectModel::Train(split.network, config);
   ExpectModelsBitIdentical(*resumed, *straight);
+}
+
+// ------------------------------------------ Resume binds to the input
+//
+// A checkpoint resumes only a run on the input it was trained on: at
+// num_threads = 1, resuming into a directory that a run on other input
+// wrote must equal a fresh run bit for bit.
+
+TEST(ResumeBindingTest, DeepDirectOnAnotherHiddenSplitTrainsFresh) {
+  const auto net = data::GenerateStatusNetwork(SmallNetConfig());
+  util::Rng rng_a(12);
+  util::Rng rng_b(13);
+  const auto split_a = graph::HideDirections(net, 0.4, rng_a);
+  const auto split_b = graph::HideDirections(net, 0.4, rng_b);
+
+  ScratchDir dir("resume_binding_deepdirect");
+  auto config = SmallDeepDirectConfig();
+  config.checkpoint.dir = dir.path();
+  config.d_step.checkpoint.dir = dir.path();
+  core::DeepDirectModel::Train(split_a.network, config);
+
+  config.checkpoint.resume = true;
+  config.d_step.checkpoint.resume = true;
+  const auto resumed = core::DeepDirectModel::Train(split_b.network, config);
+  const auto fresh =
+      core::DeepDirectModel::Train(split_b.network, SmallDeepDirectConfig());
+  ExpectModelsBitIdentical(*resumed, *fresh);
+}
+
+TEST(ResumeBindingTest, LogisticRegressionOnAFlippedLabelTrainsFresh) {
+  const auto data = SeparableDataset();
+  ml::Dataset flipped(2);
+  for (size_t i = 0; i < data.size(); ++i) {
+    flipped.Add(data.Row(i), i == 0 ? 1.0 - data.Label(i) : data.Label(i));
+  }
+  ml::LogisticRegressionConfig config;
+  config.epochs = 10;
+  ml::LogisticRegression fresh(2);
+  const double fresh_loss = fresh.Train(flipped, config);
+
+  ScratchDir dir("resume_binding_logreg");
+  config.checkpoint.dir = dir.path();
+  ml::LogisticRegression(2).Train(data, config);
+  config.checkpoint.resume = true;
+  ml::LogisticRegression resumed(2);
+  const double resumed_loss = resumed.Train(flipped, config);
+  EXPECT_EQ(resumed.weights(), fresh.weights());
+  EXPECT_EQ(resumed.bias(), fresh.bias());
+  EXPECT_EQ(resumed_loss, fresh_loss);
+}
+
+TEST(ResumeBindingTest, LineOnARelabeledNetTrainsFresh) {
+  const auto net = data::GenerateStatusNetwork(SmallNetConfig());
+  const graph::NodeId last = static_cast<graph::NodeId>(net.num_nodes() - 1);
+  graph::GraphBuilder builder(net.num_nodes());
+  for (const TieDelta& tie : core::ExtractTies(net)) {
+    ASSERT_TRUE(builder.AddTie(last - tie.u, last - tie.v, tie.type).ok());
+  }
+  const graph::MixedSocialNetwork relabeled = std::move(builder).Build();
+  ASSERT_EQ(relabeled.num_arcs(), net.num_arcs());
+
+  embedding::LineConfig config;
+  config.dimensions = 8;
+  config.samples_per_arc = 10;
+  const auto fresh = embedding::LineEmbedding::Train(relabeled, config);
+
+  ScratchDir dir("resume_binding_line");
+  config.checkpoint.dir = dir.path();
+  embedding::LineEmbedding::Train(net, config);
+  config.checkpoint.resume = true;
+  const auto resumed = embedding::LineEmbedding::Train(relabeled, config);
+  for (graph::NodeId u = 0; u < relabeled.num_nodes(); ++u) {
+    const auto ff = fresh.FirstOrder(u);
+    const auto rf = resumed.FirstOrder(u);
+    const auto fs = fresh.SecondOrder(u);
+    const auto rs = resumed.SecondOrder(u);
+    for (size_t k = 0; k < ff.size(); ++k) {
+      ASSERT_EQ(rf[k], ff[k]) << "node " << u << " first[" << k << "]";
+      ASSERT_EQ(rs[k], fs[k]) << "node " << u << " second[" << k << "]";
+    }
+  }
 }
 
 TEST(ResumeGoldenTest, LogisticRegressionResumeMultiThreadedLearns) {
