@@ -29,7 +29,8 @@ cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
 # The trainer-facing test binaries: the train/ engine itself, the
 # checkpoint/resume layer with its fault-injection sweeps, every migrated
 # trainer (DeepDirect E/D-step, LINE, logistic regression) and the E-step
-# body's one-step gradient check (EStepGradientTest.*), the metrics
+# body's one-step gradient check (EStepGradientTest.*) and its one kernel
+# call against per-negative updates (EStepListTest.*), the metrics
 # registry the trainers record into, and the parallel deterministic
 # preprocessing stages (pattern precompute, centrality sweeps, two-pass
 # graph build) at num_threads=4, the SIMD kernel layer (dispatch,
@@ -63,7 +64,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
 
-FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ProgressReporterTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*:ShardedTrainerTest.Hogwild*:ContainerTest.*:ServableModelTest.*Sweep*:ServableModelTest.Wrapping*:ShardedStoreTest.*:IncrementalTest.EStepStateRoundTrips:IncrementalTest.LoadSkipsCorruptNewestCheckpoint:*EStepGradientTest.*'
+FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ProgressReporterTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*:ShardedTrainerTest.Hogwild*:ContainerTest.*:ServableModelTest.*Sweep*:ServableModelTest.Wrapping*:ShardedStoreTest.*:IncrementalTest.EStepStateRoundTrips:IncrementalTest.LoadSkipsCorruptNewestCheckpoint:*EStepGradientTest.*:EStepListTest.*'
 for target in "${TARGETS[@]}"; do
   echo "=== $target ($SANITIZER) ==="
   "$BUILD_DIR/tests/$target" --gtest_filter="$FILTER"

@@ -25,10 +25,20 @@
 // SampleConnectedTie → per-negative SampleNoise), same classifier/warmup
 // arithmetic.
 //
+// A step runs in three phases. It draws every index first, because no
+// draw depends on M, N or (w′, b′): e and e′ with their resamples, then
+// the λ negatives with their collision redraws. It then prefetches every
+// row it will read: m_e, n_e′, the noise rows and, for an undirected
+// source, the M rows of its triad pairs. Last, one NegSamplingRows call
+// trains the positive and the negatives, followed by the classifier and
+// the m_e update.
+//
 // Env contract of EStepStep (duck-typed; EStepEnv below is the one
 // production env):
 //   size_t num_arcs()
 //   std::span<float> MRow(size_t e), NRow(size_t e)
+//   void PrefetchMRow(size_t e), PrefetchNRow(size_t e)  — cache hints:
+//       no residency bookkeeping, no value changes (may do nothing)
 //   size_t SampleSource(const train::SgdStep&, util::Rng&)  — P_c draw;
 //       shard-affine envs may consult SgdStep::shard
 //   size_t SampleNoise(util::Rng&)                          — P_n draw
@@ -40,7 +50,9 @@
 //       double pseudo_label; <range of .first/.second pairs> triads}
 //
 // MRow/NRow may do residency bookkeeping (the shard store admits and marks
-// referenced every page a row spans); nothing in the contract counts steps,
+// referenced every page a row spans). A step calls them in one fixed
+// order, after all its draws and prefetches: m_e, n_e′, the negatives in
+// draw order, then the triad rows. Nothing in the contract counts steps,
 // and no member other than the samplers draws from an Rng.
 
 #ifndef DEEPDIRECT_CORE_ESTEP_BODY_H_
@@ -48,7 +60,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -110,6 +124,67 @@ inline void FlushTallies(const std::vector<EStepTally>& tallies) {
       ->Add(total.triad_pattern);
 }
 
+/// One worker's E-step scratch: the m_e gradient row and the step's L_topo
+/// list (the context e′, then the negatives) as arc ids, N row pointers,
+/// labels (1, then 0s) and scores. Each list holds 1 + λ entries.
+struct EStepScratch {
+  std::span<double> grad_m;
+  std::span<size_t> arcs;
+  std::span<float*> rows;
+  std::span<const double> labels;
+  std::span<double> scores;
+};
+
+/// EStepScratch for each of `workers` workers, carved from one slab. Each
+/// worker's share starts a 4 KiB block of its own, and hardware
+/// prefetchers stay inside such a block, so a worker's stores and the
+/// prefetches along them never pull in a line another worker writes. On
+/// perfbench discover's graph (two workers, 4-vCPU x86-64 host), gradient
+/// rows packed back to back cost 11% more per step than rows a block apart.
+class EStepWorkspace {
+ public:
+  EStepWorkspace(size_t workers, size_t dimensions, size_t negatives) {
+    constexpr uintptr_t kBlockBytes = 4096;
+    const size_t list = negatives + 1;
+    // The double arrays come first, so carving the arrays back to back
+    // from a block start leaves each one aligned for its type.
+    const size_t bytes = (dimensions + 2 * list) * sizeof(double) +
+                         list * (sizeof(size_t) + sizeof(float*));
+    const size_t stride = (bytes + kBlockBytes - 1) / kBlockBytes * kBlockBytes;
+    slab_ = std::make_unique<std::byte[]>(workers * stride + kBlockBytes);
+    std::byte* block = reinterpret_cast<std::byte*>(
+        (reinterpret_cast<uintptr_t>(slab_.get()) + kBlockBytes - 1) &
+        ~(kBlockBytes - 1));
+    for (size_t w = 0; w < workers; ++w, block += stride) {
+      std::byte* at = block;
+      EStepScratch& scratch = scratch_.emplace_back();
+      scratch.grad_m = Carve<double>(at, dimensions);
+      const std::span<double> labels = Carve<double>(at, list);
+      labels[0] = 1.0;
+      scratch.labels = labels;
+      scratch.scores = Carve<double>(at, list);
+      scratch.arcs = Carve<size_t>(at, list);
+      scratch.rows = Carve<float*>(at, list);
+    }
+  }
+
+  const EStepScratch& operator[](size_t worker) const {
+    return scratch_[worker];
+  }
+
+ private:
+  template <typename T>
+  static std::span<T> Carve(std::byte*& at, size_t count) {
+    const std::span<T> out(reinterpret_cast<T*>(at), count);
+    at += count * sizeof(T);
+    return out;
+  }
+
+  // Zeroed, so every label after the first is 0.
+  std::unique_ptr<std::byte[]> slab_;
+  std::vector<EStepScratch> scratch_;
+};
+
 /// One E-step SGD step; returns the step's loss contribution (0.0 when
 /// untracked). `A` is the parameter access policy (SerialAccess or
 /// HogwildAccess), `config` any DeepDirect-shaped config with the E-step
@@ -119,7 +194,7 @@ inline void FlushTallies(const std::vector<EStepTally>& tallies) {
 template <typename A, typename Env, typename Config>
 double EStepStep(Env& env, const train::SgdStep& ctx, const Config& config,
                  uint64_t total_iterations, bool track_loss,
-                 std::span<double> grad_m, EStepTally& tally) {
+                 const EStepScratch& scratch, EStepTally& tally) {
   util::Rng& r = ctx.rng;
   const std::span<double> w_prime = ctx.dense.first(ctx.dense.size() - 1);
   double& b_prime = ctx.dense.back();
@@ -128,9 +203,9 @@ double EStepStep(Env& env, const train::SgdStep& ctx, const Config& config,
       static_cast<double>(ctx.step) / static_cast<double>(total_iterations);
   const size_t num_arcs = env.num_arcs();
 
-  // Line 13: sample a connected tie pair (e, e'). A tie with a leaf
-  // destination has no pair; resample instead of silently skipping the
-  // step (P_c ∝ deg_tie never draws such a tie, so the loop only spins
+  // --- Draw. Line 13: sample a connected tie pair (e, e'). A tie with a
+  // leaf destination has no pair; resample instead of silently skipping
+  // the step (P_c ∝ deg_tie never draws such a tie, so the loop only spins
   // under the uniform fallback — which requires |C(G)| > 0 to be reached
   // at all).
   size_t e = env.SampleSource(ctx, r);
@@ -141,25 +216,14 @@ double EStepStep(Env& env, const train::SgdStep& ctx, const Config& config,
     e_prime = env.SampleConnectedTie(e, r);
   }
 
-  auto m_e = env.MRow(e);
-  std::fill(grad_m.begin(), grad_m.end(), 0.0);
-
-  double step_loss = 0.0;
-
-  // --- L_topo: positive pair + λ negatives (Eqs. 23–25). The fused
-  // kernel computes the score, accumulates the m_e gradient, and applies
-  // the context update in one pass: g = σ(score) − y, row −= lr·g·m_e.
-  {
-    auto n_pos = env.NRow(e_prime);
-    const double score = kernels::NegSamplingUpdate<A>(
-        grad_m, m_e, n_pos, /*label=*/1.0, /*grad_scale=*/1.0,
-        /*update_scale=*/-lr);
-    if (track_loss) step_loss -= ml::LogSigmoid(score);
-  }
+  // The λ negatives follow e′ in the L_topo list. A draw colliding with
+  // the positive context is redrawn (bounded), not skipped: skipping would
+  // train those steps on fewer than λ negatives and bias L_topo toward
+  // the positive term.
+  size_t* const arcs = scratch.arcs.data();
+  arcs[0] = e_prime;
+  size_t count = 1;
   for (size_t neg = 0; neg < config.negative_samples; ++neg) {
-    // A draw colliding with the positive context is redrawn (bounded),
-    // not skipped: skipping would train those steps on fewer than λ
-    // negatives and bias L_topo toward the positive term.
     size_t f = env.SampleNoise(r);
     size_t redraws = 0;
     while (f == e_prime && redraws < kMaxNegativeRedraws) {
@@ -169,24 +233,52 @@ double EStepStep(Env& env, const train::SgdStep& ctx, const Config& config,
     }
     if (f == e_prime) continue;  // degenerate noise mass; give up
     ++tally.negatives;
-    auto n_neg = env.NRow(f);
-    const double score = kernels::NegSamplingUpdate<A>(
-        grad_m, m_e, n_neg, /*label=*/0.0, /*grad_scale=*/1.0,
-        /*update_scale=*/-lr);
-    if (track_loss) step_loss -= ml::LogSigmoid(-score);
+    arcs[count++] = f;
   }
 
-  // --- Classifier losses: ∂L'/∂b' per Eq. 21, ramped in over the warmup
-  // window so the topology loss shapes the embedding first.
   const double warmup_scale =
       config.classifier_warmup_fraction <= 0.0
           ? 1.0
           : std::min(1.0, progress / config.classifier_warmup_fraction);
-  double g_b = 0.0;
   const ArcClass arc_class = env.ClassOf(e);
   const bool needs_prediction =
       warmup_scale > 0.0 &&
       (env.IsLabeled(e) || arc_class == ArcClass::kUndirected);
+
+  // --- Prefetch every row the step reads before the first of them is
+  // used, so their loads overlap instead of queuing behind one another.
+  env.PrefetchMRow(e);
+  for (size_t j = 0; j < count; ++j) env.PrefetchNRow(arcs[j]);
+  if (needs_prediction && !env.IsLabeled(e)) {
+    for (const auto& pair : env.Pattern(e).triads) {
+      env.PrefetchMRow(pair.first);
+      env.PrefetchMRow(pair.second);
+    }
+  }
+
+  auto m_e = env.MRow(e);
+  float** const rows = scratch.rows.data();
+  for (size_t j = 0; j < count; ++j) rows[j] = env.NRow(arcs[j]).data();
+  const std::span<double> grad_m = scratch.grad_m;
+  std::fill(grad_m.begin(), grad_m.end(), 0.0);
+
+  double step_loss = 0.0;
+
+  // --- L_topo: positive pair + λ negatives (Eqs. 23–25) in one kernel
+  // call. Per row it computes the score, accumulates the m_e gradient and
+  // applies the context update: g = σ(score) − y, row −= lr·g·m_e.
+  const std::span<double> scores = scratch.scores.first(count);
+  kernels::NegSamplingRows<A>(grad_m, m_e, {rows, count},
+                              scratch.labels.first(count), /*grad_scale=*/1.0,
+                              /*update_scale=*/-lr, scores);
+  if (track_loss) {
+    step_loss -= ml::LogSigmoid(scores[0]);
+    for (size_t j = 1; j < count; ++j) step_loss -= ml::LogSigmoid(-scores[j]);
+  }
+
+  // --- Classifier losses: ∂L'/∂b' per Eq. 21, ramped in over the warmup
+  // window so the topology loss shapes the embedding first.
+  double g_b = 0.0;
   if (needs_prediction) {
     const double score = kernels::DotF64F32<A>(A::Load(b_prime), w_prime, m_e);
     const double prediction = ml::Sigmoid(score);
@@ -253,6 +345,8 @@ struct MatrixRows {
 
   std::span<float> EmbRow(size_t e) { return m.Row(e); }
   std::span<float> ConnRow(size_t e) { return n.Row(e); }
+  void PrefetchEmbRow(size_t e) const { kernels::PrefetchRow(m.Row(e)); }
+  void PrefetchConnRow(size_t e) const { kernels::PrefetchRow(n.Row(e)); }
 };
 
 /// The E-step's sampling distributions (Algorithm 1, line 11). Sources
@@ -364,6 +458,8 @@ struct EStepEnv {
   size_t num_arcs() const { return idx.num_arcs(); }
   std::span<float> MRow(size_t e) { return rows.EmbRow(e); }
   std::span<float> NRow(size_t e) { return rows.ConnRow(e); }
+  void PrefetchMRow(size_t e) const { rows.PrefetchEmbRow(e); }
+  void PrefetchNRow(size_t e) const { rows.PrefetchConnRow(e); }
   size_t SampleSource(const train::SgdStep& ctx, util::Rng& r) const {
     return samplers.SampleSource(ctx, r);
   }
@@ -405,7 +501,7 @@ inline train::SgdOptions EStepOptions(const DeepDirectConfig& config,
 }
 
 /// Runs EStepStep over `env` for `options.steps` steps with per-worker
-/// gradient scratch and sampler tallies, then flushes the tallies.
+/// scratch and sampler tallies, then flushes the tallies.
 template <typename Rows>
 void RunEStep(EStepEnv<Rows> env, const train::SgdOptions& options,
               const DeepDirectConfig& config, util::Rng& rng) {
@@ -415,24 +511,13 @@ void RunEStep(EStepEnv<Rows> env, const train::SgdOptions& options,
   const bool track_loss =
       static_cast<bool>(config.progress) || obs::Enabled();
   train::SgdDriver driver(options);
-  // Each worker's gradient row starts a 4 KiB block of its own, and
-  // hardware prefetchers stay inside such a block, so a worker's stores and
-  // the prefetches along them never pull in a line another worker writes.
-  // On perfbench discover's graph (two workers, 4-vCPU x86-64 host), rows
-  // packed back to back cost 11% more per step than rows a block apart.
-  constexpr uintptr_t kBlockBytes = 4096;
-  constexpr size_t kBlock = kBlockBytes / sizeof(double);
-  const size_t stride = (config.dimensions + kBlock - 1) / kBlock * kBlock;
-  std::vector<double> scratch(driver.num_workers() * stride + kBlock);
-  double* const grad_rows = reinterpret_cast<double*>(
-      (reinterpret_cast<uintptr_t>(scratch.data()) + kBlockBytes - 1) &
-      ~(kBlockBytes - 1));
+  const EStepWorkspace workspace(driver.num_workers(), config.dimensions,
+                                 config.negative_samples);
   std::vector<EStepTally> tallies(driver.num_workers());
   driver.Run(rng, [&](auto access, const train::SgdStep& ctx) -> double {
     using A = decltype(access);
     return EStepStep<A>(env, ctx, config, options.steps, track_loss,
-                        {grad_rows + ctx.worker * stride, config.dimensions},
-                        tallies[ctx.worker]);
+                        workspace[ctx.worker], tallies[ctx.worker]);
   });
   FlushTallies(tallies);
 }

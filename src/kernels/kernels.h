@@ -23,6 +23,7 @@
 #define DEEPDIRECT_KERNELS_KERNELS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 #include "kernels/dispatch.h"
@@ -59,6 +60,24 @@ inline bool UseSimd() {
   return VectorizedPath<A>() && SimdEnabled();
 }
 
+/// Most rows one run of NegSamplingRows scores before it updates any. Six
+/// (the positive and λ = 5 negatives) fit in one run.
+inline constexpr size_t kMaxRunRows = 8;
+
+/// End of the NegSamplingRows run that starts at dst[begin]: the first
+/// later index whose row repeats a row of the run (its score must read
+/// the earlier update), begin + kMaxRunRows, or count, whichever is first.
+inline size_t RunEnd(float* const* dst, size_t begin, size_t count) {
+  const size_t limit =
+      count - begin < kMaxRunRows ? count : begin + kMaxRunRows;
+  for (size_t end = begin + 1; end < limit; ++end) {
+    for (size_t k = begin; k < end; ++k) {
+      if (dst[k] == dst[end]) return end;
+    }
+  }
+  return limit;
+}
+
 }  // namespace detail
 
 /// Σ a[i]·b[i] with double accumulation over float rows (the embedding
@@ -92,43 +111,75 @@ inline void AxpyRows(std::span<float> y, double alpha,
   }
 }
 
-/// Fused negative-sampling step shared by every embedding trainer:
+/// Fused negative-sampling steps of the rows dst[0], dst[1], … against one
+/// source row, in list order. Row j, with label y_j:
 ///
-///   score   = Σ src[k]·dst[k]
-///   g       = grad_scale · (σ(score) − label)
-///   grad[k] += g · dst[k]
-///   dst[k]  += float(update_scale · g · src[k])
+///   score_j = Σ src[k]·dst_j[k]
+///   g       = grad_scale · (σ(score_j) − y_j)
+///   grad[k] += g · dst_j[k]
+///   dst_j[k] += float(update_scale · g · src[k])
 ///
-/// in a single pass, returning `score` (callers feed it to LogSigmoid for
-/// loss tracking). The (label, grad_scale, update_scale) triple expresses
-/// each trainer's historical formula exactly in scalar dispatch:
+/// writing score_j to scores[j] (callers feed it to LogSigmoid for loss
+/// tracking). The list is cut into runs of distinct rows (detail::RunEnd):
+/// a run computes all its scores before it applies any update, so the
+/// row loads overlap, and a row that repeats starts a new run, so its
+/// score reads the earlier update. `src` must not alias any dst row and
+/// `grad` none of the rows; then the result equals consecutive
+/// NegSamplingUpdate calls bit for bit on either path, because every
+/// update keeps its per-lane sequence and grad accumulates in list order.
+/// The (label, grad_scale, update_scale) triple expresses each trainer's
+/// historical formula exactly in scalar dispatch:
 ///   E-step pos/neg     (1|0,  1,  −lr)   g = σ−y,        row −= lr·g·src
 ///   LINE pos/neg       (1|0, −lr,  1)    g = (y−σ)·lr,   row += g·src
 /// (IEEE sign-flip and multiply-commute identities make the unified form
 /// bit-identical to the per-trainer originals.)
 template <typename A>
+inline void NegSamplingRows(std::span<double> grad, std::span<const float> src,
+                            std::span<float* const> dst,
+                            std::span<const double> labels, double grad_scale,
+                            double update_scale, std::span<double> scores) {
+  const size_t n = src.size();
+  const bool simd = detail::UseSimd<A>();
+  for (size_t begin = 0, end = 0; begin < dst.size(); begin = end) {
+    end = detail::RunEnd(dst.data(), begin, dst.size());
+    if (simd) {
+      detail::ActiveOps().neg_sampling_rows(
+          grad.data(), src.data(), dst.data() + begin, labels.data() + begin,
+          end - begin, n, grad_scale, update_scale, scores.data() + begin);
+      continue;
+    }
+    for (size_t j = begin; j < end; ++j) {
+      double score = 0.0;
+      for (size_t i = 0; i < n; ++i) {
+        score += static_cast<double>(A::Load(src[i])) *
+                 static_cast<double>(A::Load(dst[j][i]));
+      }
+      scores[j] = score;
+    }
+    for (size_t j = begin; j < end; ++j) {
+      const double g = grad_scale * (Sigmoid(scores[j]) - labels[j]);
+      const double h = update_scale * g;
+      float* const row = dst[j];
+      for (size_t i = 0; i < n; ++i) {
+        const float dk = A::Load(row[i]);
+        grad[i] += g * static_cast<double>(dk);
+        A::Store(row[i], dk + static_cast<float>(
+                                  h * static_cast<double>(A::Load(src[i]))));
+      }
+    }
+  }
+}
+
+/// The one-row case of NegSamplingRows; returns the score.
+template <typename A>
 inline double NegSamplingUpdate(std::span<double> grad,
                                 std::span<const float> src,
                                 std::span<float> dst, double label,
                                 double grad_scale, double update_scale) {
-  if (detail::UseSimd<A>()) {
-    return detail::ActiveOps().neg_sampling_update(
-        grad.data(), src.data(), dst.data(), src.size(), label, grad_scale,
-        update_scale);
-  }
+  float* const row = dst.data();
   double score = 0.0;
-  for (size_t i = 0; i < src.size(); ++i) {
-    score += static_cast<double>(A::Load(src[i])) *
-             static_cast<double>(A::Load(dst[i]));
-  }
-  const double g = grad_scale * (Sigmoid(score) - label);
-  const double h = update_scale * g;
-  for (size_t i = 0; i < src.size(); ++i) {
-    const float dk = A::Load(dst[i]);
-    grad[i] += g * static_cast<double>(dk);
-    A::Store(dst[i],
-             dk + static_cast<float>(h * static_cast<double>(A::Load(src[i]))));
-  }
+  NegSamplingRows<A>(grad, src, {&row, 1}, {&label, 1}, grad_scale,
+                     update_scale, {&score, 1});
   return score;
 }
 
@@ -247,6 +298,18 @@ inline void LogRegUpdate(std::span<double> w, std::span<const double> x,
   for (size_t i = 0; i < w.size(); ++i) {
     const double wk = A::Load(w[i]);
     A::Store(w[i], wk - lr * (g * x[i] + l2 * wk));
+  }
+}
+
+/// Asks the cache for every line of `row` ahead of its use. A hint only:
+/// it changes no value, and a row on a page that is not mapped in is not
+/// faulted in.
+inline void PrefetchRow(std::span<const float> row) {
+  constexpr uintptr_t kLine = 64;
+  const auto begin = reinterpret_cast<uintptr_t>(row.data()) & ~(kLine - 1);
+  const auto end = reinterpret_cast<uintptr_t>(row.data() + row.size());
+  for (uintptr_t at = begin; at < end; at += kLine) {
+    __builtin_prefetch(reinterpret_cast<const void*>(at));
   }
 }
 

@@ -41,11 +41,14 @@ struct Ops {
                           double* out2);
   /// y[i] += (float)(alpha · x[i]).
   void (*axpy_f32)(float* y, double alpha, const float* x, size_t n);
-  /// Fused negative-sampling update; returns the dot score. See
-  /// kernels.h::NegSamplingUpdate for the exact recurrence.
-  double (*neg_sampling_update)(double* grad, const float* src, float* dst,
-                                size_t n, double label, double grad_scale,
-                                double update_scale);
+  /// Fused negative-sampling updates of `count` distinct rows dst[j]
+  /// against one source row: scores every row, then updates them in list
+  /// order; writes row j's dot score to scores[j]. See
+  /// kernels.h::NegSamplingRows for the exact recurrence.
+  void (*neg_sampling_rows)(double* grad, const float* src,
+                            float* const* dst, const double* labels,
+                            size_t count, size_t n, double grad_scale,
+                            double update_scale, double* scores);
   /// row[i] += (float)grad[i].
   void (*apply_grad)(float* row, const double* grad, size_t n);
   /// row[i] -= (float)(lr · (grad[i] + l2 · row[i])).

@@ -49,18 +49,21 @@ void AxpyF32(float* y, double alpha, const float* x, size_t n) {
   }
 }
 
-double NegSamplingUpdate(double* grad, const float* src, float* dst,
-                         size_t n, double label, double grad_scale,
-                         double update_scale) {
-  const double score = DotF32(src, dst, n);
-  const double g = grad_scale * (SigmoidLut(score) - label);
-  const double h = update_scale * g;
-  for (size_t i = 0; i < n; ++i) {
-    const float dk = dst[i];
-    grad[i] += g * static_cast<double>(dk);
-    dst[i] = dk + static_cast<float>(h * static_cast<double>(src[i]));
+void NegSamplingRows(double* grad, const float* src, float* const* dst,
+                     const double* labels, size_t count, size_t n,
+                     double grad_scale, double update_scale,
+                     double* scores) {
+  for (size_t j = 0; j < count; ++j) scores[j] = DotF32(src, dst[j], n);
+  for (size_t j = 0; j < count; ++j) {
+    const double g = grad_scale * (SigmoidLut(scores[j]) - labels[j]);
+    const double h = update_scale * g;
+    float* const row = dst[j];
+    for (size_t i = 0; i < n; ++i) {
+      const float dk = row[i];
+      grad[i] += g * static_cast<double>(dk);
+      row[i] = dk + static_cast<float>(h * static_cast<double>(src[i]));
+    }
   }
-  return score;
 }
 
 void ApplyGrad(float* row, const double* grad, size_t n) {
@@ -96,11 +99,11 @@ void LogRegUpdate(double* w, const double* x, double lr, double g, double l2,
 }  // namespace
 
 const Ops& ScalarOps() {
-  static const Ops ops{"scalar",          &DotF32,
-                       &DotF64,           &DotF64F32,
-                       &DotPairF64F32,    &AxpyF32,
-                       &NegSamplingUpdate, &ApplyGrad,
-                       &ApplyGradDecay,   &ClassifierUpdate,
+  static const Ops ops{"scalar",         &DotF32,
+                       &DotF64,          &DotF64F32,
+                       &DotPairF64F32,   &AxpyF32,
+                       &NegSamplingRows, &ApplyGrad,
+                       &ApplyGradDecay,  &ClassifierUpdate,
                        &LogRegUpdate};
   return ops;
 }

@@ -118,12 +118,10 @@ struct VecKernels {
     }
   }
 
-  static double NegSamplingUpdate(double* grad, const float* src, float* dst,
-                                  size_t n, double label, double grad_scale,
-                                  double update_scale) {
-    const double score = DotF32(src, dst, n);
-    const double g = grad_scale * (SigmoidLut(score) - label);
-    const double h = update_scale * g;
+  // One row's fused update once its score is known:
+  //   grad[k] += g·dst[k];  dst[k] += float(h·src[k]).
+  static void NegSamplingApply(double* grad, const float* src, float* dst,
+                               size_t n, double g, double h) {
     const auto gv = V::Set1F64(g);
     const auto hv = V::Set1F64(h);
     size_t i = 0;
@@ -143,7 +141,18 @@ struct VecKernels {
       grad[i] += g * static_cast<double>(dk);
       dst[i] = dk + static_cast<float>(h * static_cast<double>(src[i]));
     }
-    return score;
+  }
+
+  // Scores every row before it updates any, so the row loads overlap.
+  static void NegSamplingRows(double* grad, const float* src,
+                              float* const* dst, const double* labels,
+                              size_t count, size_t n, double grad_scale,
+                              double update_scale, double* scores) {
+    for (size_t j = 0; j < count; ++j) scores[j] = DotF32(src, dst[j], n);
+    for (size_t j = 0; j < count; ++j) {
+      const double g = grad_scale * (SigmoidLut(scores[j]) - labels[j]);
+      NegSamplingApply(grad, src, dst[j], n, g, update_scale * g);
+    }
   }
 
   static void ApplyGrad(float* row, const double* grad, size_t n) {
@@ -228,7 +237,7 @@ struct VecKernels {
                &DotF64F32,
                &DotPairF64F32,
                &AxpyF32,
-               &NegSamplingUpdate,
+               &NegSamplingRows,
                &ApplyGrad,
                &ApplyGradDecay,
                &ClassifierUpdate,

@@ -167,15 +167,30 @@ util::Status MmapRwFile::Sync() {
 }
 
 void MmapRwFile::DropResident(uint64_t offset, uint64_t length) {
+  AdviseOutward(offset, length, MADV_DONTNEED);
+}
+
+void MmapRwFile::Populate(uint64_t offset, uint64_t length) {
+#ifdef MADV_POPULATE_WRITE
+  // EINVAL from a kernel without the advice leaves the fault to the first
+  // touch, which is all the advice saves.
+  AdviseOutward(offset, length, MADV_POPULATE_WRITE);
+#else
+  (void)offset;
+  (void)length;
+#endif
+}
+
+void MmapRwFile::AdviseOutward(uint64_t offset, uint64_t length, int advice) {
   if (data_ == nullptr || length == 0 || offset >= size_) return;
   const uint64_t page = PageSize();
   const uint64_t end = length > size_ - offset ? size_ : offset + length;
   // Round outward. The mapping covers whole pages, so the page holding the
-  // file's last byte is released too.
+  // file's last byte is included too.
   const uint64_t begin_page = offset & ~(page - 1);
   const uint64_t end_page = (end + page - 1) & ~(page - 1);
   ::madvise(static_cast<char*>(data_) + begin_page, end_page - begin_page,
-            MADV_DONTNEED);
+            advice);
 }
 
 uint64_t MmapRwFile::PageSize() {

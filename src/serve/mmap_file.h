@@ -117,8 +117,16 @@ class MmapRwFile {
   /// fault back in.
   void DropResident(uint64_t offset, uint64_t length);
 
+  /// Faults the pages of [offset, offset+length) in writable (madvise
+  /// MADV_POPULATE_WRITE), rounded outward like DropResident. A write
+  /// fault maps exactly those pages, where a read fault would also map
+  /// neighbours that sit in the page cache. Best effort: a kernel older
+  /// than 5.14 rejects the advice, and the pages then fault in on first
+  /// touch.
+  void Populate(uint64_t offset, uint64_t length);
+
   /// The system page size, sysconf(_SC_PAGESIZE): the granularity of
-  /// DropResident and Advise.
+  /// DropResident, Populate and Advise.
   static uint64_t PageSize();
 
   /// Applies an access-pattern hint to [offset, offset+length), rounded
@@ -128,6 +136,9 @@ class MmapRwFile {
  private:
   MmapRwFile(void* data, size_t size, int fd)
       : data_(data), size_(size), fd_(fd) {}
+
+  /// madvise(`advice`) over the pages holding [offset, offset+length).
+  void AdviseOutward(uint64_t offset, uint64_t length, int advice);
 
   /// Maps `fd` read-write shared at `size` bytes; owns (and on failure
   /// closes) the descriptor.

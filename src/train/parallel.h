@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 
 #include "train/thread_pool.h"
@@ -42,10 +41,14 @@ inline std::mutex& SharedPoolMutex() {
   return mu;
 }
 
+// The pool is never destroyed. A destructor at exit would join the pool's
+// threads, and a child forked from a multi-threaded process (a death
+// test's) has none of them: its std::exit crashed in that join.
 inline ThreadPool& SharedPool(size_t workers) {
-  static std::unique_ptr<ThreadPool> pool;
-  if (!pool || pool->size() < workers) {
-    pool = std::make_unique<ThreadPool>(workers);
+  static ThreadPool* pool = nullptr;
+  if (pool == nullptr || pool->size() < workers) {
+    delete pool;
+    pool = new ThreadPool(workers);
   }
   return *pool;
 }

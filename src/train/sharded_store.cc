@@ -216,6 +216,17 @@ void ShardedStore::InitPages() {
   pages_.reset(new Page[num_pages_]);
 }
 
+std::pair<ShardedStore::Shard*, uint64_t> ShardedStore::LocatePage(
+    size_t p) {
+  // The page's shard is the last one whose range starts at or before p.
+  Shard& shard = *(std::upper_bound(shards_.begin(), shards_.end(), p,
+                                    [](size_t index, const Shard& s) {
+                                      return index < s.first_page;
+                                    }) -
+                   1);
+  return {&shard, shard.page_offset + ((p - shard.first_page) << page_shift_)};
+}
+
 void ShardedStore::Admit(size_t p) {
   std::lock_guard<std::mutex> lock(admit_mu_);
   Page& incoming = pages_[p];
@@ -234,18 +245,14 @@ void ShardedStore::Admit(size_t p) {
       page.referenced.store(0, std::memory_order_relaxed);
       continue;
     }
-    // The victim's shard is the last one whose range starts at or before q.
-    Shard& victim = *(std::upper_bound(shards_.begin(), shards_.end(), q,
-                                       [](size_t index, const Shard& s) {
-                                         return index < s.first_page;
-                                       }) -
-                      1);
+    const auto [victim, at] = LocatePage(q);
     page.resident.store(0, std::memory_order_release);
-    victim.file.DropResident(
-        victim.page_offset + ((q - victim.first_page) << page_shift_), 1);
+    victim->file.DropResident(at, 1);
     resident_bytes_ -= page_bytes_;
     ++evictions_;
   }
+  const auto [owner, at] = LocatePage(p);
+  owner->file.Populate(at, 1);
   resident_bytes_ += page_bytes_;
   max_resident_bytes_ = std::max(max_resident_bytes_, resident_bytes_);
   ++admissions_;

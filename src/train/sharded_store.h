@@ -16,7 +16,11 @@
 //   * EmbRow/ConnRow admit every page the row spans (rows are l·4 bytes
 //     and only 64-byte aligned, so a row can straddle a page boundary)
 //     and mark resident ones referenced: one acquire load per page, and a
-//     store of the reference byte only when it is clear. Admission over
+//     store of the reference byte only when it is clear. Admission faults
+//     the page in writable at once (MADV_POPULATE_WRITE): a write fault
+//     maps that page alone, while the first read of an unmapped page would
+//     also map up to 16 of its neighbours from the page cache (fault-
+//     around), pages the budget does not count. Admission over
 //     budget runs a CLOCK under one mutex: a hand advances over the pages
 //     of all shards, clears each reference byte it passes, and drops the
 //     first unreferenced resident page (MADV_DONTNEED on a MAP_SHARED
@@ -48,9 +52,11 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/shard_format.h"
+#include "kernels/kernels.h"
 #include "serve/mmap_file.h"
 #include "util/random.h"
 #include "util/status.h"
@@ -126,6 +132,20 @@ class ShardedStore {
     float* row = s.conn + (e - s.arc_begin) * dimensions_;
     Touch(s, row);
     return {row, static_cast<size_t>(dimensions_)};
+  }
+
+  /// Cache hints for row e of M or N that bypass residency: they admit
+  /// nothing, the CLOCK does not see them, and a row whose page is not
+  /// mapped in stays unmapped.
+  void PrefetchEmbRow(size_t e) const {
+    const Shard& s = shards_[ShardOf(e)];
+    kernels::PrefetchRow({s.emb + (e - s.arc_begin) * dimensions_,
+                          static_cast<size_t>(dimensions_)});
+  }
+  void PrefetchConnRow(size_t e) const {
+    const Shard& s = shards_[ShardOf(e)];
+    kernels::PrefetchRow({s.conn + (e - s.arc_begin) * dimensions_,
+                          static_cast<size_t>(dimensions_)});
   }
 
   // --- Lifecycle --------------------------------------------------------
@@ -205,8 +225,12 @@ class ShardedStore {
     }
   }
 
-  /// Admits page `p` under the budget, evicting with the CLOCK first.
+  /// Admits page `p` under the budget, evicting with the CLOCK first, and
+  /// faults it in writable.
   void Admit(size_t p);
+
+  /// The shard whose budgeted range holds page `p`, and p's file offset.
+  std::pair<Shard*, uint64_t> LocatePage(size_t p);
 
   uint64_t num_arcs_ = 0;
   uint64_t dimensions_ = 0;

@@ -388,7 +388,8 @@ TEST(DeepDirectTest, DStepWarmStartMatchesEStepShape) {
 // reference.
 
 // A storage environment with fixed draws: source arc 0, its context arc 1,
-// the λ = 2 negatives 2 and 3, and the triad pairs (4, 5) and (6, 7).
+// the noise draws 2, 3, 2, 3, … (so λ = 2 trains on negatives 2 and 3),
+// and the triad pairs (4, 5) and (6, 7).
 struct FixedDrawEnv {
   static constexpr size_t kArcs = 8;
   static constexpr size_t kSource = 0;
@@ -406,14 +407,19 @@ struct FixedDrawEnv {
   ArcClass arc_class = ArcClass::kLabeledPositive;
   uint32_t tie_degree = 1;
   PatternView pattern;
+  std::vector<size_t> noise = {kNegatives[0], kNegatives[1]};  // cycled
   size_t noise_draws = 0;
 
   size_t num_arcs() const { return kArcs; }
   std::span<float> MRow(size_t e) { return {m.data() + e * l, l}; }
   std::span<float> NRow(size_t e) { return {n.data() + e * l, l}; }
+  void PrefetchMRow(size_t) const {}
+  void PrefetchNRow(size_t) const {}
   size_t SampleSource(const train::SgdStep&, util::Rng&) { return kSource; }
   size_t SampleConnectedTie(size_t, util::Rng&) { return kContext; }
-  size_t SampleNoise(util::Rng&) { return kNegatives[noise_draws++ % 2]; }
+  size_t SampleNoise(util::Rng&) {
+    return noise[noise_draws++ % noise.size()];
+  }
   ArcClass ClassOf(size_t) const { return arc_class; }
   bool IsLabeled(size_t) const {
     return arc_class == ArcClass::kLabeledPositive ||
@@ -566,10 +572,10 @@ TEST_P(EStepGradientTest, StepAppliesMinusLrTimesGradient) {
       .lr = lr,
       .rng = rng,
       .dense = dense};
-  std::vector<double> grad_m(l);
+  const internal::EStepWorkspace workspace(1, l, config.negative_samples);
   internal::EStepTally tally;
   internal::EStepStep<train::SerialAccess>(env, ctx, config, kTotal,
-                                           /*track_loss=*/false, grad_m,
+                                           /*track_loss=*/false, workspace[0],
                                            tally);
   EXPECT_EQ(tally.negatives, 2u);
 
@@ -612,6 +618,152 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GradientCase>& info) {
       return std::string(info.param.name);
     });
+
+// ---------------------------------------------------------------------------
+// The step's one kernel call against the step it replaced: EStepStep draws
+// every index first and trains the positive and the λ negatives in one
+// NegSamplingRows call; the reference below draws each negative just
+// before its own NegSamplingUpdate call. Both must move every parameter,
+// the loss and the tallies identically, bit for bit, on either kernel path.
+
+double PerNegativeReferenceStep(FixedDrawEnv& env, const train::SgdStep& ctx,
+                                const DeepDirectConfig& config,
+                                uint64_t total, std::span<double> grad_m,
+                                internal::EStepTally& tally) {
+  using A = train::SerialAccess;
+  const std::span<double> w_prime = ctx.dense.first(ctx.dense.size() - 1);
+  double& b_prime = ctx.dense.back();
+  const double lr = ctx.lr;
+  const size_t e = env.SampleSource(ctx, ctx.rng);
+  const size_t e_prime = env.SampleConnectedTie(e, ctx.rng);
+  auto m_e = env.MRow(e);
+  std::fill(grad_m.begin(), grad_m.end(), 0.0);
+  double loss = -ml::LogSigmoid(kernels::NegSamplingUpdate<A>(
+      grad_m, m_e, env.NRow(e_prime), 1.0, 1.0, -lr));
+  for (size_t neg = 0; neg < config.negative_samples; ++neg) {
+    size_t f = env.SampleNoise(ctx.rng);
+    size_t redraws = 0;
+    while (f == e_prime && redraws < internal::kMaxNegativeRedraws) {
+      ++tally.neg_collisions;
+      ++redraws;
+      f = env.SampleNoise(ctx.rng);
+    }
+    if (f == e_prime) continue;
+    ++tally.negatives;
+    loss -= ml::LogSigmoid(-kernels::NegSamplingUpdate<A>(
+        grad_m, m_e, env.NRow(f), 0.0, 1.0, -lr));
+  }
+  const double progress =
+      static_cast<double>(ctx.step) / static_cast<double>(total);
+  const double warmup = std::min(1.0, progress / 0.5);
+  const double prediction =
+      ml::Sigmoid(kernels::DotF64F32<A>(b_prime, w_prime, m_e));
+  double g_b = 0.0;
+  if (env.IsLabeled(e)) {
+    ++tally.labeled;
+    g_b = config.alpha * warmup * (prediction - env.Label(e));
+  } else if (env.ClassOf(e) == ArcClass::kUndirected) {
+    const auto& pattern = env.Pattern(e);
+    double y_t = 0.0;
+    for (const auto& [uw, vw] : pattern.triads) {
+      double s_uw = 0.0;
+      double s_vw = 0.0;
+      kernels::DotPairF64F32<A>(b_prime, w_prime, env.MRow(uw), env.MRow(vw),
+                                &s_uw, &s_vw);
+      const double y_uw = ml::Sigmoid(s_uw);
+      const double y_vw = ml::Sigmoid(s_vw);
+      y_t += y_uw / std::max(y_uw + y_vw, 1e-12);
+    }
+    ++tally.triad_pattern;
+    y_t /= static_cast<double>(pattern.triads.size());
+    g_b = config.beta * warmup * (prediction - y_t);
+  }
+  if (g_b != 0.0) {
+    kernels::ClassifierUpdate<A>(grad_m, w_prime, m_e, g_b, lr,
+                                 config.classifier_l2);
+    b_prime -= lr * g_b;
+  }
+  kernels::ApplyGradDecay<A>(m_e, grad_m, lr, config.embedding_l2);
+  return loss;
+}
+
+struct ListCase {
+  const char* name;
+  size_t negatives;
+  std::vector<size_t> noise;  ///< cycled; arc 1 is the context
+  ArcClass arc_class;
+};
+
+TEST(EStepListTest, OneKernelCallMatchesPerNegativeUpdatesBitForBit) {
+  constexpr size_t l = 17;
+  const ListCase cases[] = {
+      {"PositiveOnly", 0, {2}, ArcClass::kLabeledPositive},
+      {"FiveDistinct", 5, {2, 3, 4, 5, 6}, ArcClass::kLabeledNegative},
+      {"RepeatedNoiseRow", 5, {2, 3, 2, 7, 2}, ArcClass::kUndirected},
+      {"CollisionsRedrawn", 4, {1, 2, 1, 1, 3, 0}, ArcClass::kUndirected},
+      {"EveryDrawCollides", 2, {1}, ArcClass::kLabeledPositive},
+      {"LongerThanARun", 19, {2, 3, 4, 5, 6, 7, 0}, ArcClass::kUndirected},
+  };
+  const kernels::Mode saved = kernels::CurrentMode();
+  for (const kernels::Mode mode : {kernels::Mode::kScalar,
+                                   kernels::Mode::kSimd}) {
+    kernels::SetMode(mode);
+    for (const ListCase& c : cases) {
+      SCOPED_TRACE(std::string(c.name) +
+                   (mode == kernels::Mode::kScalar ? " scalar" : " simd"));
+      DeepDirectConfig config;
+      config.dimensions = l;
+      config.negative_samples = c.negatives;
+      config.classifier_warmup_fraction = 0.5;
+
+      util::Rng init(29);
+      FixedDrawEnv env{.l = l, .m = {}, .n = {}, .pattern = {}};
+      env.m.resize(FixedDrawEnv::kArcs * l);
+      env.n.resize(FixedDrawEnv::kArcs * l);
+      for (std::vector<float>* rows : {&env.m, &env.n}) {
+        for (float& x : *rows) x = static_cast<float>(init.NextDoubleIn(-1, 1));
+      }
+      env.arc_class = c.arc_class;
+      env.pattern.triads = {{4, 5}, {6, 7}};
+      env.noise = c.noise;
+      std::vector<double> dense(l + 1);
+      for (double& x : dense) x = init.NextDoubleIn(-0.5, 0.5);
+      FixedDrawEnv ref_env = env;
+      std::vector<double> ref_dense = dense;
+
+      util::Rng rng(1);
+      const train::SgdStep ctx{
+          .worker = 0, .step = 800, .lr = 0.05, .rng = rng, .dense = dense};
+      const internal::EStepWorkspace workspace(1, l, c.negatives);
+      internal::EStepTally tally;
+      const double loss = internal::EStepStep<train::SerialAccess>(
+          env, ctx, config, 1000, /*track_loss=*/true, workspace[0], tally);
+
+      const train::SgdStep ref_ctx{.worker = 0,
+                                   .step = 800,
+                                   .lr = 0.05,
+                                   .rng = rng,
+                                   .dense = ref_dense};
+      std::vector<double> grad_m(l);
+      internal::EStepTally ref_tally;
+      const double ref_loss = PerNegativeReferenceStep(
+          ref_env, ref_ctx, config, 1000, grad_m, ref_tally);
+
+      EXPECT_EQ(env.m, ref_env.m);
+      EXPECT_EQ(env.n, ref_env.n);
+      EXPECT_EQ(dense, ref_dense);
+      EXPECT_EQ(loss, ref_loss);
+      EXPECT_EQ(env.noise_draws, ref_env.noise_draws);
+      EXPECT_EQ(tally.resamples, ref_tally.resamples);
+      EXPECT_EQ(tally.neg_collisions, ref_tally.neg_collisions);
+      EXPECT_EQ(tally.negatives, ref_tally.negatives);
+      EXPECT_EQ(tally.labeled, ref_tally.labeled);
+      EXPECT_EQ(tally.degree_pattern, ref_tally.degree_pattern);
+      EXPECT_EQ(tally.triad_pattern, ref_tally.triad_pattern);
+    }
+  }
+  kernels::SetMode(saved);
+}
 
 // Eq. 14 as implemented (DESIGN.md §4b): y^d_{uv} = deg(v)/(deg(u)+deg(v)),
 // the pattern-consistent form, not the printed deg(u)/(deg(u)+deg(v)).

@@ -433,6 +433,112 @@ TEST_F(KernelsTest, SimdKernelsHandleDenormalInputs) {
   }
 }
 
+// ------------------------------------------ multi-row negative sampling
+//
+// NegSamplingRows scores a run of distinct rows before it updates any of
+// them, so it must equal consecutive NegSamplingUpdate calls bit for bit
+// on either path: per row the same lanes, grad in list order, and a
+// repeated row's score reading the earlier update.
+
+// Trains the rows `list` of a row pool (label 1 for the first, 0 after)
+// against one source row, once through NegSamplingRows and once through
+// one NegSamplingUpdate per row, and requires equal bits everywhere.
+void ExpectRowsMatchConsecutiveUpdates(const std::vector<size_t>& list,
+                                       size_t n, uint64_t seed) {
+  util::Rng rng(seed);
+  constexpr size_t kPool = 24;
+  const std::vector<float> src = RandomRow(rng, n);
+  std::vector<float> pool = RandomRow(rng, kPool * n);
+  std::vector<float> pool_ref = pool;
+  std::vector<double> grad = RandomRowD(rng, n);
+  std::vector<double> grad_ref = grad;
+  std::vector<float*> rows;
+  std::vector<double> labels;
+  for (size_t j = 0; j < list.size(); ++j) {
+    rows.push_back(pool.data() + list[j] * n);
+    labels.push_back(j == 0 ? 1.0 : 0.0);
+  }
+  std::vector<double> scores(list.size());
+  NegSamplingRows<SerialAccess>(grad, src, rows, labels, 1.0, -0.05, scores);
+  for (size_t j = 0; j < list.size(); ++j) {
+    const double score = NegSamplingUpdate<SerialAccess>(
+        grad_ref, src, std::span(pool_ref).subspan(list[j] * n, n),
+        labels[j], 1.0, -0.05);
+    EXPECT_EQ(scores[j], score) << "row " << j << ", n=" << n;
+  }
+  EXPECT_EQ(pool, pool_ref) << "n=" << n;
+  EXPECT_EQ(grad, grad_ref) << "n=" << n;
+}
+
+TEST_F(KernelsTest, NegSamplingRowsMatchesConsecutiveUpdatesBitForBit) {
+  // A list longer than any run, with every row distinct.
+  std::vector<size_t> long_list;
+  for (size_t j = 0; j < 3 * detail::kMaxRunRows + 1; ++j) {
+    long_list.push_back(j % 24);
+  }
+  const std::vector<std::vector<size_t>> lists = {
+      {7},                           // the positive only (λ = 0)
+      {7, 3, 11, 0, 19, 5},          // λ = 5
+      {7, 3, 11, 3, 19, 3},          // a noise row drawn three times
+      {7, 7},                        // a negative equal to the positive row
+      long_list,                     // longer than any run
+      {1, 2, 3, 4, 5, 6, 7, 8, 1},   // a repeat right after a full run
+  };
+  for (const Mode mode : {Mode::kScalar, Mode::kSimd}) {
+    SetMode(mode);
+    uint64_t seed = 40;
+    for (const auto& list : lists) {
+      for (size_t n : {size_t{17}, size_t{64}}) {
+        SCOPED_TRACE(mode == Mode::kScalar ? "scalar" : "simd");
+        ExpectRowsMatchConsecutiveUpdates(list, n, ++seed);
+      }
+    }
+  }
+}
+
+TEST_F(KernelsTest, NegSamplingRowsRunsEndAtRepeatsAndAtTheRunCap) {
+  float rows[12][1];
+  std::vector<float*> dst;
+  for (size_t j = 0; j < 12; ++j) dst.push_back(rows[j]);
+  EXPECT_EQ(detail::RunEnd(dst.data(), 0, 1), 1u);
+  EXPECT_EQ(detail::RunEnd(dst.data(), 0, 6), 6u);
+  EXPECT_EQ(detail::RunEnd(dst.data(), 0, 12), detail::kMaxRunRows);
+  EXPECT_EQ(detail::RunEnd(dst.data(), 10, 12), 12u);
+  dst[4] = dst[2];
+  EXPECT_EQ(detail::RunEnd(dst.data(), 0, 12), 4u);
+  EXPECT_EQ(detail::RunEnd(dst.data(), 3, 12), 3u + detail::kMaxRunRows);
+  EXPECT_EQ(detail::RunEnd(dst.data(), 2, 12), 4u);
+}
+
+// The portable fallback table is reachable only on hosts without a vector
+// ISA, so its entry is held to its own one-row calls directly, on a run of
+// distinct rows (the rows a run may hold).
+TEST_F(KernelsTest, FallbackTableRowsMatchItsOneRowCallsBitForBit) {
+  util::Rng rng(50);
+  const size_t n = 19;
+  const std::vector<float> src = RandomRow(rng, n);
+  std::vector<float> pool = RandomRow(rng, 5 * n);
+  std::vector<float> pool_ref = pool;
+  std::vector<double> grad(n, 0.25), grad_ref(n, 0.25);
+  const size_t list[] = {0, 2, 1, 4, 3};
+  const double labels[] = {1.0, 0.0, 0.0, 0.0, 0.0};
+  std::vector<float*> rows;
+  for (size_t row : list) rows.push_back(pool.data() + row * n);
+  double scores[5];
+  const detail::Ops& ops = detail::ScalarOps();
+  ops.neg_sampling_rows(grad.data(), src.data(), rows.data(), labels, 5, n,
+                        1.0, -0.05, scores);
+  for (size_t j = 0; j < 5; ++j) {
+    float* row = pool_ref.data() + list[j] * n;
+    double score = 0.0;
+    ops.neg_sampling_rows(grad_ref.data(), src.data(), &row, &labels[j], 1, n,
+                          1.0, -0.05, &score);
+    EXPECT_EQ(scores[j], score) << "row " << j;
+  }
+  EXPECT_EQ(pool, pool_ref);
+  EXPECT_EQ(grad, grad_ref);
+}
+
 // ------------------------------------- trainer-level determinism at nt=1
 //
 // Scalar dispatch must make a full trainer run reproducible: two

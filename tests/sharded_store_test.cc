@@ -10,7 +10,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -848,6 +850,59 @@ TEST(ShardedStoreTest, ConcurrentWritersUnderThreePagesKeepAccountingAndData) {
           << "N row " << n - 1 - e << " dim " << k;
     }
   }
+}
+
+/// Resident KiB of this process's mappings of files under `dir`, summed
+/// from the Rss lines of /proc/self/smaps; -1 when smaps is unreadable.
+int64_t MappedKiBUnder(const std::string& dir) {
+  std::ifstream smaps("/proc/self/smaps");
+  if (!smaps) return -1;
+  int64_t total = 0;
+  bool inside = false;
+  std::string line;
+  while (std::getline(smaps, line)) {
+    // A mapping's header line starts with its address range, "lo-hi".
+    const size_t dash = line.find('-');
+    if (dash != std::string::npos && dash > 0 &&
+        std::isxdigit(static_cast<unsigned char>(line[0])) &&
+        line.find(':') > dash) {
+      inside = line.find(dir) != std::string::npos;
+    } else if (inside && line.rfind("Rss:", 0) == 0) {
+      total += std::stoll(line.substr(4));
+    }
+  }
+  return total;
+}
+
+TEST(ShardedStoreTest, MappedPagesStayWithinTheBudget) {
+  // A read fault on an unmapped page also maps neighbours that sit in the
+  // page cache (fault-around), and the budget counts none of them; so
+  // admission must map the admitted page alone. Rows of 16 floats never
+  // straddle a page, so each read lands on the page its touch admitted.
+  const StoreInputs inputs(MakeSplit(1000), 16);
+  const uint64_t page = serve::MmapRwFile::PageSize();
+  const uint64_t budget = 32 * page;
+  const std::string dir = FreshDir("dd_page_rss_" + std::to_string(::getpid()));
+  auto store = CreateStore(inputs, dir, 4, budget);
+  ASSERT_NE(store, nullptr);
+  ASSERT_GT(2 * store->num_arcs() * 16 * sizeof(float), 4 * budget)
+      << "fixture too small to pressure";
+  if (MappedKiBUnder(dir) < 0) GTEST_SKIP() << "no /proc/self/smaps";
+
+  util::Rng rng(9);
+  double sum = 0.0;
+  for (int i = 0; i < 4000; ++i) {
+    const size_t e = rng.NextIndex(store->num_arcs());
+    const auto row = rng.NextBool(0.5) ? store->EmbRow(e) : store->ConnRow(e);
+    for (const float x : row) sum += x;
+  }
+  EXPECT_TRUE(std::isfinite(sum));
+  const auto stats = store->GetStats();
+  ExpectExactAccounting(stats);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_LE(MappedKiBUnder(dir), static_cast<int64_t>(budget / 1024));
+  store.reset();
+  fs::remove_all(dir);
 }
 
 }  // namespace
