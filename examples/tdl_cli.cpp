@@ -35,7 +35,12 @@
 //
 // Methods: deepdirect (default), hf, line, redirect-n, redirect-t.
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -59,12 +64,15 @@
 #include "serve/servable_model.h"
 #include "serve/server.h"
 #include "train/checkpoint.h"
+#include "util/check.h"
 #include "util/csv_writer.h"
 #include "util/random.h"
 
 namespace {
 
 using namespace deepdirect;
+
+using Flags = std::map<std::string, std::string>;
 
 int Usage() {
   std::fprintf(stderr,
@@ -156,14 +164,51 @@ std::optional<core::Method> ParseMethod(const std::string& name) {
   return std::nullopt;
 }
 
-// Strict parse for --threads: the whole string must be a base-10 number.
-// (strtoull alone would turn a typo like "abc" into 0 = all cores.)
-std::optional<size_t> ParseThreads(const std::string& text) {
+// Strict numeric flags. An absent flag takes `fallback`. A present one
+// must be, as a whole, a base-10 integer (IntFlag) or a real number
+// (RealFlag) in [lo, hi]; otherwise the parser prints an error and returns
+// nullopt, and the command exits 1 before it reads any input. (atof and
+// strtoull alone turn "abc" into 0 and "-1" into a huge count.)
+std::optional<uint64_t> IntFlag(const Flags& flags, const char* name,
+                                uint64_t fallback, uint64_t lo, uint64_t hi) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return fallback;
+  const std::string& text = it->second;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0') return std::nullopt;
-  return static_cast<size_t>(value);
+  if (!text.empty() && std::isdigit(static_cast<unsigned char>(text[0])) &&
+      *end == '\0' && errno == 0 && value >= lo && value <= hi) {
+    return value;
+  }
+  std::fprintf(stderr,
+               "error: --%s expects an integer in [%llu, %llu], got '%s'\n",
+               name, static_cast<unsigned long long>(lo),
+               static_cast<unsigned long long>(hi), text.c_str());
+  return std::nullopt;
 }
+
+std::optional<double> RealFlag(const Flags& flags, const char* name,
+                               double fallback, double lo, double hi) {
+  const auto it = flags.find(name);
+  if (it == flags.end()) return fallback;
+  const std::string& text = it->second;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  // The range test also rejects NaN.
+  if (!text.empty() && !std::isspace(static_cast<unsigned char>(text[0])) &&
+      *end == '\0' && value >= lo && value <= hi) {
+    return value;
+  }
+  std::fprintf(stderr, "error: --%s expects a number in [%g, %g], got '%s'\n",
+               name, lo, hi, text.c_str());
+  return std::nullopt;
+}
+
+// Upper bounds of the size flags: far above any useful value, low enough
+// that no typo spawns a million threads or shard files.
+constexpr uint64_t kMaxThreads = 1024;
+constexpr uint64_t kMaxShards = 1 << 16;
 
 std::optional<data::DatasetId> ParseDataset(const std::string& name) {
   if (name == "twitter") return data::DatasetId::kTwitter;
@@ -177,9 +222,8 @@ std::optional<data::DatasetId> ParseDataset(const std::string& name) {
 // Flat --key [value] parsing; a flag followed by another flag (or the end
 // of the argument list) is valueless and maps to the empty string, so bare
 // switches like --resume parse alongside --key value pairs.
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int first) {
-  std::map<std::string, std::string> flags;
+Flags ParseFlags(int argc, char** argv, int first) {
+  Flags flags;
   for (int i = first; i < argc; ++i) {
     if (std::strncmp(argv[i], "--", 2) != 0) continue;
     const std::string key = argv[i] + 2;
@@ -193,20 +237,23 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv,
   return flags;
 }
 
-int RunGenerate(const std::map<std::string, std::string>& flags) {
+int RunGenerate(const Flags& flags) {
   const auto dataset_it = flags.find("dataset");
   const auto output_it = flags.find("output");
   if (dataset_it == flags.end() || output_it == flags.end()) return Usage();
   const auto dataset = ParseDataset(dataset_it->second);
   if (!dataset.has_value()) return Usage();
-  const double scale =
-      flags.contains("scale") ? std::atof(flags.at("scale").c_str()) : 1.0;
+  // A generated network needs at least 3 nodes: llround(base · scale) ≥ 3.
+  const double base_nodes =
+      static_cast<double>(data::DatasetConfig(*dataset, 1.0).num_nodes);
+  const auto scale = RealFlag(flags, "scale", 1.0, 2.5 / base_nodes, 1e4);
+  if (!scale.has_value()) return 1;
 
   if (flags.contains("stream")) {
     // Stream the tie sequence straight to disk — same process, same RNG
     // stream, so the file matches what SaveEdgeList would have written,
     // without ever holding the network in RAM.
-    const auto config = data::DatasetConfig(*dataset, scale);
+    const auto config = data::DatasetConfig(*dataset, *scale);
     const auto status =
         data::WriteStatusNetworkEdgeList(config, output_it->second);
     if (!status.ok()) {
@@ -218,7 +265,7 @@ int RunGenerate(const std::map<std::string, std::string>& flags) {
     return 0;
   }
 
-  const auto net = data::MakeDataset(*dataset, scale);
+  const auto net = data::MakeDataset(*dataset, *scale);
   const auto status = graph::SaveEdgeList(net, output_it->second);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -240,7 +287,7 @@ struct CheckpointFlags {
 // Parses the checkpoint flags; nullopt after printing an error when a value
 // is malformed or --resume is given without --checkpoint-dir.
 std::optional<CheckpointFlags> ParseCheckpointFlags(
-    const std::map<std::string, std::string>& flags) {
+    const Flags& flags) {
   CheckpointFlags out;
   if (flags.contains("checkpoint-dir")) out.dir = flags.at("checkpoint-dir");
   out.resume = flags.contains("resume");
@@ -248,24 +295,15 @@ std::optional<CheckpointFlags> ParseCheckpointFlags(
     std::fprintf(stderr, "error: --resume requires --checkpoint-dir\n");
     return std::nullopt;
   }
-  const auto number_flag = [&](const char* name,
-                               uint64_t* value) -> bool {
-    if (!flags.contains(name)) return true;
-    const auto parsed = ParseThreads(flags.at(name));
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "error: --%s expects a number, got '%s'\n", name,
-                   flags.at(name).c_str());
-      return false;
-    }
-    *value = *parsed;
-    return true;
-  };
-  uint64_t keep = out.policy.keep_last;
-  if (!number_flag("checkpoint-every", &out.policy.every_n_epochs) ||
-      !number_flag("checkpoint-keep", &keep)) {
-    return std::nullopt;
-  }
-  out.policy.keep_last = static_cast<size_t>(keep);
+  // A cadence of 0 would write no checkpoint at all, not even the final
+  // state promised below.
+  const auto every = IntFlag(flags, "checkpoint-every",
+                             out.policy.every_n_epochs, 1, UINT64_MAX);
+  const auto keep =
+      IntFlag(flags, "checkpoint-keep", out.policy.keep_last, 0, UINT64_MAX);
+  if (!every.has_value() || !keep.has_value()) return std::nullopt;
+  out.policy.every_n_epochs = *every;
+  out.policy.keep_last = static_cast<size_t>(*keep);
   // CLI runs always persist the final E-step state: `tdl_cli update`
   // warm-starts from it, and an ordinary resume snapshot is one epoch
   // short of the model the run actually produced.
@@ -273,37 +311,41 @@ std::optional<CheckpointFlags> ParseCheckpointFlags(
   return out;
 }
 
-// Parses the optional --threads flag; nullopt after printing an error when
-// the value is malformed, 1 (deterministic serial default) when absent.
-std::optional<size_t> ThreadsFlag(
-    const std::map<std::string, std::string>& flags) {
-  if (!flags.contains("threads")) return 1;
-  const auto threads = ParseThreads(flags.at("threads"));
-  if (!threads.has_value()) {
-    std::fprintf(stderr, "error: --threads expects a number, got '%s'\n",
-                 flags.at("threads").c_str());
-  }
-  return threads;
+// The optional --threads flag: 1 (the deterministic serial default) when
+// absent, 0 = all cores.
+std::optional<uint64_t> ThreadsFlag(const Flags& flags) {
+  return IntFlag(flags, "threads", 1, 0, kMaxThreads);
 }
 
-// Handles --save-model: exports `model` (which must be a DeepDirect model)
-// in the servable DDS1 format. Returns 0, or 1 after printing an error.
-int MaybeSaveModel(const std::map<std::string, std::string>& flags,
+// Checks --save-model before any input is read: only an in-RAM DeepDirect
+// model has a servable export. False after printing an error.
+bool SaveModelAllowed(const Flags& flags, core::Method method,
+                      uint64_t shards) {
+  if (!flags.contains("save-model")) return true;
+  const char* error = nullptr;
+  if (flags.at("save-model").empty()) {
+    error = "--save-model expects a path";
+  } else if (method != core::Method::kDeepDirect) {
+    error = "--save-model requires --method deepdirect (other methods have "
+            "no servable form)";
+  } else if (shards > 0) {
+    error = "--save-model cannot be combined with --shards (the out-of-core "
+            "model has no servable export)";
+  }
+  if (error != nullptr) std::fprintf(stderr, "error: %s\n", error);
+  return error == nullptr;
+}
+
+// Handles --save-model (checked by SaveModelAllowed before training):
+// exports `model`, a DeepDirect model, in the servable DDS1 format.
+// Returns 0, or 1 after printing an error.
+int MaybeSaveModel(const Flags& flags,
                    const core::DirectionalityModel& model) {
   if (!flags.contains("save-model")) return 0;
   const std::string& path = flags.at("save-model");
-  if (path.empty()) {
-    std::fprintf(stderr, "error: --save-model expects a path\n");
-    return 1;
-  }
   const auto* deepdirect =
       dynamic_cast<const core::DeepDirectModel*>(&model);
-  if (deepdirect == nullptr) {
-    std::fprintf(stderr,
-                 "error: --save-model requires --method deepdirect (other "
-                 "methods have no servable form)\n");
-    return 1;
-  }
+  DD_CHECK(deepdirect != nullptr);
   const auto status = deepdirect->ExportServable(path);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -367,31 +409,61 @@ int ReportTruthAccuracy(const std::string& path,
 }
 
 int RunDiscoverOrQuantify(const std::string& command,
-                          const std::map<std::string, std::string>& flags) {
+                          const Flags& flags) {
   const auto input_it = flags.find("input");
   if (input_it == flags.end()) return Usage();
+  const auto method =
+      ParseMethod(flags.contains("method") ? flags.at("method")
+                                           : "deepdirect");
+  if (!method.has_value()) return Usage();
+
+  // Every flag is checked before the input is read.
+  auto configs = core::MethodConfigs::FastDefaults();
   const auto threads = ThreadsFlag(flags);
-  if (!threads.has_value()) return 1;
+  const auto seed = IntFlag(flags, "seed", 42, 0, UINT64_MAX);
+  const auto hide = RealFlag(flags, "hide", 0.0, 0.0, 1.0);
+  const auto epochs =
+      RealFlag(flags, "epochs", configs.deepdirect.epochs, 0.0, 1e6);
+  // The --shards family routes DeepDirect training out-of-core.
+  const auto shards = IntFlag(flags, "shards", 0, 0, kMaxShards);
+  const auto shard_ram_mb = IntFlag(flags, "shard-ram-mb", 256, 0, 1 << 20);
+  const auto ckpt = ParseCheckpointFlags(flags);
+  if (!threads.has_value() || !seed.has_value() || !hide.has_value() ||
+      !epochs.has_value() || !shards.has_value() ||
+      !shard_ram_mb.has_value() || !ckpt.has_value() ||
+      !SaveModelAllowed(flags, *method, *shards)) {
+    return 1;
+  }
+  if (*shards > 0) {
+    if (*method != core::Method::kDeepDirect) {
+      std::fprintf(stderr,
+                   "error: --shards requires --method deepdirect\n");
+      return 1;
+    }
+    if (!flags.contains("shard-dir") || flags.at("shard-dir").empty()) {
+      std::fprintf(stderr, "error: --shards requires --shard-dir\n");
+      return 1;
+    }
+  }
+
   auto loaded = graph::LoadEdgeList(input_it->second, *threads);
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
     return 1;
   }
-  const auto method =
-      ParseMethod(flags.contains("method") ? flags.at("method")
-                                           : "deepdirect");
-  if (!method.has_value()) return Usage();
-  const uint64_t seed =
-      flags.contains("seed") ? std::strtoull(flags.at("seed").c_str(),
-                                             nullptr, 10)
-                             : 42;
 
   graph::MixedSocialNetwork network = std::move(loaded).value();
   std::optional<graph::HiddenDirectionSplit> split;
   if (command == "discover" && flags.contains("hide")) {
-    const double hide = std::atof(flags.at("hide").c_str());
-    util::Rng rng(seed);
-    split = graph::HideDirections(network, 1.0 - hide, rng);
+    util::Rng rng(*seed);
+    split = graph::HideDirections(network, 1.0 - *hide, rng);
+    if (split->hidden_true_arcs.empty()) {
+      std::fprintf(stderr,
+                   "error: --hide %s hides no directed tie of this network, "
+                   "so there is no accuracy to report\n",
+                   flags.at("hide").c_str());
+      return 1;
+    }
   }
   const graph::MixedSocialNetwork& train_net =
       split.has_value() ? split->network : network;
@@ -403,54 +475,21 @@ int RunDiscoverOrQuantify(const std::string& command,
     return 1;
   }
 
-  auto configs = core::MethodConfigs::FastDefaults();
   configs.SetNumThreads(*threads);
-  const auto ckpt = ParseCheckpointFlags(flags);
-  if (!ckpt.has_value()) return 1;
   if (!ckpt->dir.empty()) {
     configs.SetCheckpointing(ckpt->dir, ckpt->policy, ckpt->resume);
   }
-  if (flags.contains("epochs")) {
-    configs.deepdirect.epochs = std::atof(flags.at("epochs").c_str());
-  }
-
-  // The --shards family routes DeepDirect training out-of-core.
-  size_t shards = 0;
-  size_t shard_ram_mb = 256;
-  const auto size_flag = [&](const char* name, size_t* value) -> bool {
-    if (!flags.contains(name)) return true;
-    const auto parsed = ParseThreads(flags.at(name));
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "error: --%s expects a number, got '%s'\n", name,
-                   flags.at(name).c_str());
-      return false;
-    }
-    *value = *parsed;
-    return true;
-  };
-  if (!size_flag("shards", &shards) ||
-      !size_flag("shard-ram-mb", &shard_ram_mb)) {
-    return 1;
-  }
+  configs.deepdirect.epochs = *epochs;
 
   std::printf("training %s on %zu nodes / %zu ties (%zu directed)...\n",
               core::MethodName(*method), train_net.num_nodes(),
               train_net.num_ties(), train_net.num_directed_ties());
   std::unique_ptr<core::DirectionalityModel> model;
-  if (shards > 0) {
-    if (*method != core::Method::kDeepDirect) {
-      std::fprintf(stderr,
-                   "error: --shards requires --method deepdirect\n");
-      return 1;
-    }
-    if (!flags.contains("shard-dir") || flags.at("shard-dir").empty()) {
-      std::fprintf(stderr, "error: --shards requires --shard-dir\n");
-      return 1;
-    }
+  if (*shards > 0) {
     core::DeepDirectConfig config = configs.deepdirect;
-    config.sharding.num_shards = shards;
+    config.sharding.num_shards = *shards;
     config.sharding.dir = flags.at("shard-dir");
-    config.sharding.ram_budget_mb = shard_ram_mb;
+    config.sharding.ram_budget_mb = *shard_ram_mb;
     auto trained = core::ShardedDeepDirectModel::Train(train_net, config);
     if (!trained.ok()) {
       std::fprintf(stderr, "error: %s\n",
@@ -500,12 +539,19 @@ int RunDiscoverOrQuantify(const std::string& command,
   return MaybeSaveModel(flags, *model);
 }
 
-int RunEmbed(const std::map<std::string, std::string>& flags) {
+int RunEmbed(const Flags& flags) {
   const auto input_it = flags.find("input");
   const auto output_it = flags.find("output");
   if (input_it == flags.end() || output_it == flags.end()) return Usage();
+  core::DeepDirectConfig config =
+      core::MethodConfigs::FastDefaults().deepdirect;
   const auto threads = ThreadsFlag(flags);
-  if (!threads.has_value()) return 1;
+  const auto dims = IntFlag(flags, "dims", config.dimensions, 1, 4096);
+  const auto ckpt = ParseCheckpointFlags(flags);
+  if (!threads.has_value() || !dims.has_value() || !ckpt.has_value() ||
+      !SaveModelAllowed(flags, core::Method::kDeepDirect, 0)) {
+    return 1;
+  }
   auto loaded = graph::LoadEdgeList(input_it->second, *threads);
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
@@ -516,15 +562,9 @@ int RunEmbed(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "error: the network has no directed ties\n");
     return 1;
   }
-  core::DeepDirectConfig config =
-      core::MethodConfigs::FastDefaults().deepdirect;
-  if (flags.contains("dims")) {
-    config.dimensions = std::strtoull(flags.at("dims").c_str(), nullptr, 10);
-  }
+  config.dimensions = *dims;
   config.num_threads = *threads;
   config.d_step.num_threads = *threads;
-  const auto ckpt = ParseCheckpointFlags(flags);
-  if (!ckpt.has_value()) return 1;
   if (!ckpt->dir.empty()) {
     config.checkpoint = {ckpt->dir, "deepdirect.estep", ckpt->policy,
                          ckpt->resume};
@@ -561,7 +601,7 @@ int RunEmbed(const std::map<std::string, std::string>& flags) {
 // applied in the order given; each chains the state (and merged network)
 // into the next. After all batches succeed the updated state is saved back
 // into the checkpoint directory so further updates chain across processes.
-int RunUpdate(const std::map<std::string, std::string>& flags) {
+int RunUpdate(const Flags& flags) {
   const auto input_it = flags.find("input");
   const auto batch_it = flags.find("batch");
   const auto dir_it = flags.find("checkpoint-dir");
@@ -570,13 +610,22 @@ int RunUpdate(const std::map<std::string, std::string>& flags) {
       dir_it->second.empty()) {
     return Usage();
   }
-  const auto threads = ThreadsFlag(flags);
-  if (!threads.has_value()) return 1;
-
+  // The hyperparameters mirror the training CLI's defaults; the embedding
+  // width is dictated by the checkpointed state, not a flag.
+  core::DeepDirectConfig config =
+      core::MethodConfigs::FastDefaults().deepdirect;
   core::IncrementalOptions options;
-  if (flags.contains("epochs-per-batch")) {
-    options.epochs_per_batch = std::atof(flags.at("epochs-per-batch").c_str());
+  const auto threads = ThreadsFlag(flags);
+  const auto epochs_per_batch = RealFlag(
+      flags, "epochs-per-batch", options.epochs_per_batch, 0.0, 1e6);
+  const auto seed = IntFlag(flags, "seed", config.seed, 0, UINT64_MAX);
+  if (!threads.has_value() || !epochs_per_batch.has_value() ||
+      !seed.has_value() ||
+      !SaveModelAllowed(flags, core::Method::kDeepDirect, 0)) {
+    return 1;
   }
+  options.epochs_per_batch = *epochs_per_batch;
+  config.seed = *seed;
 
   auto state_result = train::LoadEStepState(dir_it->second);
   if (!state_result.ok()) {
@@ -593,16 +642,9 @@ int RunUpdate(const std::map<std::string, std::string>& flags) {
   }
   graph::MixedSocialNetwork network = std::move(loaded).value();
 
-  // The hyperparameters mirror the training CLI's defaults; the embedding
-  // width is dictated by the checkpointed state, not a flag.
-  core::DeepDirectConfig config =
-      core::MethodConfigs::FastDefaults().deepdirect;
   config.dimensions = state.dimensions;
   config.num_threads = *threads;
   config.d_step.num_threads = *threads;
-  if (flags.contains("seed")) {
-    config.seed = std::strtoull(flags.at("seed").c_str(), nullptr, 10);
-  }
 
   std::printf("warm-starting from %s (epoch %llu, %zu arcs, l=%zu)\n",
               dir_it->second.c_str(),
@@ -697,26 +739,15 @@ int RunUpdate(const std::map<std::string, std::string>& flags) {
 // Opens a servable model and answers queries over stdin/stdout until EOF
 // or "quit". Banners and the final summary go to stderr so stdout carries
 // nothing but protocol responses (scripted clients diff it directly).
-int RunServe(const std::map<std::string, std::string>& flags) {
+int RunServe(const Flags& flags) {
   const auto model_it = flags.find("model");
   if (model_it == flags.end() || model_it->second.empty()) return Usage();
   serve::ServeOptions options;
-  options.cache_capacity = 4096;
-  const auto size_flag = [&](const char* name, size_t* value) -> bool {
-    if (!flags.contains(name)) return true;
-    const auto parsed = ParseThreads(flags.at(name));
-    if (!parsed.has_value()) {
-      std::fprintf(stderr, "error: --%s expects a number, got '%s'\n", name,
-                   flags.at(name).c_str());
-      return false;
-    }
-    *value = *parsed;
-    return true;
-  };
-  if (!size_flag("cache", &options.cache_capacity) ||
-      !size_flag("ways", &options.cache_ways)) {
-    return 1;
-  }
+  const auto cache = IntFlag(flags, "cache", 4096, 0, 1 << 26);
+  const auto ways = IntFlag(flags, "ways", options.cache_ways, 1, 1024);
+  if (!cache.has_value() || !ways.has_value()) return 1;
+  options.cache_capacity = *cache;
+  options.cache_ways = *ways;
   auto opened = serve::ServableModel::Open(model_it->second, options);
   if (!opened.ok()) {
     std::fprintf(stderr, "error: %s\n", opened.status().ToString().c_str());
@@ -759,7 +790,7 @@ int WriteMetricsSnapshot(const std::string& path) {
 }
 
 int Dispatch(const std::string& command,
-             const std::map<std::string, std::string>& flags) {
+             const Flags& flags) {
   if (command == "generate") return RunGenerate(flags);
   if (command == "discover" || command == "quantify") {
     return RunDiscoverOrQuantify(command, flags);
@@ -799,15 +830,10 @@ int main(int argc, char** argv) {
                    "error: --metrics-interval-sec requires --metrics-out\n");
       return 2;
     }
-    const double interval = std::atof(flags.at("metrics-interval-sec").c_str());
-    if (interval <= 0.0) {
-      std::fprintf(stderr,
-                   "error: --metrics-interval-sec expects a positive number,"
-                   " got '%s'\n",
-                   flags.at("metrics-interval-sec").c_str());
-      return 2;
-    }
-    timeline.emplace(flags.at("metrics-out") + ".timeline.jsonl", interval);
+    const auto interval =
+        RealFlag(flags, "metrics-interval-sec", 1.0, 1e-3, 86400.0);
+    if (!interval.has_value()) return 2;
+    timeline.emplace(flags.at("metrics-out") + ".timeline.jsonl", *interval);
     const auto status = timeline->Start();
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());

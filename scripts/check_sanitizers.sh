@@ -64,7 +64,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
 
-FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ProgressReporterTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*:ShardedTrainerTest.Hogwild*:ContainerTest.*:ServableModelTest.*Sweep*:ServableModelTest.Wrapping*:ShardedStoreTest.*:IncrementalTest.EStepStateRoundTrips:IncrementalTest.LoadSkipsCorruptNewestCheckpoint:*EStepGradientTest.*:EStepListTest.*'
+FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*:ShardedTrainerTest.Hogwild*:ContainerTest.*:ServableModelTest.*Sweep*:ServableModelTest.Wrapping*:ShardedStoreTest.*:IncrementalTest.EStepStateRoundTrips:IncrementalTest.LoadSkipsCorruptNewestCheckpoint:*EStepGradientTest.*:EStepListTest.*'
 for target in "${TARGETS[@]}"; do
   echo "=== $target ($SANITIZER) ==="
   "$BUILD_DIR/tests/$target" --gtest_filter="$FILTER"

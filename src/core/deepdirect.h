@@ -44,7 +44,6 @@
 #include "ml/matrix.h"
 #include "train/checkpoint.h"
 #include "train/lr_schedule.h"
-#include "train/progress_reporter.h"
 
 namespace deepdirect::train {
 struct TieBatch;    // train/incremental.h
@@ -112,11 +111,6 @@ struct DeepDirectConfig {
       .l2 = 1e-4, .seed = 23, .shuffle = true,
       .metrics_prefix = "train.deepdirect.dstep",
       .checkpoint = {.dir = {}, .trainer = "deepdirect.dstep", .policy = {}}};
-  /// Optional E-Step progress callback, invoked every `report_every` SGD
-  /// steps with (step, total_steps, mean L' over the window). Useful for
-  /// long trainings; leave empty for silence.
-  train::ProgressCallback progress = nullptr;
-  uint64_t report_every = 1000000;
   /// Crash-safe E-Step checkpoint/resume (off unless `checkpoint.dir` is
   /// set); one epoch is |C(G)| iterations. The default trainer tag is
   /// "deepdirect.estep". The D-Step carries its own options in

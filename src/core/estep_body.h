@@ -33,6 +33,11 @@
 // trains the positive and the negatives, followed by the classifier and
 // the m_e update.
 //
+// A step computes its L_topo loss only when the driver samples it
+// (SgdStep::sample_loss): 1 + λ LogSigmoids from the scores the kernel
+// call already returned, scaled by train::kLossSampleSteps. The loss never
+// feeds back into an update, so sampling cannot perturb training.
+//
 // Env contract of EStepStep (duck-typed; EStepEnv below is the one
 // production env):
 //   size_t num_arcs()
@@ -185,16 +190,16 @@ class EStepWorkspace {
   std::vector<EStepScratch> scratch_;
 };
 
-/// One E-step SGD step; returns the step's loss contribution (0.0 when
-/// untracked). `A` is the parameter access policy (SerialAccess or
-/// HogwildAccess), `config` any DeepDirect-shaped config with the E-step
-/// hyperparameters. The joint classifier is the driver's dense block
-/// (ctx.dense): w′ in its first l slots, b′ in the last. Nearly every step
-/// reads and rewrites all of it.
+/// One E-step SGD step; returns kLossSampleSteps times the step's L_topo
+/// loss when ctx.sample_loss is set, else 0. `A` is the parameter access
+/// policy (SerialAccess or HogwildAccess), `config` any DeepDirect-shaped
+/// config with the E-step hyperparameters. The joint classifier is the
+/// driver's dense block (ctx.dense): w′ in its first l slots, b′ in the
+/// last. Nearly every step reads and rewrites all of it.
 template <typename A, typename Env, typename Config>
 double EStepStep(Env& env, const train::SgdStep& ctx, const Config& config,
-                 uint64_t total_iterations, bool track_loss,
-                 const EStepScratch& scratch, EStepTally& tally) {
+                 uint64_t total_iterations, const EStepScratch& scratch,
+                 EStepTally& tally) {
   util::Rng& r = ctx.rng;
   const std::span<double> w_prime = ctx.dense.first(ctx.dense.size() - 1);
   double& b_prime = ctx.dense.back();
@@ -271,9 +276,10 @@ double EStepStep(Env& env, const train::SgdStep& ctx, const Config& config,
   kernels::NegSamplingRows<A>(grad_m, m_e, {rows, count},
                               scratch.labels.first(count), /*grad_scale=*/1.0,
                               /*update_scale=*/-lr, scores);
-  if (track_loss) {
+  if (ctx.sample_loss) {
     step_loss -= ml::LogSigmoid(scores[0]);
     for (size_t j = 1; j < count; ++j) step_loss -= ml::LogSigmoid(-scores[j]);
+    step_loss *= static_cast<double>(train::kLossSampleSteps);
   }
 
   // --- Classifier losses: ∂L'/∂b' per Eq. 21, ramped in over the warmup
@@ -493,8 +499,6 @@ inline train::SgdOptions EStepOptions(const DeepDirectConfig& config,
   options.num_threads = config.num_threads;
   options.lr = config.Schedule();
   options.shard_seed = seed;
-  options.progress = config.progress;
-  options.report_every = config.report_every;
   options.metrics_prefix = std::move(metrics_prefix);
   options.dense = classifier;
   return options;
@@ -505,18 +509,13 @@ inline train::SgdOptions EStepOptions(const DeepDirectConfig& config,
 template <typename Rows>
 void RunEStep(EStepEnv<Rows> env, const train::SgdOptions& options,
               const DeepDirectConfig& config, util::Rng& rng) {
-  // Loss tracking costs a LogSigmoid per sample; pay it when the caller
-  // listens (progress callback) or telemetry is being recorded. The loss
-  // value never feeds back into updates, so tracking cannot perturb them.
-  const bool track_loss =
-      static_cast<bool>(config.progress) || obs::Enabled();
   train::SgdDriver driver(options);
   const EStepWorkspace workspace(driver.num_workers(), config.dimensions,
                                  config.negative_samples);
   std::vector<EStepTally> tallies(driver.num_workers());
   driver.Run(rng, [&](auto access, const train::SgdStep& ctx) -> double {
     using A = decltype(access);
-    return EStepStep<A>(env, ctx, config, options.steps, track_loss,
+    return EStepStep<A>(env, ctx, config, options.steps,
                         workspace[ctx.worker], tallies[ctx.worker]);
   });
   FlushTallies(tallies);

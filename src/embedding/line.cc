@@ -28,19 +28,26 @@ util::AliasTable BuildNodeNoiseTable(const MixedSocialNetwork& g) {
   return util::AliasTable(weights);
 }
 
+// The obs registry prefix of every LINE run.
+constexpr char kMetricsPrefix[] = "train.line";
+
 // One negative-sampling SGD step on (source row, target row) with the given
 // positive/negative label, shared by both proximity orders. Accumulates the
 // source-row gradient into `source_grad`; updates the target row in place.
 // Parameter access goes through the driver's policy `A` so the same body
-// serves the serial and Hogwild paths.
+// serves the serial and Hogwild paths. Returns the pair's cross-entropy
+// when `loss` is set (the driver sampled the step), else 0.
 template <typename A>
-void NegSamplingStep(std::span<float> source, std::span<float> target,
-                     double label, double lr,
-                     std::vector<double>& source_grad) {
+double NegSamplingStep(std::span<float> source, std::span<float> target,
+                       double label, double lr,
+                       std::vector<double>& source_grad, bool loss) {
   // Fused kernel: g = −lr·(σ(score) − label) ≡ (label − σ)·lr, target +=
   // g·source, source gradient accumulated in the same pass.
-  kernels::NegSamplingUpdate<A>(source_grad, source, target, label,
-                                /*grad_scale=*/-lr, /*update_scale=*/1.0);
+  const double score = kernels::NegSamplingUpdate<A>(
+      source_grad, source, target, label, /*grad_scale=*/-lr,
+      /*update_scale=*/1.0);
+  if (!loss) return 0.0;
+  return -ml::LogSigmoid(label > 0.0 ? score : -score);
 }
 
 }  // namespace
@@ -72,7 +79,7 @@ LineEmbedding LineEmbedding::Train(const MixedSocialNetwork& g,
   options.shard_seed = config.seed;
   // One "epoch" is num_arcs samples (one expected pass over the arcs).
   options.steps_per_epoch = g.num_arcs();
-  options.metrics_prefix = config.metrics_prefix;
+  options.metrics_prefix = kMetricsPrefix;
 
   train::CheckpointOptions ckpt_options = config.checkpoint;
   if (ckpt_options.trainer.empty()) ckpt_options.trainer = "line";
@@ -119,28 +126,32 @@ LineEmbedding LineEmbedding::Train(const MixedSocialNetwork& g,
     if (r.NextBool(0.5)) std::swap(u, v);
 
     // --- First order: symmetric affinity between endpoint vectors.
+    const bool loss = ctx.sample_loss;
+    double step_loss = 0.0;
     std::fill(source_grad.begin(), source_grad.end(), 0.0);
-    NegSamplingStep<A>(first.Row(u), first_ctx.Row(v), 1.0, lr, source_grad);
+    step_loss += NegSamplingStep<A>(first.Row(u), first_ctx.Row(v), 1.0, lr,
+                                    source_grad, loss);
     for (size_t neg = 0; neg < config.negative_samples; ++neg) {
       const NodeId noise_node = static_cast<NodeId>(noise.Sample(r));
       if (noise_node == v || noise_node == u) continue;
-      NegSamplingStep<A>(first.Row(u), first_ctx.Row(noise_node), 0.0, lr,
-                         source_grad);
+      step_loss += NegSamplingStep<A>(first.Row(u), first_ctx.Row(noise_node),
+                                      0.0, lr, source_grad, loss);
     }
     kernels::ApplyGrad<A>(first.Row(u), source_grad);
 
     // --- Second order: vertex u against context v.
     std::fill(source_grad.begin(), source_grad.end(), 0.0);
-    NegSamplingStep<A>(second.Row(u), second_ctx.Row(v), 1.0, lr,
-                       source_grad);
+    step_loss += NegSamplingStep<A>(second.Row(u), second_ctx.Row(v), 1.0, lr,
+                                    source_grad, loss);
     for (size_t neg = 0; neg < config.negative_samples; ++neg) {
       const NodeId noise_node = static_cast<NodeId>(noise.Sample(r));
       if (noise_node == v) continue;
-      NegSamplingStep<A>(second.Row(u), second_ctx.Row(noise_node), 0.0, lr,
-                         source_grad);
+      step_loss += NegSamplingStep<A>(second.Row(u),
+                                      second_ctx.Row(noise_node), 0.0, lr,
+                                      source_grad, loss);
     }
     kernels::ApplyGrad<A>(second.Row(u), source_grad);
-    return 0.0;
+    return static_cast<double>(train::kLossSampleSteps) * step_loss;
   });
 
   return LineEmbedding(std::move(first), std::move(second));

@@ -15,7 +15,6 @@
 #define DEEPDIRECT_EMBEDDING_LINE_H_
 
 #include <span>
-#include <string>
 
 #include "graph/mixed_graph.h"
 #include "ml/matrix.h"
@@ -43,8 +42,6 @@ struct LineConfig {
   /// serial path; > 1 runs Hogwild-style lock-free updates, which are fast
   /// but not bit-reproducible.
   size_t num_threads = 1;
-  /// Telemetry prefix for the obs registry; empty disables recording.
-  std::string metrics_prefix = "train.line";
   /// Crash-safe checkpoint/resume (off unless `checkpoint.dir` is set).
   /// One epoch is num_arcs steps; the default trainer tag is "line".
   train::CheckpointOptions checkpoint;

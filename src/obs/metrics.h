@@ -226,8 +226,8 @@ class Registry {
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
-  /// Appends one value to the named series (cold paths only: per epoch,
-  /// per reporting window — never per SGD step).
+  /// Appends one value to the named series (cold paths only: per epoch or
+  /// per run — never per SGD step).
   void Append(const std::string& name, double value);
 
   /// Runtime recording gate; starts disabled.

@@ -26,19 +26,25 @@
 //
 // The budget is executed in epoch-sized chunks (steps_per_epoch; 0 = the
 // whole budget is one epoch). Epoch boundaries are where the driver fires
-// the epoch_start/epoch_end hooks, appends the per-epoch ".run_loss"
-// metric, and hands control to the Checkpointer — the only points where
-// all workers are quiesced and the parameter state is consistent, which is
-// what makes checkpoint/resume exact. In the multi-worker path each
-// epoch's worker streams are derived from (shard_seed, epoch), so a
-// resumed run samples the remaining epochs identically to the
-// uninterrupted one.
+// the epoch_start/epoch_end hooks, appends the epoch's loss to the
+// ".run_loss" series, and hands control to the Checkpointer — the only
+// points where all workers are quiesced and the parameter state is
+// consistent, which is what makes checkpoint/resume exact. In the
+// multi-worker path each epoch's worker streams are derived from
+// (shard_seed, epoch), so a resumed run samples the remaining epochs
+// identically to the uninterrupted one.
 //
 // The body is a generic callable
 //     double body(AccessPolicy, const SgdStep&)
-// returning the step's loss contribution (0.0 when untracked); Run returns
-// the sum of all executed step losses. Per-worker scratch buffers should be
-// sized by num_workers() and indexed by SgdStep::worker.
+// returning the step's loss; Run returns the sum over the executed steps,
+// and each epoch's sum is EpochEnd::loss. The driver is the one place that
+// decides which steps compute a loss: SgdStep::sample_loss is set, from the
+// step index alone, on every kLossSampleSteps-th step of a run that records
+// telemetry. A body whose loss costs extra work computes it only there and
+// returns kLossSampleSteps times it, so each epoch's sum estimates the full
+// one; a body whose loss falls out of its update (logistic regression)
+// returns it on every step. Per-worker scratch buffers should be sized by
+// num_workers() and indexed by SgdStep::worker.
 
 #ifndef DEEPDIRECT_TRAIN_SGD_DRIVER_H_
 #define DEEPDIRECT_TRAIN_SGD_DRIVER_H_
@@ -58,15 +64,21 @@
 #include "train/hogwild.h"
 #include "train/lr_schedule.h"
 #include "train/parallel.h"
-#include "train/progress_reporter.h"
 #include "train/sharded_rng.h"
 #include "train/thread_pool.h"
 #include "util/random.h"
+#include "util/timer.h"
 
 namespace deepdirect::train {
 
 /// SgdStep::shard value when the run is unsharded (or serial).
 inline constexpr size_t kNoShard = static_cast<size_t>(-1);
+
+/// A run that records telemetry samples the loss of every step whose index
+/// is a multiple of this (see SgdStep::sample_loss). Prime, so that strided
+/// Hogwild workers all sample: with an even k, two workers (one on the even
+/// steps, one on the odd) would leave every sampled step to one of them.
+inline constexpr uint64_t kLossSampleSteps = 61;
 
 /// Shard-affinity plan for Hogwild runs over out-of-core storage. With
 /// `num_shards > 0` and more than one worker, each epoch chunk's step
@@ -112,16 +124,12 @@ struct SgdOptions {
   /// checkpoints per its policy and can stop the run (simulated
   /// preemption). Not owned.
   Checkpointer* checkpointer = nullptr;
-  /// Optional windowed-loss callback.
-  ProgressCallback progress;
-  /// Callback cadence in steps.
-  uint64_t report_every = 1'000'000;
-  /// When non-empty and the obs registry is enabled, each Run records under
-  /// this prefix: counter ".steps" (executed steps), series ".run_loss"
-  /// (one entry per executed epoch), series ".loss" (windowed, via the
-  /// ProgressReporter), gauge ".examples_per_sec", and histogram
-  /// ".worker_steps" (one observation per worker). Recording happens off
-  /// the step hot path and never draws from any Rng.
+  /// When non-empty and the obs registry is enabled, the run records
+  /// telemetry under this prefix: counter ".steps" (executed steps), series
+  /// ".run_loss" (the loss sum of each executed epoch), gauge
+  /// ".examples_per_sec", and histogram ".worker_steps" (one observation
+  /// per worker). Only such a run samples step losses. Recording happens at
+  /// epoch boundaries and after the run, and never draws from any Rng.
   std::string metrics_prefix;
   /// Shard affinity for multi-worker runs; see ShardPlan.
   ShardPlan shard_plan;
@@ -144,6 +152,10 @@ struct SgdStep {
   /// The dense block this step reads and writes: SgdOptions::dense itself
   /// on the serial path, this worker's private copy on the Hogwild paths.
   std::span<double> dense = {};
+  /// This step's loss is sampled: the run records telemetry and
+  /// step % kLossSampleSteps == 0. A body that computes its loss only when
+  /// asked returns kLossSampleSteps times it here and 0 elsewhere.
+  bool sample_loss = false;
 };
 
 /// Unified SGD execution engine; see the file comment.
@@ -168,8 +180,8 @@ class SgdDriver {
     if (options_.start_epoch > 0 && spe > 0) {
       cursor = std::min(steps, options_.start_epoch * spe);
     }
-    ProgressReporter reporter(options_.progress, options_.report_every,
-                              steps, cursor, options_.metrics_prefix);
+    const bool record = !options_.metrics_prefix.empty() && obs::Enabled();
+    const util::Timer timer;
     std::optional<ThreadPool> pool;
     if (workers_ > 1) pool.emplace(workers_);
 
@@ -193,15 +205,14 @@ class SgdDriver {
       if (workers_ == 1) {
         for (uint64_t step = cursor; step < chunk_end; ++step) {
           const SgdStep ctx{0, step, options_.lr.At(step, steps), rng,
-                            kNoShard, options_.dense};
-          const double loss = body(SerialAccess{}, ctx);
-          epoch_loss += loss;
-          reporter.Record(1, loss);
+                            kNoShard, options_.dense,
+                            record && step % kLossSampleSteps == 0};
+          epoch_loss += body(SerialAccess{}, ctx);
         }
         worker_steps[0] += chunk_end - cursor;
       } else {
-        epoch_loss = RunChunkHogwild(cursor, chunk_end, epoch, reporter,
-                                     *pool, worker_steps, body);
+        epoch_loss = RunChunkHogwild(cursor, chunk_end, epoch, record, *pool,
+                                     worker_steps, body);
       }
       loss_sum += epoch_loss;
       executed += chunk_end - cursor;
@@ -209,7 +220,7 @@ class SgdDriver {
 
       const EpochEnd boundary{epoch, cursor, epoch_loss, cursor >= steps};
       if (options_.epoch_end) options_.epoch_end(boundary);
-      if (!options_.metrics_prefix.empty() && obs::Enabled()) {
+      if (record) {
         obs::Registry::Default().Append(
             options_.metrics_prefix + ".run_loss", epoch_loss);
       }
@@ -218,7 +229,9 @@ class SgdDriver {
         break;
       }
     }
-    RecordRunMetrics(reporter, executed, worker_steps);
+    if (record) {
+      RecordRunMetrics(executed, timer.ElapsedSeconds(), worker_steps);
+    }
     return loss_sum;
   }
 
@@ -240,9 +253,8 @@ class SgdDriver {
   /// whole decay once whatever q_w is, and every shard sees all of it.
   template <typename Body>
   double RunChunkHogwild(uint64_t chunk_begin, uint64_t chunk_end,
-                         uint64_t epoch, ProgressReporter& reporter,
-                         ThreadPool& pool, std::vector<uint64_t>& worker_steps,
-                         Body&& body) {
+                         uint64_t epoch, bool record, ThreadPool& pool,
+                         std::vector<uint64_t>& worker_steps, Body&& body) {
     const bool single_chunk = options_.steps_per_epoch == 0 ||
                               options_.steps_per_epoch >= options_.steps;
     const ShardedRng shards(single_chunk
@@ -267,22 +279,13 @@ class SgdDriver {
       util::Rng worker_rng = shards.MakeShard(w);
       DenseCopy dense(options_.dense, dense_mu);
       double loss_sum = 0.0;
-      double window_loss = 0.0;
-      uint64_t window_steps = 0;
       uint64_t steps_run = 0;
       auto run_step = [&](uint64_t step, size_t shard) {
         const SgdStep ctx{w, step, options_.lr.At(step, options_.steps),
-                          worker_rng, shard, dense.params()};
-        const double loss = body(HogwildAccess{}, ctx);
-        loss_sum += loss;
-        window_loss += loss;
-        ++steps_run;
-        if (++window_steps >= kWorkerFlushSteps) {
-          reporter.Record(window_steps, window_loss);
-          window_steps = 0;
-          window_loss = 0.0;
-        }
-        if (steps_run % kDenseMergeSteps == 0) dense.Merge();
+                          worker_rng, shard, dense.params(),
+                          record && step % kLossSampleSteps == 0};
+        loss_sum += body(HogwildAccess{}, ctx);
+        if (++steps_run % kDenseMergeSteps == 0) dense.Merge();
       };
       if (quota.empty()) {
         for (uint64_t i = w; i < chunk_steps; i += workers_) {
@@ -333,7 +336,6 @@ class SgdDriver {
         }
       }
       dense.Merge();
-      if (window_steps > 0) reporter.Record(window_steps, window_loss);
       worker_loss[w] = loss_sum;
       worker_steps[w] += steps_run;
     });
@@ -411,14 +413,13 @@ class SgdDriver {
 
   /// Post-run telemetry (see SgdOptions::metrics_prefix). Cold path: runs
   /// once per Run, after every worker has joined.
-  void RecordRunMetrics(const ProgressReporter& reporter, uint64_t executed,
+  void RecordRunMetrics(uint64_t executed, double seconds,
                         const std::vector<uint64_t>& worker_steps) {
-    if (options_.metrics_prefix.empty() || !obs::Enabled()) return;
     const std::string& prefix = options_.metrics_prefix;
     obs::Registry& registry = obs::Registry::Default();
     registry.GetCounter(prefix + ".steps")->Add(executed);
     registry.GetGauge(prefix + ".examples_per_sec")
-        ->Set(reporter.StepsPerSec());
+        ->Set(seconds > 0.0 ? static_cast<double>(executed) / seconds : 0.0);
     obs::Histogram* steps_hist =
         registry.GetHistogram(prefix + ".worker_steps");
     for (size_t w = 0; w < workers_; ++w) {
@@ -426,9 +427,6 @@ class SgdDriver {
     }
   }
 
-  // Workers flush loss windows to the shared reporter in batches to keep
-  // the mutex off the hot path.
-  static constexpr uint64_t kWorkerFlushSteps = 1024;
   // Steps between a worker's dense-block merges. With two workers on a
   // Twitter scale-0.6 graph (4 vCPUs), merging every 8 steps was about 3%
   // slower on the E-step and 23% slower on the D-step than every 64; 512

@@ -354,23 +354,25 @@ TEST(DeepDirectTest, TieEmbeddingAccessors) {
   EXPECT_EQ(row.data(), direct.data());
 }
 
-TEST(DeepDirectTest, ProgressCallbackReportsDecreasingTopoLoss) {
+TEST(DeepDirectTest, RunLossFallsFromTheFirstEpochToTheLast) {
+  // The E-step's loss curve is the driver's ".run_loss" series: one entry
+  // per epoch, each an estimate of that epoch's L_topo sum from the sampled
+  // steps. Skip-gram loss falls from its cold start.
   const auto split = EasySplit();
   auto config = FastConfig();
   config.epochs = 4.0;
-  config.report_every = 20000;
-  std::vector<double> losses;
-  std::vector<uint64_t> steps;
-  config.progress = [&](uint64_t step, uint64_t total, double mean_loss) {
-    EXPECT_LE(step, total);
-    steps.push_back(step);
-    losses.push_back(mean_loss);
-  };
+  obs::Registry& registry = obs::Registry::Default();
+  registry.Reset();
+  registry.set_enabled(true);
   DeepDirectModel::Train(split.network, config);
-  ASSERT_GT(losses.size(), 3u);
-  // Steps are strictly increasing; the final window's loss is below the
-  // first window's (skip-gram loss decreases from its cold start).
-  for (size_t i = 1; i < steps.size(); ++i) EXPECT_GT(steps[i], steps[i - 1]);
+  registry.set_enabled(false);
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  registry.Reset();
+
+  const std::vector<double>& losses =
+      snapshot.series.at("train.deepdirect.estep.run_loss");
+  ASSERT_EQ(losses.size(), 4u);
+  for (double loss : losses) EXPECT_GT(loss, 0.0);
   EXPECT_LT(losses.back(), losses.front());
 }
 
@@ -575,8 +577,7 @@ TEST_P(EStepGradientTest, StepAppliesMinusLrTimesGradient) {
   const internal::EStepWorkspace workspace(1, l, config.negative_samples);
   internal::EStepTally tally;
   internal::EStepStep<train::SerialAccess>(env, ctx, config, kTotal,
-                                           /*track_loss=*/false, workspace[0],
-                                           tally);
+                                           workspace[0], tally);
   EXPECT_EQ(tally.negatives, 2u);
 
   const std::vector<double> theta1 = theta_of(env, dense);
@@ -732,12 +733,16 @@ TEST(EStepListTest, OneKernelCallMatchesPerNegativeUpdatesBitForBit) {
       std::vector<double> ref_dense = dense;
 
       util::Rng rng(1);
-      const train::SgdStep ctx{
-          .worker = 0, .step = 800, .lr = 0.05, .rng = rng, .dense = dense};
+      const train::SgdStep ctx{.worker = 0,
+                               .step = 800,
+                               .lr = 0.05,
+                               .rng = rng,
+                               .dense = dense,
+                               .sample_loss = true};
       const internal::EStepWorkspace workspace(1, l, c.negatives);
       internal::EStepTally tally;
       const double loss = internal::EStepStep<train::SerialAccess>(
-          env, ctx, config, 1000, /*track_loss=*/true, workspace[0], tally);
+          env, ctx, config, 1000, workspace[0], tally);
 
       const train::SgdStep ref_ctx{.worker = 0,
                                    .step = 800,
@@ -752,7 +757,9 @@ TEST(EStepListTest, OneKernelCallMatchesPerNegativeUpdatesBitForBit) {
       EXPECT_EQ(env.m, ref_env.m);
       EXPECT_EQ(env.n, ref_env.n);
       EXPECT_EQ(dense, ref_dense);
-      EXPECT_EQ(loss, ref_loss);
+      // A sampled step reports kLossSampleSteps times its loss.
+      EXPECT_EQ(loss,
+                static_cast<double>(train::kLossSampleSteps) * ref_loss);
       EXPECT_EQ(env.noise_draws, ref_env.noise_draws);
       EXPECT_EQ(tally.resamples, ref_tally.resamples);
       EXPECT_EQ(tally.neg_collisions, ref_tally.neg_collisions);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <fstream>
@@ -18,6 +19,7 @@
 #include "core/deepdirect.h"
 #include "core/models.h"
 #include "data/generators.h"
+#include "embedding/line.h"
 #include "graph/algorithms.h"
 #include "graph/graph_io.h"
 #include "json_lint.h"
@@ -421,8 +423,10 @@ TEST(ObsEndToEndTest, PipelineSnapshotCoversAllFourTrainers) {
 
   const obs::MetricsSnapshot snapshot = obs::Registry::Default().Snapshot();
 
-  // Per-run losses for all four SgdDriver runs (the two logistic
-  // regression heads' run_loss series is the per-epoch loss curve).
+  // Per-epoch losses for all four SgdDriver runs: estimated from the
+  // sampled steps for the E-step and LINE, exact for the two logistic
+  // regression heads. A cross-entropy sum is positive, so a zero entry
+  // means a trainer reported no loss at all.
   for (const char* name :
        {"train.deepdirect.estep.run_loss", "train.deepdirect.dstep.run_loss",
         "train.line.run_loss", "train.logreg.run_loss"}) {
@@ -430,7 +434,12 @@ TEST(ObsEndToEndTest, PipelineSnapshotCoversAllFourTrainers) {
     ASSERT_FALSE(snapshot.series.at(name).empty()) << name;
     for (double value : snapshot.series.at(name)) {
       EXPECT_TRUE(std::isfinite(value)) << name;
+      EXPECT_GT(value, 0.0) << name;
     }
+  }
+  // No windowed loss series remains.
+  for (const auto& [name, values] : snapshot.series) {
+    EXPECT_FALSE(name.ends_with(".loss")) << name;
   }
   // Epoch-per-Run trainers report one run_loss entry per epoch.
   EXPECT_EQ(snapshot.series.at("train.logreg.run_loss").size(),
@@ -496,9 +505,9 @@ TEST(ObsEndToEndTest, PipelineSnapshotCoversAllFourTrainers) {
 
 // ------------------------------------------------- determinism regression
 
-// Telemetry must be a pure observer: with num_threads = 1 the E-Step (and
-// the D-Step head it feeds) must produce bit-identical parameters whether
-// the registry is recording or not.
+// Telemetry must be a pure observer: with num_threads = 1 the E-Step, the
+// D-Step head it feeds and LINE must produce bit-identical parameters
+// whether the registry is recording (and the driver sampling losses) or not.
 TEST(ObsDeterminismTest, SerialTrainingIsBitIdenticalWithMetricsOnAndOff) {
   const auto net = SmallNetwork(13);
   core::DeepDirectConfig config;
@@ -513,10 +522,20 @@ TEST(ObsDeterminismTest, SerialTrainingIsBitIdenticalWithMetricsOnAndOff) {
   registry.set_enabled(false);
   const auto model_off = core::DeepDirectModel::Train(net, config);
 
+  embedding::LineConfig line_config;
+  line_config.dimensions = 16;
+  line_config.samples_per_arc = 4;
+  const auto line_off = embedding::LineEmbedding::Train(net, line_config);
+
   registry.set_enabled(true);
   const auto model_on = core::DeepDirectModel::Train(net, config);
+  const auto line_on = embedding::LineEmbedding::Train(net, line_config);
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
   registry.set_enabled(false);
   registry.Reset();
+  // The recording runs did sample losses.
+  ASSERT_TRUE(snapshot.series.contains("train.deepdirect.estep.run_loss"));
+  ASSERT_TRUE(snapshot.series.contains("train.line.run_loss"));
 
   const auto& data_off = model_off->embeddings().data();
   const auto& data_on = model_on->embeddings().data();
@@ -531,6 +550,24 @@ TEST(ObsDeterminismTest, SerialTrainingIsBitIdenticalWithMetricsOnAndOff) {
     ASSERT_EQ(weights_off[i], weights_on[i]) << "classifier weight " << i;
   }
   ASSERT_EQ(model_off->e_step_bias(), model_on->e_step_bias());
+
+  const auto& d_off = model_off->d_step_regression();
+  const auto& d_on = model_on->d_step_regression();
+  ASSERT_EQ(d_off.weights(), d_on.weights());
+  ASSERT_EQ(d_off.bias(), d_on.bias());
+
+  for (graph::NodeId u = 0; u < net.num_nodes(); ++u) {
+    const auto first_off = line_off.FirstOrder(u);
+    const auto first_on = line_on.FirstOrder(u);
+    const auto second_off = line_off.SecondOrder(u);
+    const auto second_on = line_on.SecondOrder(u);
+    ASSERT_TRUE(std::equal(first_off.begin(), first_off.end(),
+                           first_on.begin(), first_on.end()))
+        << "LINE first-order row " << u;
+    ASSERT_TRUE(std::equal(second_off.begin(), second_off.end(),
+                           second_on.begin(), second_on.end()))
+        << "LINE second-order row " << u;
+  }
 }
 
 }  // namespace

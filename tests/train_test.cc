@@ -1,6 +1,6 @@
 // Tests for the unified SGD training engine (src/train/): learning-rate
-// schedules, sharded RNG streams, the thread pool, the progress reporter,
-// the SgdDriver's serial-determinism and multi-worker coverage guarantees,
+// schedules, sharded RNG streams, the thread pool, the SgdDriver's
+// serial-determinism, multi-worker coverage and loss-sampling guarantees,
 // and the interrupt/resume goldens for all four production trainers.
 
 #include <gtest/gtest.h>
@@ -11,6 +11,9 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/applications.h"
@@ -22,10 +25,10 @@
 #include "kernels/kernels.h"
 #include "ml/dataset.h"
 #include "ml/logistic_regression.h"
+#include "obs/metrics.h"
 #include "train/checkpoint.h"
 #include "train/hogwild.h"
 #include "train/lr_schedule.h"
-#include "train/progress_reporter.h"
 #include "train/sgd_driver.h"
 #include "train/sharded_rng.h"
 #include "train/thread_pool.h"
@@ -169,29 +172,6 @@ TEST(ThreadPoolTest, ZeroRequestsHardwareConcurrency) {
   EXPECT_GE(ThreadPool::HardwareConcurrency(), 1u);
 }
 
-TEST(ProgressReporterTest, FiresOnCadenceAndAtBudgetEnd) {
-  std::vector<uint64_t> steps;
-  std::vector<double> means;
-  ProgressReporter reporter(
-      [&](uint64_t step, uint64_t total, double mean) {
-        EXPECT_EQ(total, 10u);
-        steps.push_back(step);
-        means.push_back(mean);
-      },
-      /*report_every=*/4, /*total=*/10);
-  for (int i = 0; i < 10; ++i) reporter.Record(1, 2.0);
-  // Windows close at steps 4, 8 and at the end of the budget (step 10).
-  ASSERT_EQ(steps, (std::vector<uint64_t>{4, 8, 10}));
-  for (double m : means) EXPECT_DOUBLE_EQ(m, 2.0);
-  EXPECT_EQ(reporter.processed(), 10u);
-}
-
-TEST(ProgressReporterTest, NullCallbackStillCountsSteps) {
-  ProgressReporter reporter(nullptr, 4, 10);
-  reporter.Record(7, 1.0);
-  EXPECT_EQ(reporter.processed(), 7u);
-}
-
 TEST(SgdDriverTest, SerialPathMatchesInlineLoopBitForBit) {
   // The driver's one-worker path must consume the caller's Rng exactly like
   // a hand-written loop: same draws, same lr sequence, same final params.
@@ -313,20 +293,66 @@ TEST(SgdDriverTest, HogwildUpdatesLandFromAllWorkers) {
   EXPECT_DOUBLE_EQ(landed, static_cast<double>(kSteps));
 }
 
-TEST(SgdDriverTest, ProgressReportingThreadsThroughTheDriver) {
-  SgdOptions options;
-  options.steps = 100;
-  options.report_every = 40;
-  std::vector<uint64_t> reported;
-  options.progress = [&](uint64_t step, uint64_t total, double mean) {
-    EXPECT_EQ(total, 100u);
-    EXPECT_DOUBLE_EQ(mean, 0.5);
-    reported.push_back(step);
+TEST(SgdDriverTest, LossIsSampledByStepIndexAlone) {
+  // A step samples its loss exactly when the run records telemetry (the
+  // registry is on and the prefix is not empty) and its index is a
+  // multiple of kLossSampleSteps: on the serial path, the Hogwild path and
+  // under a shard plan. Sampling changes no step and no draw.
+  struct Case {
+    const char* name;
+    size_t threads;
+    size_t shards;
   };
-  SgdDriver driver(options);
-  util::Rng rng(1);
-  driver.Run(rng, [](auto, const SgdStep&) { return 0.5; });
-  EXPECT_EQ(reported, (std::vector<uint64_t>{40, 80, 100}));
+  const Case cases[] = {{"serial", 1, 0}, {"hogwild", 2, 0}, {"shards", 2, 3}};
+  // Per worker, in execution order: (step, first draw, sample_loss).
+  using Log = std::vector<std::vector<std::tuple<uint64_t, uint64_t, bool>>>;
+  // A run's log and the next draw of the caller's Rng after it.
+  using Trace = std::pair<Log, uint64_t>;
+  obs::Registry& registry = obs::Registry::Default();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto run = [&](bool enabled, const std::string& prefix) {
+      registry.Reset();
+      registry.set_enabled(enabled);
+      SgdOptions options;
+      options.steps = 1000;
+      options.steps_per_epoch = 300;
+      options.num_threads = c.threads;
+      options.shard_seed = 4;
+      options.metrics_prefix = prefix;
+      options.shard_plan.num_shards = c.shards;
+      if (c.shards > 0) options.shard_plan.shard_weights = {1.0, 2.0, 3.0};
+      SgdDriver driver(options);
+      Log log(driver.num_workers());
+      util::Rng rng(8);
+      driver.Run(rng, [&](auto, const SgdStep& ctx) -> double {
+        log[ctx.worker].emplace_back(ctx.step, ctx.rng.Next(),
+                                     ctx.sample_loss);
+        return 0.0;
+      });
+      registry.set_enabled(false);
+      return Trace(std::move(log), rng.Next());
+    };
+    Trace recorded = run(true, "test.sampling");
+    size_t sampled = 0;
+    for (size_t w = 0; w < recorded.first.size(); ++w) {
+      size_t worker_sampled = 0;
+      for (auto& [step, draw, sample] : recorded.first[w]) {
+        EXPECT_EQ(sample, step % kLossSampleSteps == 0) << "step " << step;
+        worker_sampled += sample;
+        sample = false;
+      }
+      // With a prime k, every strided worker meets sampled steps.
+      EXPECT_GT(worker_sampled, 0u) << "worker " << w;
+      sampled += worker_sampled;
+    }
+    EXPECT_GE(sampled, 1000 / kLossSampleSteps);
+    // Registry off, or no prefix: no step samples, and every step draws
+    // what it drew in the recorded run.
+    EXPECT_EQ(run(false, "test.sampling"), recorded);
+    EXPECT_EQ(run(true, ""), recorded);
+  }
+  registry.Reset();
 }
 
 TEST(SgdDriverTest, ShardedHogwildStridesSweepTheFullDecay) {
