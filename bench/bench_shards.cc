@@ -22,11 +22,14 @@
 //                                           4 shards (ample budget) is at
 //                                           least 0.6x the in-RAM trainer's
 //
-// The pressure run measures correctness, not speed: serial global sampling
-// against a working set over budget faults pages back in on most steps,
-// which is the access pattern the shard-affine Hogwild plan exists to
-// avoid (tests/sharded_store_test.cc pins that the thrashed result is
-// still bit-identical). Timing rows (*_seconds) carry machine-dependent
+// The pressure run measures correctness, not speed. Serial global sampling
+// against a working set twice the budget still faults pages back in on
+// many steps: the E-step reads ahead and the CLOCK keeps the pages of the
+// steps it has drawn (DESIGN.md §3i), which cut this run's evictions from
+// 846k to 483k on a 4-vCPU host, but the noise rows are drawn over all
+// arcs. Shard-affine Hogwild is the access pattern that avoids most of it
+// (tests/sharded_store_test.cc pins that the thrashed result is still
+// bit-identical). Timing rows (*_seconds) carry machine-dependent
 // wall clock and are skipped by the cross-machine gate
 // (scripts/bench_compare.py --skip-timing); the ratio and counters
 // transfer.

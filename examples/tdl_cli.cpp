@@ -34,6 +34,10 @@
 //       line protocol.
 //
 // Methods: deepdirect (default), hf, line, redirect-n, redirect-t.
+//
+// Each command accepts exactly the flags it reads (kCommandFlags) plus the
+// global --kernels, --metrics-out, --trace-out and --metrics-interval-sec;
+// any other flag, a typo among them, exits 1 before any input is read.
 
 #include <cctype>
 #include <cerrno>
@@ -46,6 +50,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -237,7 +242,61 @@ Flags ParseFlags(int argc, char** argv, int first) {
   return flags;
 }
 
-int RunGenerate(const Flags& flags) {
+// The flags every command accepts, read by main.
+const std::set<std::string> kGlobalFlags = {
+    "kernels", "metrics-out", "trace-out", "metrics-interval-sec"};
+
+// The flags each command reads; the checkpoint family appears where
+// ParseCheckpointFlags runs.
+const std::map<std::string, std::set<std::string>> kCommandFlags = {
+    {"generate", {"dataset", "output", "scale", "stream"}},
+    {"discover",
+     {"input", "method", "output", "hide", "seed", "threads", "epochs",
+      "shards", "shard-dir", "shard-ram-mb", "checkpoint-dir",
+      "checkpoint-every", "checkpoint-keep", "resume", "save-model",
+      "truth"}},
+    {"quantify",
+     {"input", "method", "output", "seed", "threads", "epochs", "shards",
+      "shard-dir", "shard-ram-mb", "checkpoint-dir", "checkpoint-every",
+      "checkpoint-keep", "resume", "save-model"}},
+    {"embed",
+     {"input", "output", "threads", "dims", "checkpoint-dir",
+      "checkpoint-every", "checkpoint-keep", "resume", "save-model"}},
+    {"update",
+     {"input", "batch", "checkpoint-dir", "threads", "epochs-per-batch",
+      "seed", "output", "merged-output", "truth", "save-model"}},
+    {"serve", {"model", "cache", "ways"}},
+};
+
+// False after printing an error when `flags` holds a key that `command`
+// does not read (a misspelled flag would otherwise be ignored and the run
+// would train with defaults).
+bool FlagsKnown(const std::set<std::string>& known, const std::string& command,
+                const Flags& flags) {
+  for (const auto& [key, value] : flags) {
+    if (!known.contains(key) && !kGlobalFlags.contains(key)) {
+      std::fprintf(stderr, "error: %s does not take --%s\n", command.c_str(),
+                   key.c_str());
+      return false;
+    }
+  }
+  return true;
+}
+
+// The --metrics-interval-sec timeline writer, configured by main and
+// started by a command once its own flags have validated, so a run
+// rejected for a bad flag writes no timeline file. Null when not asked
+// for. False after printing an error.
+bool StartTimeline(obs::TimelineWriter* timeline) {
+  if (timeline == nullptr) return true;
+  const auto status = timeline->Start();
+  if (!status.ok()) {
+    std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
+  }
+  return status.ok();
+}
+
+int RunGenerate(const Flags& flags, obs::TimelineWriter* timeline) {
   const auto dataset_it = flags.find("dataset");
   const auto output_it = flags.find("output");
   if (dataset_it == flags.end() || output_it == flags.end()) return Usage();
@@ -247,7 +306,7 @@ int RunGenerate(const Flags& flags) {
   const double base_nodes =
       static_cast<double>(data::DatasetConfig(*dataset, 1.0).num_nodes);
   const auto scale = RealFlag(flags, "scale", 1.0, 2.5 / base_nodes, 1e4);
-  if (!scale.has_value()) return 1;
+  if (!scale.has_value() || !StartTimeline(timeline)) return 1;
 
   if (flags.contains("stream")) {
     // Stream the tie sequence straight to disk — same process, same RNG
@@ -408,8 +467,8 @@ int ReportTruthAccuracy(const std::string& path,
   return 0;
 }
 
-int RunDiscoverOrQuantify(const std::string& command,
-                          const Flags& flags) {
+int RunDiscoverOrQuantify(const std::string& command, const Flags& flags,
+                          obs::TimelineWriter* timeline) {
   const auto input_it = flags.find("input");
   if (input_it == flags.end()) return Usage();
   const auto method =
@@ -445,6 +504,7 @@ int RunDiscoverOrQuantify(const std::string& command,
       return 1;
     }
   }
+  if (!StartTimeline(timeline)) return 1;
 
   auto loaded = graph::LoadEdgeList(input_it->second, *threads);
   if (!loaded.ok()) {
@@ -539,7 +599,7 @@ int RunDiscoverOrQuantify(const std::string& command,
   return MaybeSaveModel(flags, *model);
 }
 
-int RunEmbed(const Flags& flags) {
+int RunEmbed(const Flags& flags, obs::TimelineWriter* timeline) {
   const auto input_it = flags.find("input");
   const auto output_it = flags.find("output");
   if (input_it == flags.end() || output_it == flags.end()) return Usage();
@@ -549,7 +609,8 @@ int RunEmbed(const Flags& flags) {
   const auto dims = IntFlag(flags, "dims", config.dimensions, 1, 4096);
   const auto ckpt = ParseCheckpointFlags(flags);
   if (!threads.has_value() || !dims.has_value() || !ckpt.has_value() ||
-      !SaveModelAllowed(flags, core::Method::kDeepDirect, 0)) {
+      !SaveModelAllowed(flags, core::Method::kDeepDirect, 0) ||
+      !StartTimeline(timeline)) {
     return 1;
   }
   auto loaded = graph::LoadEdgeList(input_it->second, *threads);
@@ -601,7 +662,7 @@ int RunEmbed(const Flags& flags) {
 // applied in the order given; each chains the state (and merged network)
 // into the next. After all batches succeed the updated state is saved back
 // into the checkpoint directory so further updates chain across processes.
-int RunUpdate(const Flags& flags) {
+int RunUpdate(const Flags& flags, obs::TimelineWriter* timeline) {
   const auto input_it = flags.find("input");
   const auto batch_it = flags.find("batch");
   const auto dir_it = flags.find("checkpoint-dir");
@@ -621,7 +682,8 @@ int RunUpdate(const Flags& flags) {
   const auto seed = IntFlag(flags, "seed", config.seed, 0, UINT64_MAX);
   if (!threads.has_value() || !epochs_per_batch.has_value() ||
       !seed.has_value() ||
-      !SaveModelAllowed(flags, core::Method::kDeepDirect, 0)) {
+      !SaveModelAllowed(flags, core::Method::kDeepDirect, 0) ||
+      !StartTimeline(timeline)) {
     return 1;
   }
   options.epochs_per_batch = *epochs_per_batch;
@@ -739,13 +801,15 @@ int RunUpdate(const Flags& flags) {
 // Opens a servable model and answers queries over stdin/stdout until EOF
 // or "quit". Banners and the final summary go to stderr so stdout carries
 // nothing but protocol responses (scripted clients diff it directly).
-int RunServe(const Flags& flags) {
+int RunServe(const Flags& flags, obs::TimelineWriter* timeline) {
   const auto model_it = flags.find("model");
   if (model_it == flags.end() || model_it->second.empty()) return Usage();
   serve::ServeOptions options;
   const auto cache = IntFlag(flags, "cache", 4096, 0, 1 << 26);
   const auto ways = IntFlag(flags, "ways", options.cache_ways, 1, 1024);
-  if (!cache.has_value() || !ways.has_value()) return 1;
+  if (!cache.has_value() || !ways.has_value() || !StartTimeline(timeline)) {
+    return 1;
+  }
   options.cache_capacity = *cache;
   options.cache_ways = *ways;
   auto opened = serve::ServableModel::Open(model_it->second, options);
@@ -789,16 +853,15 @@ int WriteMetricsSnapshot(const std::string& path) {
   return 0;
 }
 
-int Dispatch(const std::string& command,
-             const Flags& flags) {
-  if (command == "generate") return RunGenerate(flags);
+int Dispatch(const std::string& command, const Flags& flags,
+             obs::TimelineWriter* timeline) {
+  if (command == "generate") return RunGenerate(flags, timeline);
   if (command == "discover" || command == "quantify") {
-    return RunDiscoverOrQuantify(command, flags);
+    return RunDiscoverOrQuantify(command, flags, timeline);
   }
-  if (command == "embed") return RunEmbed(flags);
-  if (command == "update") return RunUpdate(flags);
-  if (command == "serve") return RunServe(flags);
-  return Usage();
+  if (command == "embed") return RunEmbed(flags, timeline);
+  if (command == "update") return RunUpdate(flags, timeline);
+  return RunServe(flags, timeline);
 }
 
 }  // namespace
@@ -806,7 +869,10 @@ int Dispatch(const std::string& command,
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
+  const auto known = kCommandFlags.find(command);
+  if (known == kCommandFlags.end()) return Usage();
   const auto flags = ParseFlags(argc, argv, 2);
+  if (!FlagsKnown(known->second, command, flags)) return 1;
   // Kernel dispatch must be pinned before any trainer touches the SIMD
   // layer; the flag overrides the DD_KERNELS environment default.
   if (flags.contains("kernels") &&
@@ -834,14 +900,10 @@ int main(int argc, char** argv) {
         RealFlag(flags, "metrics-interval-sec", 1.0, 1e-3, 86400.0);
     if (!interval.has_value()) return 2;
     timeline.emplace(flags.at("metrics-out") + ".timeline.jsonl", *interval);
-    const auto status = timeline->Start();
-    if (!status.ok()) {
-      std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
-      return 1;
-    }
   }
 
-  const int rc = Dispatch(command, flags);
+  const int rc =
+      Dispatch(command, flags, timeline.has_value() ? &*timeline : nullptr);
   if (timeline.has_value()) timeline->Stop();
   if (want_trace && rc == 0) {
     const auto status =

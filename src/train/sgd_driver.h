@@ -45,17 +45,31 @@
 // one; a body whose loss falls out of its update (logistic regression)
 // returns it on every step. Per-worker scratch buffers should be sized by
 // num_workers() and indexed by SgdStep::worker.
+//
+// Each worker runs one schedule of (step, shard) pairs per epoch chunk:
+// the serial chunk, its Hogwild strides, or its shard rounds. A body may
+// instead be a TwoPhase: draw(ctx) takes a step's random draws and
+// train(access, ctx) trains the oldest drawn step. The driver then draws
+// each step before it trains it, and while draw_more(worker) asks, draws
+// further steps of the same schedule first, so the read-ahead sees
+// exactly the steps the worker runs next. It never draws past the end of
+// the chunk: every drawn step is trained before epoch_end and the
+// checkpointer run. Draws keep their order in each worker's Rng stream,
+// so a body whose draws do not depend on what its train phase writes (the
+// E-step's) trains exactly what it would have trained one step at a time.
 
 #ifndef DEEPDIRECT_TRAIN_SGD_DRIVER_H_
 #define DEEPDIRECT_TRAIN_SGD_DRIVER_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -158,6 +172,25 @@ struct SgdStep {
   bool sample_loss = false;
 };
 
+/// A two-phase step body (see the file comment): draw(ctx) takes step
+/// ctx.step's random draws from ctx.rng, train(access, ctx) trains the
+/// oldest drawn step, which is step ctx.step, and returns its loss, and
+/// draw_more(worker) says whether that worker should draw another step
+/// before it trains.
+template <typename Draw, typename DrawMore, typename Train>
+struct TwoPhase {
+  Draw draw;
+  DrawMore draw_more;
+  Train train;
+};
+template <typename Draw, typename DrawMore, typename Train>
+TwoPhase(Draw, DrawMore, Train) -> TwoPhase<Draw, DrawMore, Train>;
+
+template <typename Body>
+inline constexpr bool kIsTwoPhase = false;
+template <typename Draw, typename DrawMore, typename Train>
+inline constexpr bool kIsTwoPhase<TwoPhase<Draw, DrawMore, Train>> = true;
+
 /// Unified SGD execution engine; see the file comment.
 class SgdDriver {
  public:
@@ -203,13 +236,10 @@ class SgdDriver {
       }
       double epoch_loss = 0.0;
       if (workers_ == 1) {
-        for (uint64_t step = cursor; step < chunk_end; ++step) {
-          const SgdStep ctx{0, step, options_.lr.At(step, steps), rng,
-                            kNoShard, options_.dense,
-                            record && step % kLossSampleSteps == 0};
-          epoch_loss += body(SerialAccess{}, ctx);
-        }
-        worker_steps[0] += chunk_end - cursor;
+        epoch_loss = RunWorker<SerialAccess>(0, rng, options_.dense, nullptr,
+                                             record,
+                                             Strided(cursor, 1, chunk_end),
+                                             body, worker_steps[0]);
       } else {
         epoch_loss = RunChunkHogwild(cursor, chunk_end, epoch, record, *pool,
                                      worker_steps, body);
@@ -278,66 +308,12 @@ class SgdDriver {
       }
       util::Rng worker_rng = shards.MakeShard(w);
       DenseCopy dense(options_.dense, dense_mu);
-      double loss_sum = 0.0;
-      uint64_t steps_run = 0;
-      auto run_step = [&](uint64_t step, size_t shard) {
-        const SgdStep ctx{w, step, options_.lr.At(step, options_.steps),
-                          worker_rng, shard, dense.params(),
-                          record && step % kLossSampleSteps == 0};
-        loss_sum += body(HogwildAccess{}, ctx);
-        if (++steps_run % kDenseMergeSteps == 0) dense.Merge();
-      };
-      if (quota.empty()) {
-        for (uint64_t i = w; i < chunk_steps; i += workers_) {
-          run_step(chunk_begin + i, kNoShard);
-        }
-      } else {
-        // This worker's shards with ⌊quota_s·k/q_w⌋ as quotient and
-        // remainder, so that no quota·k product can overflow.
-        struct Share {
-          size_t shard;
-          uint64_t quota;
-          uint64_t due = 0;
-          uint64_t due_rem = 0;
-        };
-        std::vector<Share> shares;
-        uint64_t q_w = 0;
-        for (size_t s = w; s < quota.size(); s += workers_) {
-          shares.push_back({s, quota[s]});
-          q_w += quota[s];
-        }
-        // ⌊k·chunk/q_w⌋, advanced the same way.
-        const uint64_t stride = q_w > 0 ? chunk_steps / q_w : 0;
-        const uint64_t stride_rem = q_w > 0 ? chunk_steps % q_w : 0;
-        uint64_t index = 0;
-        uint64_t rem = 0;
-        for (uint64_t k = 0; k < q_w;) {
-          const uint64_t round = std::min(kShardRoundSteps, q_w - k);
-          k += round;
-          for (Share& share : shares) {
-            const uint64_t ran = share.due;
-            const uint64_t add = share.quota * round;
-            share.due += add / q_w;
-            share.due_rem += add % q_w;
-            if (share.due_rem >= q_w) {
-              share.due_rem -= q_w;
-              ++share.due;
-            }
-            for (uint64_t j = ran; j < share.due; ++j) {
-              run_step(chunk_begin + index, share.shard);
-              index += stride;
-              rem += stride_rem;
-              if (rem >= q_w) {
-                rem -= q_w;
-                ++index;
-              }
-            }
-          }
-        }
-      }
+      worker_loss[w] = RunWorker<HogwildAccess>(
+          w, worker_rng, dense.params(), &dense, record,
+          quota.empty() ? Strided(chunk_begin + w, workers_, chunk_end)
+                        : ShardRounds(w, quota, chunk_begin, chunk_steps),
+          body, worker_steps[w]);
       dense.Merge();
-      worker_loss[w] = loss_sum;
-      worker_steps[w] += steps_run;
     });
     // Fixed summation order keeps the reduction independent of thread
     // scheduling (the sparse updates themselves still race, by design).
@@ -378,6 +354,129 @@ class SgdDriver {
     std::vector<double> params_;  ///< what this worker's steps update
     std::vector<double> base_;    ///< the shared block at the last merge
   };
+
+  /// One step of a worker's schedule.
+  struct Planned {
+    uint64_t step;
+    size_t shard;
+  };
+  /// A worker's schedule within one epoch chunk: each call appends the
+  /// next pairs, at most a round of them, to the plan, and returns false
+  /// once the worker's share of the chunk is exhausted.
+  using Schedule = std::function<bool(std::vector<Planned>&)>;
+
+  /// Runs one worker's schedule, in order, and returns the sum of its
+  /// steps' losses; adds the steps it ran to `steps_run`. A TwoPhase body
+  /// draws each step before it trains it, and draws further steps of the
+  /// same schedule ahead while draw_more asks; so the read-ahead sees
+  /// exactly the steps the worker runs next and never passes the chunk's
+  /// end. With a `copy`, the steps use that dense copy, merged every
+  /// kDenseMergeSteps of the worker's steps; the caller merges at the end.
+  template <typename A, typename Body>
+  double RunWorker(size_t worker, util::Rng& rng, std::span<double> dense,
+                   DenseCopy* copy, bool record, const Schedule& schedule,
+                   Body& body, uint64_t& steps_run) {
+    std::vector<Planned> plan;
+    plan.reserve(kShardRoundSteps);
+    size_t trained = 0;  // plan[trained] is the next step to train
+    size_t drawn = 0;    // plan[drawn] the next to draw
+    // Makes plan[drawn] exist, dropping the trained pairs before each
+    // refill; false at the end of the schedule.
+    const auto next = [&] {
+      if (drawn < plan.size()) return true;
+      plan.erase(plan.begin(),
+                 plan.begin() + static_cast<std::ptrdiff_t>(trained));
+      drawn -= trained;
+      trained = 0;
+      while (drawn == plan.size()) {
+        if (!schedule(plan)) return false;
+      }
+      return true;
+    };
+    const auto ctx = [&](const Planned& p) {
+      return SgdStep{worker, p.step, options_.lr.At(p.step, options_.steps),
+                     rng, p.shard, dense,
+                     record && p.step % kLossSampleSteps == 0};
+    };
+    double loss_sum = 0.0;
+    uint64_t ran = 0;
+    while (trained < drawn || next()) {
+      if constexpr (kIsTwoPhase<std::remove_cvref_t<Body>>) {
+        if (drawn == trained) body.draw(ctx(plan[drawn++]));
+        while (body.draw_more(worker) && next()) body.draw(ctx(plan[drawn++]));
+        loss_sum += body.train(A{}, ctx(plan[trained++]));
+      } else {
+        loss_sum += body(A{}, ctx(plan[trained++]));
+        drawn = trained;
+      }
+      if (++ran % kDenseMergeSteps == 0 && copy != nullptr) copy->Merge();
+    }
+    steps_run += ran;
+    return loss_sum;
+  }
+
+  /// Steps first, first + stride, … below end: the serial chunk and a
+  /// Hogwild worker's strides.
+  static Schedule Strided(uint64_t first, uint64_t stride, uint64_t end) {
+    return [step = first, stride, end](std::vector<Planned>& plan) mutable {
+      if (step >= end) return false;
+      for (uint64_t k = 0; k < kShardRoundSteps && step < end;
+           ++k, step += stride) {
+        plan.push_back({step, kNoShard});
+      }
+      return true;
+    };
+  }
+
+  /// Worker w's shard-interleaved schedule of a chunk of `chunk_steps`
+  /// steps from `chunk_begin`, one round per call (see RunChunkHogwild).
+  Schedule ShardRounds(size_t w, const std::vector<uint64_t>& quota,
+                       uint64_t chunk_begin, uint64_t chunk_steps) const {
+    // This worker's shards with ⌊quota_s·k/q_w⌋ as quotient and
+    // remainder, so that no quota·k product can overflow.
+    struct Share {
+      size_t shard;
+      uint64_t quota;
+      uint64_t due = 0;
+      uint64_t due_rem = 0;
+    };
+    std::vector<Share> shares;
+    uint64_t q_w = 0;
+    for (size_t s = w; s < quota.size(); s += workers_) {
+      shares.push_back({s, quota[s]});
+      q_w += quota[s];
+    }
+    // ⌊k·chunk/q_w⌋, advanced the same way.
+    const uint64_t stride = q_w > 0 ? chunk_steps / q_w : 0;
+    const uint64_t stride_rem = q_w > 0 ? chunk_steps % q_w : 0;
+    return [shares = std::move(shares), q_w, stride, stride_rem, chunk_begin,
+            k = uint64_t{0}, index = uint64_t{0},
+            rem = uint64_t{0}](std::vector<Planned>& plan) mutable {
+      if (k >= q_w) return false;
+      const uint64_t round = std::min(kShardRoundSteps, q_w - k);
+      k += round;
+      for (Share& share : shares) {
+        const uint64_t ran = share.due;
+        const uint64_t add = share.quota * round;
+        share.due += add / q_w;
+        share.due_rem += add % q_w;
+        if (share.due_rem >= q_w) {
+          share.due_rem -= q_w;
+          ++share.due;
+        }
+        for (uint64_t j = ran; j < share.due; ++j) {
+          plan.push_back({chunk_begin + index, share.shard});
+          index += stride;
+          rem += stride_rem;
+          if (rem >= q_w) {
+            rem -= q_w;
+            ++index;
+          }
+        }
+      }
+      return true;
+    };
+  }
 
   /// Largest-remainder apportionment of `chunk_steps` across the plan's
   /// shards by weight. Deterministic: remainder ties break on shard index.

@@ -227,6 +227,20 @@ std::pair<ShardedStore::Shard*, uint64_t> ShardedStore::LocatePage(
   return {&shard, shard.page_offset + ((p - shard.first_page) << page_shift_)};
 }
 
+bool ShardedStore::StartReadAhead(size_t workers) {
+  std::lock_guard<std::mutex> lock(admit_mu_);
+  const uint64_t budget_pages = budget_bytes_ >> page_shift_;
+  readers_.clear();
+  read_ahead_share_ = 0;
+  if (budget_pages >= num_pages_ || workers == 0) return false;
+  readers_.resize(workers);
+  for (Reader& reader : readers_) {
+    reader.uses.reset(new std::atomic<uint32_t>[num_pages_]());
+  }
+  read_ahead_share_ = static_cast<size_t>(budget_pages / workers);
+  return read_ahead_share_ > 0;
+}
+
 void ShardedStore::Admit(size_t p) {
   std::lock_guard<std::mutex> lock(admit_mu_);
   Page& incoming = pages_[p];
@@ -234,9 +248,13 @@ void ShardedStore::Admit(size_t p) {
   // Advance the hand until the incoming page fits. It never evicts the
   // incoming page (not resident yet), so a budget below one page degrades
   // to exactly one resident page. A lap clears every reference byte it
-  // passes, so unless rows keep being touched meanwhile, the hand finds a
-  // victim within two laps.
-  while (resident_bytes_ > 0 && resident_bytes_ + page_bytes_ > budget_bytes_) {
+  // passes, and an announced page is passed over for two laps only, so
+  // unless rows keep being touched meanwhile, the hand finds a victim
+  // within three laps.
+  const size_t patience = 2 * num_pages_;
+  for (size_t passed = 0;
+       resident_bytes_ > 0 && resident_bytes_ + page_bytes_ > budget_bytes_;
+       ++passed) {
     const size_t q = hand_;
     hand_ = hand_ + 1 == num_pages_ ? 0 : hand_ + 1;
     Page& page = pages_[q];
@@ -245,6 +263,7 @@ void ShardedStore::Admit(size_t p) {
       page.referenced.store(0, std::memory_order_relaxed);
       continue;
     }
+    if (passed < patience && Announced(q)) continue;
     const auto [victim, at] = LocatePage(q);
     page.resident.store(0, std::memory_order_release);
     victim->file.DropResident(at, 1);
@@ -292,6 +311,7 @@ ShardedStore::Stats ShardedStore::GetStats() const {
   stats.resident_bytes = resident_bytes_;
   stats.max_resident_bytes = max_resident_bytes_;
   stats.budget_bytes = budget_bytes_;
+  for (size_t p = 0; p < num_pages_; ++p) stats.announced_pages += Announced(p);
   return stats;
 }
 

@@ -28,13 +28,28 @@
 //     from the page cache / disk on the next touch). A page starts
 //     unreferenced, so a page touched once goes first and the hot head of
 //     the noise distribution stays resident on its own.
+//   * Readers may announce the rows they will read (StartReadAhead,
+//     Announce*/Retire*): the E-step draws its steps ahead and announces
+//     each row read of a drawn step until that step has trained it. The
+//     CLOCK passes over a resident page that any reader has announced, as
+//     it passes over a referenced one. After two laps that find only
+//     such pages it evicts as it would without announcements, so
+//     admission never blocks and never exceeds the budget. An
+//     announcement admits nothing. A reader is asked to stop drawing
+//     ahead (ReadAhead) once the pages it has announced reach its share
+//     of the budget, budget pages ÷ readers; with a budget that holds
+//     every page nothing is evicted, so nothing is announced.
 //   * The returned spans stay valid for the store's lifetime even across
 //     eviction (the mapping is never unmapped mid-run), so Hogwild workers
 //     can race on rows exactly as they do on in-RAM matrices.
 //
-// State is two bytes per page (resident, referenced), and the accounting
-// is exact (GetStats). Seal() releases every page before its CRC pass and
-// drops each shard file after stamping it, so it holds the budget too.
+// State is two bytes per page (resident, referenced), plus, while readers
+// announce, four bytes per page per reader: a count of its announced uses,
+// which only that reader writes, with a plain relaxed load and store (no
+// read-modify-write), so announcing costs a step no atomic operation. The
+// accounting is exact (GetStats). Seal() releases every page before its
+// CRC pass and drops each shard file after stamping it, so it holds the
+// budget too.
 // Create() fills the embedding sections with the caller's Rng in global
 // row-major arc order — the exact draw order of ml::Matrix::FillUniform —
 // which is what makes an nt=1 sharded run bit-identical to the in-RAM
@@ -119,34 +134,40 @@ class ShardedStore {
   // --- Parameter rows (budget-managed) ----------------------------------
   /// Row e of the embedding matrix M. Admits every page the row spans
   /// (the CLOCK evicts past the budget) and marks resident ones referenced.
-  std::span<float> EmbRow(size_t e) {
-    const Shard& s = shards_[ShardOf(e)];
-    float* row = s.emb + (e - s.arc_begin) * dimensions_;
-    Touch(s, row);
-    return {row, static_cast<size_t>(dimensions_)};
-  }
+  std::span<float> EmbRow(size_t e) { return Row(e, /*conn=*/false); }
 
   /// Row e of the connection matrix N; same admission discipline.
-  std::span<float> ConnRow(size_t e) {
-    const Shard& s = shards_[ShardOf(e)];
-    float* row = s.conn + (e - s.arc_begin) * dimensions_;
-    Touch(s, row);
-    return {row, static_cast<size_t>(dimensions_)};
-  }
+  std::span<float> ConnRow(size_t e) { return Row(e, /*conn=*/true); }
 
   /// Cache hints for row e of M or N that bypass residency: they admit
   /// nothing, the CLOCK does not see them, and a row whose page is not
   /// mapped in stays unmapped.
-  void PrefetchEmbRow(size_t e) const {
-    const Shard& s = shards_[ShardOf(e)];
-    kernels::PrefetchRow({s.emb + (e - s.arc_begin) * dimensions_,
-                          static_cast<size_t>(dimensions_)});
+  void PrefetchEmbRow(size_t e) const { Prefetch(e, /*conn=*/false); }
+  void PrefetchConnRow(size_t e) const { Prefetch(e, /*conn=*/true); }
+
+  // --- Read-ahead (announced uses) --------------------------------------
+  /// Sets up announced-use state for `workers` readers, each with none
+  /// announced, and returns whether they should draw ahead. It is false
+  /// when the budget holds every page, because then nothing is evicted
+  /// and announcements are ignored. Call before the readers start.
+  bool StartReadAhead(size_t workers);
+
+  /// Whether `worker` should announce another step's rows: the pages it
+  /// has announced are below its share of the budget (budget pages ÷
+  /// workers).
+  bool ReadAhead(size_t worker) const {
+    return !readers_.empty() && readers_[worker].pages < read_ahead_share_;
   }
-  void PrefetchConnRow(size_t e) const {
-    const Shard& s = shards_[ShardOf(e)];
-    kernels::PrefetchRow({s.conn + (e - s.arc_begin) * dimensions_,
-                          static_cast<size_t>(dimensions_)});
-  }
+
+  /// One announced use by `worker` of every page of row e of M or N:
+  /// until the matching Retire, the CLOCK passes over the page while it is
+  /// resident. Admits nothing. Only `worker` itself may announce or
+  /// retire under its index.
+  void AnnounceEmbRow(size_t worker, size_t e) { Mark(worker, e, false, +1); }
+  void AnnounceConnRow(size_t worker, size_t e) { Mark(worker, e, true, +1); }
+  /// Ends one announced use of row e of M or N.
+  void RetireEmbRow(size_t worker, size_t e) { Mark(worker, e, false, -1); }
+  void RetireConnRow(size_t worker, size_t e) { Mark(worker, e, true, -1); }
 
   // --- Lifecycle --------------------------------------------------------
   /// Syncs every shard file and stamps section CRCs, the meta CRC, and the
@@ -164,6 +185,7 @@ class ShardedStore {
     uint64_t resident_bytes = 0;      ///< admitted pages × page size
     uint64_t max_resident_bytes = 0;  ///< high-water mark of the above
     uint64_t budget_bytes = 0;
+    uint64_t announced_pages = 0;     ///< pages some reader has announced
   };
   Stats GetStats() const;
 
@@ -193,6 +215,13 @@ class ShardedStore {
     std::atomic<uint8_t> referenced{0};
   };
 
+  /// One reader's announced uses: a count per page, loaded and stored by
+  /// that reader alone (never a read-modify-write), and read by the CLOCK.
+  struct alignas(64) Reader {
+    std::unique_ptr<std::atomic<uint32_t>[]> uses;
+    size_t pages = 0;  ///< pages with a nonzero count; the reader's own
+  };
+
   explicit ShardedStore(uint64_t ram_budget_bytes);
 
   /// Records the store geometry that every shard's meta repeats: the
@@ -210,11 +239,33 @@ class ShardedStore {
   /// all non-resident. Runs once every shard is wired.
   void InitPages();
 
+  /// Row e of M (conn = false) or N, and the shard that holds it.
+  std::pair<const Shard*, float*> Locate(size_t e, bool conn) const {
+    const Shard& s = shards_[ShardOf(e)];
+    return {&s, (conn ? s.conn : s.emb) + (e - s.arc_begin) * dimensions_};
+  }
+
+  /// The first and last of the CLOCK's pages that the row at `row` spans.
+  std::pair<size_t, size_t> PagesOf(const Shard& s, const float* row) const {
+    const uintptr_t at = reinterpret_cast<uintptr_t>(row) - s.page_origin;
+    return {s.first_page + (at >> page_shift_),
+            s.first_page + ((at + row_bytes_ - 1) >> page_shift_)};
+  }
+
+  std::span<float> Row(size_t e, bool conn) {
+    const auto [s, row] = Locate(e, conn);
+    Touch(*s, row);
+    return {row, static_cast<size_t>(dimensions_)};
+  }
+
+  void Prefetch(size_t e, bool conn) const {
+    kernels::PrefetchRow(
+        {Locate(e, conn).second, static_cast<size_t>(dimensions_)});
+  }
+
   /// Admits or marks referenced every page of the row at `row`.
   void Touch(const Shard& s, const float* row) {
-    const uintptr_t at = reinterpret_cast<uintptr_t>(row) - s.page_origin;
-    const size_t first = s.first_page + (at >> page_shift_);
-    const size_t last = s.first_page + ((at + row_bytes_ - 1) >> page_shift_);
+    const auto [first, last] = PagesOf(s, row);
     for (size_t p = first; p <= last; ++p) {
       Page& page = pages_[p];
       if (page.resident.load(std::memory_order_acquire) == 0) {
@@ -223,6 +274,33 @@ class ShardedStore {
         page.referenced.store(1, std::memory_order_relaxed);
       }
     }
+  }
+
+  /// Adds `delta` (+1 or −1) to `worker`'s announced uses of every page of
+  /// row e of M or N.
+  void Mark(size_t worker, size_t e, bool conn, int delta) {
+    if (readers_.empty()) return;
+    Reader& reader = readers_[worker];
+    const auto [s, row] = Locate(e, conn);
+    const auto [first, last] = PagesOf(*s, row);
+    for (size_t p = first; p <= last; ++p) {
+      const uint32_t uses = reader.uses[p].load(std::memory_order_relaxed);
+      const uint32_t now = uses + static_cast<uint32_t>(delta);
+      if (uses == 0) {
+        ++reader.pages;
+      } else if (now == 0) {
+        --reader.pages;
+      }
+      reader.uses[p].store(now, std::memory_order_relaxed);
+    }
+  }
+
+  /// Whether some reader has announced page `p`.
+  bool Announced(size_t p) const {
+    for (const Reader& reader : readers_) {
+      if (reader.uses[p].load(std::memory_order_relaxed) != 0) return true;
+    }
+    return false;
   }
 
   /// Admits page `p` under the budget, evicting with the CLOCK first, and
@@ -245,6 +323,11 @@ class ShardedStore {
   std::vector<Shard> shards_;
   std::unique_ptr<Page[]> pages_;
   size_t num_pages_ = 0;
+
+  // Announced uses, one Reader per worker (StartReadAhead); empty when
+  // the budget holds every page.
+  std::vector<Reader> readers_;
+  size_t read_ahead_share_ = 0;
 
   mutable std::mutex admit_mu_;
   size_t hand_ = 0;                  // guarded by admit_mu_

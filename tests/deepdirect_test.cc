@@ -384,10 +384,10 @@ TEST(DeepDirectTest, DStepWarmStartMatchesEStepShape) {
 }
 
 // ---------------------------------------------------------------------------
-// The E-step against the paper's math: one step of EStepStep under scalar
-// kernels must apply exactly −lr·∇L, where L is the Eq. 18 loss of the
-// sampled step, checked by central differences of an independent f64
-// reference.
+// The E-step against the paper's math: one step, its draw phase
+// (EStepDraw) and then its train phase (EStepTrain), under scalar kernels
+// must apply exactly −lr·∇L, where L is the Eq. 18 loss of the sampled
+// step, checked by central differences of an independent f64 reference.
 
 // A storage environment with fixed draws: source arc 0, its context arc 1,
 // the noise draws 2, 3, 2, 3, … (so λ = 2 trains on negatives 2 and 3),
@@ -417,6 +417,10 @@ struct FixedDrawEnv {
   std::span<float> NRow(size_t e) { return {n.data() + e * l, l}; }
   void PrefetchMRow(size_t) const {}
   void PrefetchNRow(size_t) const {}
+  void AnnounceMRow(size_t, size_t) {}
+  void AnnounceNRow(size_t, size_t) {}
+  void RetireMRow(size_t, size_t) {}
+  void RetireNRow(size_t, size_t) {}
   size_t SampleSource(const train::SgdStep&, util::Rng&) { return kSource; }
   size_t SampleConnectedTie(size_t, util::Rng&) { return kContext; }
   size_t SampleNoise(util::Rng&) {
@@ -574,10 +578,10 @@ TEST_P(EStepGradientTest, StepAppliesMinusLrTimesGradient) {
       .lr = lr,
       .rng = rng,
       .dense = dense};
-  const internal::EStepWorkspace workspace(1, l, config.negative_samples);
+  internal::EStepWorkspace workspace(1, l, config.negative_samples, 1);
   internal::EStepTally tally;
-  internal::EStepStep<train::SerialAccess>(env, ctx, config, kTotal,
-                                           workspace[0], tally);
+  internal::EStepDraw(env, ctx, config, kTotal, workspace[0], tally);
+  internal::EStepTrain<train::SerialAccess>(env, ctx, config, workspace[0]);
   EXPECT_EQ(tally.negatives, 2u);
 
   const std::vector<double> theta1 = theta_of(env, dense);
@@ -621,10 +625,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// The step's one kernel call against the step it replaced: EStepStep draws
-// every index first and trains the positive and the λ negatives in one
-// NegSamplingRows call; the reference below draws each negative just
-// before its own NegSamplingUpdate call. Both must move every parameter,
+// The step's one kernel call against the step it replaced: the two-phase
+// step draws every index first (EStepDraw) and then trains the positive
+// and the λ negatives in one NegSamplingRows call (EStepTrain); the
+// reference below draws each negative just before its own
+// NegSamplingUpdate call. Both must move every parameter,
 // the loss and the tallies identically, bit for bit, on either kernel path.
 
 double PerNegativeReferenceStep(FixedDrawEnv& env, const train::SgdStep& ctx,
@@ -739,10 +744,11 @@ TEST(EStepListTest, OneKernelCallMatchesPerNegativeUpdatesBitForBit) {
                                .rng = rng,
                                .dense = dense,
                                .sample_loss = true};
-      const internal::EStepWorkspace workspace(1, l, c.negatives);
+      internal::EStepWorkspace workspace(1, l, c.negatives, 1);
       internal::EStepTally tally;
-      const double loss = internal::EStepStep<train::SerialAccess>(
-          env, ctx, config, 1000, workspace[0], tally);
+      internal::EStepDraw(env, ctx, config, 1000, workspace[0], tally);
+      const double loss = internal::EStepTrain<train::SerialAccess>(
+          env, ctx, config, workspace[0]);
 
       const train::SgdStep ref_ctx{.worker = 0,
                                    .step = 800,

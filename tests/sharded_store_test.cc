@@ -695,6 +695,23 @@ TEST(ShardedStoreTest, PageAccountingIsExactUnderAnyBudget) {
   }
 }
 
+/// One row per page other than those in `covered`, as {is N, arc}, in
+/// sweep order: M rows first, then N rows, each on a single page.
+std::vector<std::pair<bool, size_t>> OneRowPerPage(
+    train::ShardedStore& store, std::set<uintptr_t> covered) {
+  std::vector<std::pair<bool, size_t>> sweep;
+  for (const bool conn : {false, true}) {
+    for (size_t e = 0; e < store.num_arcs(); ++e) {
+      const std::set<uintptr_t> pages =
+          PagesOf(conn ? store.ConnRow(e) : store.EmbRow(e));
+      if (pages.size() == 1 && covered.insert(*pages.begin()).second) {
+        sweep.emplace_back(conn, e);
+      }
+    }
+  }
+  return sweep;
+}
+
 TEST(ShardedStoreTest, ClockGivesAHotPageASecondChance) {
   // Each cold page is touched once, and the hot row between any two cold
   // touches. So at every admission the hot page is referenced and every
@@ -709,18 +726,7 @@ TEST(ShardedStoreTest, ClockGivesAHotPageASecondChance) {
   const std::set<uintptr_t> hot_pages = PagesOf(store->EmbRow(hot));
   ASSERT_EQ(hot_pages.size(), 1u);
 
-  // One row per other page: {is N, arc}, in sweep order.
-  std::vector<std::pair<bool, size_t>> sweep;
-  std::set<uintptr_t> covered = hot_pages;
-  for (const bool conn : {false, true}) {
-    for (size_t e = 0; e < store->num_arcs(); ++e) {
-      const std::set<uintptr_t> pages =
-          PagesOf(conn ? store->ConnRow(e) : store->EmbRow(e));
-      if (pages.size() == 1 && covered.insert(*pages.begin()).second) {
-        sweep.emplace_back(conn, e);
-      }
-    }
-  }
+  const auto sweep = OneRowPerPage(*store, hot_pages);
   ASSERT_GT(sweep.size(), 6u);
 
   ASSERT_TRUE(store->Seal().ok());  // nothing resident, nothing referenced
@@ -736,6 +742,124 @@ TEST(ShardedStoreTest, ClockGivesAHotPageASecondChance) {
   }
   EXPECT_EQ(store->GetStats().admissions - before, sweep.size() + 1)
       << "the hot page was evicted and faulted back in";
+}
+
+TEST(ShardedStoreTest, AnnouncedPageSurvivesWhileAnUnannouncedOneIsResident) {
+  // A sweep of single-touch rows under a three-page budget evicts the page
+  // of a row touched once before it. With one use of that row announced,
+  // the CLOCK passes over its page as long as an unannounced resident page
+  // is there to evict instead, so touching the row again admits nothing.
+  const StoreInputs inputs(MakeSplit(), 16);
+  const uint64_t page = serve::MmapRwFile::PageSize();
+  auto store =
+      CreateStore(inputs, FreshDir("dd_page_announced"), 2, 3 * page);
+  ASSERT_NE(store, nullptr);
+  ASSERT_TRUE(store->StartReadAhead(1));
+  const size_t kept = store->num_arcs() / 2;
+  const std::set<uintptr_t> kept_pages = PagesOf(store->EmbRow(kept));
+  ASSERT_EQ(kept_pages.size(), 1u);
+  const auto sweep = OneRowPerPage(*store, kept_pages);
+  ASSERT_GT(sweep.size(), 6u);
+
+  for (const bool announce : {false, true}) {
+    SCOPED_TRACE(announce ? "announced" : "not announced");
+    ASSERT_TRUE(store->Seal().ok());  // nothing resident, nothing referenced
+    if (announce) store->AnnounceEmbRow(0, kept);
+    store->EmbRow(kept);
+    for (const auto& [conn, e] : sweep) {
+      if (conn) {
+        store->ConnRow(e);
+      } else {
+        store->EmbRow(e);
+      }
+    }
+    EXPECT_EQ(store->GetStats().announced_pages, announce ? 1u : 0u);
+    const uint64_t before = store->GetStats().admissions;
+    store->EmbRow(kept);
+    EXPECT_EQ(store->GetStats().admissions - before, announce ? 0u : 1u);
+    if (announce) store->RetireEmbRow(0, kept);
+    EXPECT_EQ(store->GetStats().announced_pages, 0u);
+    EXPECT_LE(store->GetStats().max_resident_bytes, 3 * page);
+  }
+}
+
+TEST(ShardedStoreTest, EveryPageAnnouncedStillAdmitsWithinTheBudget) {
+  // With every page announced, no resident page is one the CLOCK would
+  // rather evict. After two laps it evicts as it does without
+  // announcements, so admission never blocks and the budget holds.
+  const StoreInputs inputs(MakeSplit(), 16);
+  const uint64_t page = serve::MmapRwFile::PageSize();
+  auto store =
+      CreateStore(inputs, FreshDir("dd_page_all_announced"), 2, 3 * page);
+  ASSERT_NE(store, nullptr);
+  ASSERT_TRUE(store->StartReadAhead(1));
+  for (size_t e = 0; e < store->num_arcs(); ++e) {
+    store->AnnounceEmbRow(0, e);
+    store->AnnounceConnRow(0, e);
+  }
+  TouchEveryRow(*store);
+  const auto stats = store->GetStats();
+  ExpectExactAccounting(stats);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.max_resident_bytes, 3 * page);
+  EXPECT_GT(stats.announced_pages, 6u);
+  for (size_t e = 0; e < store->num_arcs(); ++e) {
+    store->RetireEmbRow(0, e);
+    store->RetireConnRow(0, e);
+  }
+  EXPECT_EQ(store->GetStats().announced_pages, 0u);
+}
+
+TEST(ShardedStoreTest, ReadAheadStopsAtEachWorkersShareOfTheBudget) {
+  // Eight pages for two workers: each may announce four distinct pages
+  // before it is asked to stop, whatever the other announces. A budget
+  // that holds every page turns read-ahead and announcements off.
+  const StoreInputs inputs(MakeSplit(), 16);
+  const uint64_t page = serve::MmapRwFile::PageSize();
+  auto store = CreateStore(inputs, FreshDir("dd_page_share"), 2, 8 * page);
+  ASSERT_NE(store, nullptr);
+  ASSERT_TRUE(store->StartReadAhead(2));
+  std::vector<size_t> rows;  // M rows on distinct pages
+  for (const auto& [conn, e] : OneRowPerPage(*store, {})) {
+    if (!conn) rows.push_back(e);
+  }
+  ASSERT_GT(rows.size(), 5u);
+  size_t announced = 0;
+  while (store->ReadAhead(0)) store->AnnounceEmbRow(0, rows[announced++]);
+  EXPECT_EQ(announced, 4u);
+  EXPECT_TRUE(store->ReadAhead(1));
+  // A second use of an announced page is no new page.
+  store->AnnounceEmbRow(0, rows[0]);
+  store->RetireEmbRow(0, rows[0]);
+  EXPECT_FALSE(store->ReadAhead(0));
+  store->RetireEmbRow(0, rows[0]);
+  EXPECT_TRUE(store->ReadAhead(0));
+  EXPECT_EQ(store->GetStats().announced_pages, 3u);
+
+  auto ample = CreateStore(inputs, FreshDir("dd_page_share_ample"), 2);
+  ASSERT_NE(ample, nullptr);
+  EXPECT_FALSE(ample->StartReadAhead(2));
+  EXPECT_FALSE(ample->ReadAhead(0));
+  ample->AnnounceEmbRow(0, rows[0]);
+  EXPECT_EQ(ample->GetStats().announced_pages, 0u);
+}
+
+TEST(ShardedStoreTest, NoPageStaysAnnouncedAfterAShardedTrain) {
+  // Every use a step announces is retired by that step's train phase, on
+  // the serial and the shard-affine Hogwild path, across epoch chunks.
+  const auto split = MakeSplit(800, 7);
+  for (const size_t threads : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(std::to_string(threads) + " workers");
+    auto base = BaseConfig(64, 2.0);
+    base.num_threads = threads;
+    auto model = ShardedDeepDirectModel::Train(
+        split.network,
+        ShardedConfig(base, 8, FreshDir("dd_shard_announced_after_train"), 1));
+    ASSERT_TRUE(model.ok()) << model.status().ToString();
+    const auto stats = model.value()->store().GetStats();
+    EXPECT_GT(stats.evictions, 0u);
+    EXPECT_EQ(stats.announced_pages, 0u);
+  }
 }
 
 TEST(ShardedStoreTest, EvictedPagesLoseNoData) {

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <string>
 #include <tuple>
@@ -353,6 +354,85 @@ TEST(SgdDriverTest, LossIsSampledByStepIndexAlone) {
     EXPECT_EQ(run(true, ""), recorded);
   }
   registry.Reset();
+}
+
+TEST(SgdDriverTest, ReadAheadSeesEachWorkersNextStepsWithinItsChunk) {
+  // A two-phase body that draws up to kDepth steps ahead. On the serial
+  // path, the Hogwild path and under a shard plan, each worker draws
+  // exactly the steps it then trains, in the same order, and takes the
+  // same draws as a one-phase body. No step is drawn past the end of the
+  // epoch chunk being trained, so every drawn step has been trained when
+  // the epoch ends.
+  struct Case {
+    const char* name;
+    size_t threads;
+    size_t shards;
+  };
+  const Case cases[] = {{"serial", 1, 0}, {"hogwild", 2, 0}, {"shards", 2, 3}};
+  constexpr uint64_t kSpe = 300;
+  constexpr size_t kDepth = 40;
+  // Per worker, in execution order: (step, shard, first draw).
+  using Log = std::vector<std::vector<std::tuple<uint64_t, size_t, uint64_t>>>;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    SgdOptions options;
+    options.steps = 1000;
+    options.steps_per_epoch = kSpe;
+    options.num_threads = c.threads;
+    options.shard_seed = 4;
+    options.shard_plan.num_shards = c.shards;
+    if (c.shards > 0) options.shard_plan.shard_weights = {1.0, 2.0, 3.0};
+
+    Log plain(c.threads);
+    util::Rng plain_rng(8);
+    SgdDriver(options).Run(plain_rng, [&](auto, const SgdStep& ctx) {
+      plain[ctx.worker].emplace_back(ctx.step, ctx.shard, ctx.rng.Next());
+      return 0.0;
+    });
+
+    Log drawn(c.threads);
+    std::vector<std::vector<uint64_t>> trained(c.threads);
+    std::vector<std::deque<uint64_t>> pending(c.threads);
+    std::vector<size_t> deepest(c.threads, 0);
+    uint64_t boundaries = 0;
+    options.epoch_end = [&](const EpochEnd&) {
+      ++boundaries;
+      for (const auto& queue : pending) EXPECT_TRUE(queue.empty());
+    };
+    util::Rng rng(8);
+    SgdDriver(options).Run(
+        rng, TwoPhase{
+                 [&](const SgdStep& ctx) {
+                   drawn[ctx.worker].emplace_back(ctx.step, ctx.shard,
+                                                  ctx.rng.Next());
+                   pending[ctx.worker].push_back(ctx.step);
+                   deepest[ctx.worker] = std::max(deepest[ctx.worker],
+                                                  pending[ctx.worker].size());
+                 },
+                 [&](size_t worker) { return pending[worker].size() < kDepth; },
+                 [&](auto, const SgdStep& ctx) {
+                   std::deque<uint64_t>& queue = pending[ctx.worker];
+                   EXPECT_FALSE(queue.empty());
+                   if (queue.empty()) return 0.0;
+                   EXPECT_EQ(queue.front(), ctx.step);
+                   EXPECT_EQ(queue.back() / kSpe, ctx.step / kSpe)
+                       << "drew step " << queue.back() << " past the chunk of "
+                       << ctx.step;
+                   queue.pop_front();
+                   trained[ctx.worker].push_back(ctx.step);
+                   return 0.0;
+                 }});
+    EXPECT_EQ(boundaries, 4u);
+    EXPECT_EQ(drawn, plain);
+    EXPECT_EQ(rng.Next(), plain_rng.Next());
+    for (size_t w = 0; w < c.threads; ++w) {
+      ASSERT_EQ(trained[w].size(), plain[w].size()) << "worker " << w;
+      for (size_t i = 0; i < trained[w].size(); ++i) {
+        EXPECT_EQ(trained[w][i], std::get<0>(plain[w][i])) << "worker " << w;
+      }
+      EXPECT_EQ(deepest[w], kDepth) << "worker " << w << " never drew ahead";
+    }
+  }
 }
 
 TEST(SgdDriverTest, ShardedHogwildStridesSweepTheFullDecay) {
