@@ -4,11 +4,12 @@
 //       Writes a synthetic mixed social network in edge-list format.
 //
 //   tdl_cli discover --input net.edges [--method deepdirect]
-//                    [--output predictions.csv] [--hide 0.5] [--seed 42]
+//                    [--output predictions.csv] [--hide 0.5 [--seed 42]]
 //       Trains the chosen method on the network's directed ties and
 //       predicts the direction of every undirected tie. With --hide F, the
-//       input's directed ties are first split (F remain directed) and the
-//       prediction accuracy on the hidden part is reported.
+//       input's directed ties are first split (F remain directed, drawn
+//       with --seed) and the prediction accuracy on the hidden part is
+//       reported.
 //
 //   tdl_cli quantify --input net.edges [--method deepdirect]
 //                    [--output directionality.csv]
@@ -85,7 +86,7 @@ int Usage() {
                "  tdl_cli generate --dataset <name> [--scale S] [--stream]"
                " --output F\n"
                "  tdl_cli discover --input F [--method M] [--output F]"
-               " [--hide F] [--seed N] [--threads N] [--epochs E]\n"
+               " [--hide F [--seed N]] [--threads N] [--epochs E]\n"
                "                   [--shards N --shard-dir D"
                " [--shard-ram-mb M]]\n"
                "  tdl_cli quantify --input F [--method M] [--output F]"
@@ -256,7 +257,7 @@ const std::map<std::string, std::set<std::string>> kCommandFlags = {
       "checkpoint-every", "checkpoint-keep", "resume", "save-model",
       "truth"}},
     {"quantify",
-     {"input", "method", "output", "seed", "threads", "epochs", "shards",
+     {"input", "method", "output", "threads", "epochs", "shards",
       "shard-dir", "shard-ram-mb", "checkpoint-dir", "checkpoint-every",
       "checkpoint-keep", "resume", "save-model"}},
     {"embed",
@@ -491,6 +492,12 @@ int RunDiscoverOrQuantify(const std::string& command, const Flags& flags,
       !epochs.has_value() || !shards.has_value() ||
       !shard_ram_mb.has_value() || !ckpt.has_value() ||
       !SaveModelAllowed(flags, *method, *shards)) {
+    return 1;
+  }
+  // The seed only draws the hidden split; the trainers keep their own.
+  if (flags.contains("seed") && !flags.contains("hide")) {
+    std::fprintf(stderr, "error: --seed picks the --hide split and needs "
+                         "--hide\n");
     return 1;
   }
   if (*shards > 0) {
@@ -819,10 +826,9 @@ int RunServe(const Flags& flags, obs::TimelineWriter* timeline) {
   }
   const serve::ServableModel model = std::move(opened).value();
   std::fprintf(stderr,
-               "serving %llu tie arcs over %llu nodes (l=%llu, cache %zu)\n",
+               "serving %llu tie arcs over %llu nodes (cache %zu)\n",
                static_cast<unsigned long long>(model.num_arcs()),
                static_cast<unsigned long long>(model.num_nodes()),
-               static_cast<unsigned long long>(model.dimensions()),
                options.cache_capacity);
   // Unsynced, untied standard streams read piped requests in bulk; the
   // loop still flushes every response, so closed-loop clients work.

@@ -44,7 +44,9 @@ cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
 # concurrent admission and eviction under one mutex), every reader sweep of
 # the aligned section container (the shared reader's truncation, corruption
 # and structure-aware mutation sweeps, and the DDS1 and DDSH sweeps through
-# their public Open, and the checkpoint sweeps over a real file of each
+# their public Open, the forged DDS1 files (wrapping arc count, scores
+# outside [0, 1], the version 1 layout), and the checkpoint sweeps over a
+# real file of each
 # DDCK table through Checkpointer::Check), where an over-read on a
 # malformed file is a finding even when a check rejects the file
 # afterwards, and the writers that gather payloads from caller memory:
@@ -64,7 +66,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
 
-FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*:ShardedTrainerTest.Hogwild*:ContainerTest.*:ServableModelTest.*Sweep*:ServableModelTest.Wrapping*:ShardedStoreTest.*:IncrementalTest.EStepStateRoundTrips:IncrementalTest.LoadSkipsCorruptNewestCheckpoint:*EStepGradientTest.*:EStepListTest.*'
+FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*:ShardedTrainerTest.Hogwild*:ContainerTest.*:ServableModelTest.*Sweep*:ServableModelTest.Wrapping*:ServableModelTest.OutOfRangeScoresAreRejected:ServableModelTest.VersionOneFileIsRejected:ShardedStoreTest.*:IncrementalTest.EStepStateRoundTrips:IncrementalTest.LoadSkipsCorruptNewestCheckpoint:*EStepGradientTest.*:EStepListTest.*'
 for target in "${TARGETS[@]}"; do
   echo "=== $target ($SANITIZER) ==="
   "$BUILD_DIR/tests/$target" --gtest_filter="$FILTER"

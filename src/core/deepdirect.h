@@ -231,8 +231,8 @@ class DeepDirectModel : public DirectionalityModel {
   double e_step_bias() const { return e_step_bias_; }
 
   /// Writes the self-contained serving artifact ("DDS1",
-  /// core/servable_format.h): the CSR tie index, the embedding matrix M,
-  /// and the D-Step head, with 64-byte-aligned payloads so
+  /// core/servable_format.h): the CSR tie index and each arc's d(e) as
+  /// Directionality computes it, with 64-byte-aligned payloads so
   /// serve::ServableModel::Open answers d(u, v) zero-copy off one mmap —
   /// no training network needed at query time. Written atomically
   /// (temp file, fsync, rename).

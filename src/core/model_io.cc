@@ -1,10 +1,10 @@
 // ExportServable: the serving-side artifact ("DDS1",
 // core/servable_format.h) — a self-contained, mmap-friendly container
-// holding the directionality function alone (CSR tie index, matrix M,
-// D-Step head), with every payload 64-byte aligned so
-// serve::ServableModel::Open can answer d(u, v) zero-copy off the mapping
-// without the training network or any deserialization pass. Written with
-// the atomic temp+fsync+rename primitive of train/checkpoint.h.
+// holding the directionality function alone (CSR tie index and d(e) per
+// arc), with every payload 64-byte aligned so serve::ServableModel::Open
+// can answer d(u, v) zero-copy off the mapping without the training
+// network or any deserialization pass. Written with the atomic
+// temp+fsync+rename primitive of train/container.h.
 
 #include <vector>
 
@@ -20,17 +20,17 @@ util::Status DeepDirectModel::ExportServable(const std::string& path) const {
   servable::Meta meta{};
   meta.num_nodes = index_.num_nodes();
   meta.num_arcs = index_.num_arcs();
-  meta.dimensions = embeddings_.cols();
   meta.arc_hash = HashTieIndex(index_);
-  const std::vector<double>& weights = d_step_.weights();
-  const double bias = d_step_.bias();
+  // The call Directionality makes, so a served value is bit-identical.
+  std::vector<double> scores(index_.num_arcs());
+  for (size_t e = 0; e < scores.size(); ++e) {
+    scores[e] = d_step_.PredictRow(embeddings_.Row(e));
+  }
   const train::container::Payload payloads[servable::kSectionCount] = {
       {&meta, sizeof(meta)},
       {index_.Offsets().data(), index_.Offsets().size_bytes()},
       {index_.Adjacency().data(), index_.Adjacency().size_bytes()},
-      {embeddings_.data().data(), embeddings_.data().size() * sizeof(float)},
-      {weights.data(), weights.size() * sizeof(double)},
-      {&bias, sizeof(bias)},
+      {scores.data(), scores.size() * sizeof(double)},
   };
   return train::container::WriteFile(servable::kFormat, payloads, path);
 }

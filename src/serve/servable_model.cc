@@ -1,12 +1,12 @@
 #include "serve/servable_model.h"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <charconv>
 #include <limits>
 #include <vector>
 
 #include "core/servable_format.h"
-#include "ml/matrix.h"
 #include "obs/trace.h"
 #include "train/container.h"
 
@@ -27,15 +27,21 @@ util::Result<std::vector<uint64_t>> SectionSizes(const fmt::Meta& meta) {
                                          "num_nodes", &sizes[1]));
   DD_RETURN_NOT_OK(container::CheckedMul(meta.num_arcs, sizeof(uint32_t),
                                          "num_arcs", &sizes[2]));
-  uint64_t cells = 0;
-  DD_RETURN_NOT_OK(container::CheckedMul(meta.num_arcs, meta.dimensions,
-                                         "dimensions", &cells));
-  DD_RETURN_NOT_OK(
-      container::CheckedMul(cells, sizeof(float), "dimensions", &sizes[3]));
-  DD_RETURN_NOT_OK(container::CheckedMul(meta.dimensions, sizeof(double),
-                                         "dimensions", &sizes[4]));
-  sizes[5] = sizeof(double);
+  DD_RETURN_NOT_OK(container::CheckedMul(meta.num_arcs, sizeof(double),
+                                         "num_arcs", &sizes[3]));
   return sizes;
+}
+
+/// Index of the first score that is NaN, signed (−0.0 included) or above
+/// 1, or scores.size() when there is none. Non-negative doubles order as
+/// their bit patterns, and every other value's pattern exceeds 1.0's, so
+/// one unsigned compare per score decides it.
+size_t FirstBadScore(std::span<const double> scores) {
+  constexpr uint64_t kOne = std::bit_cast<uint64_t>(1.0);
+  for (size_t e = 0; e < scores.size(); ++e) {
+    if (std::bit_cast<uint64_t>(scores[e]) > kOne) return e;
+  }
+  return scores.size();
 }
 
 }  // namespace
@@ -52,22 +58,28 @@ util::Result<ServableModel> ServableModel::Open(const std::string& path,
   const container::Reader& reader = read.value();
   fmt::Meta meta;
   DD_RETURN_NOT_OK(reader.ReadMeta(&meta));
-  if (meta.dimensions == 0) return reader.Defect("zero embedding dimensions");
   DD_RETURN_NOT_OK(reader.CheckSizes(SectionSizes(meta)));
   const auto offsets = reader.Array<uint64_t>(1);
   const auto adj = reader.Array<uint32_t>(2);
   DD_RETURN_NOT_OK(reader.CheckCsr(offsets, adj));
+  // A NaN would serve as NA, the answer for an unknown tie, and −0.0 would
+  // print with a sign.
+  const auto scores = reader.Array<double>(3);
+  if (const size_t bad = FirstBadScore(scores); bad < scores.size()) {
+    char value[32];
+    const auto end =
+        std::to_chars(value, value + sizeof(value), scores[bad]).ptr;
+    return reader.Defect("score of arc " + std::to_string(bad) + " is " +
+                         std::string(value, end) + ", not in [+0, 1]");
+  }
 
   ServableModel model;
   model.num_nodes_ = meta.num_nodes;
   model.num_arcs_ = meta.num_arcs;
-  model.dimensions_ = meta.dimensions;
   model.arc_hash_ = meta.arc_hash;
   model.offsets_ = offsets.data();
   model.adj_ = adj.data();
-  model.embeddings_ = reader.Array<float>(3).data();
-  model.weights_ = reader.Array<double>(4).data();
-  model.bias_ = reader.Array<double>(5)[0];
+  model.scores_ = scores.data();
   model.file_ = std::move(file);
   model.cache_ = std::make_unique<ShardedTieCache>(options.cache_capacity,
                                                    options.cache_ways);
@@ -86,18 +98,6 @@ uint64_t ServableModel::FindArc(graph::NodeId u, graph::NodeId v) const {
   return offsets_[u] + static_cast<uint64_t>(it - row_begin);
 }
 
-double ServableModel::ScoreArc(uint64_t arc) const {
-  const float* row = embeddings_ + arc * dimensions_;
-  // Same accumulation order as ml::LogisticRegression::Score on the
-  // double-promoted row — the values are bit-identical, which the golden
-  // parity tests assert with exact equality.
-  double score = bias_;
-  for (uint64_t k = 0; k < dimensions_; ++k) {
-    score += weights_[k] * static_cast<double>(row[k]);
-  }
-  return ml::Sigmoid(score);
-}
-
 util::Result<double> ServableModel::Query(graph::NodeId u,
                                           graph::NodeId v) const {
   if (obs::Enabled()) {
@@ -113,7 +113,7 @@ util::Result<double> ServableModel::Query(graph::NodeId u,
                                   " and " + std::to_string(v) +
                                   " in the training network");
   }
-  value = ScoreArc(arc);
+  value = scores_[arc];
   cache_->Insert(key, value);
   return value;
 }
@@ -146,7 +146,7 @@ util::Status ServableModel::QueryBatch(std::span<const TiePair> ties,
       out[i] = std::numeric_limits<double>::quiet_NaN();
       continue;
     }
-    out[i] = ScoreArc(arc);
+    out[i] = scores_[arc];
     cache_->Insert(key, out[i]);
   }
   return util::Status::OK();

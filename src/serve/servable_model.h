@@ -2,19 +2,18 @@
 //
 // ServableModel::Open memory-maps the file, validates every byte of it
 // (the shared container reader of train/container.h: header, section
-// table, payload CRCs, zero padding; then the meta, section sizes and
-// CSR), and then answers
-// d(u, v) queries directly off the mapping: the CSR tie index, embedding
-// matrix, and D-Step head are read in place, zero-copy. The object is
-// immutable after Open — concurrent readers share one instance with no
-// synchronization beyond the optional hot-tie cache's internal shard
-// locks.
+// table, payload CRCs, zero padding; then the meta, section sizes, CSR and
+// that every score lies in [+0, 1]), and then answers d(u, v) queries
+// directly off the mapping: a binary search of the CSR tie index finds the
+// arc, and its stored score is the answer, read in place, zero-copy. The
+// object is immutable after Open — concurrent readers share one instance
+// with no synchronization beyond the optional hot-tie cache's seqlocks.
 //
 // Numerical contract: Query and QueryBatch return bit-identical doubles to
 // the training-side DeepDirectModel::Directionality for every tie — the
-// score accumulation replicates ml::LogisticRegression exactly (bias
-// first, then weights in index order, then ml::Sigmoid). The golden parity
-// suite in tests/serve_test.cc pins this with exact EXPECT_EQ.
+// file stores the value that call returns (core/servable_format.h). The
+// golden parity suite in tests/serve_test.cc pins this with exact
+// EXPECT_EQ.
 //
 // Unknown-tie contract: a pair (u, v) with no closure arc in the training
 // network is a typed condition, never UB — Query returns kNotFound, and
@@ -64,7 +63,8 @@ class ServableModel {
   /// Maps and validates a DDS1 file. An unreadable path yields kIOError;
   /// any structural defect — bad magic/version, size mismatch, truncation,
   /// CRC failure, out-of-order or misaligned sections, nonzero padding,
-  /// inconsistent CSR arrays — yields kInvalidArgument naming the defect.
+  /// inconsistent CSR arrays, a score outside [+0, 1] (NaN and −0.0
+  /// included) — yields kInvalidArgument naming the defect.
   static util::Result<ServableModel> Open(const std::string& path,
                                           const ServeOptions& options = {});
 
@@ -86,7 +86,6 @@ class ServableModel {
 
   uint64_t num_nodes() const { return num_nodes_; }
   uint64_t num_arcs() const { return num_arcs_; }
-  uint64_t dimensions() const { return dimensions_; }
   uint64_t arc_hash() const { return arc_hash_; }
 
   const ShardedTieCache& cache() const { return *cache_; }
@@ -99,20 +98,13 @@ class ServableModel {
   /// convention as core::TieIndex::TryIndexOf).
   uint64_t FindArc(graph::NodeId u, graph::NodeId v) const;
 
-  /// Sigmoid of the D-Step head on arc `arc` — bit-identical to
-  /// ml::LogisticRegression::Predict on the promoted embedding row.
-  double ScoreArc(uint64_t arc) const;
-
   MmapFile file_;
   uint64_t num_nodes_ = 0;
   uint64_t num_arcs_ = 0;
-  uint64_t dimensions_ = 0;
   uint64_t arc_hash_ = 0;
   const uint64_t* offsets_ = nullptr;  ///< [num_nodes + 1] CSR row starts
   const uint32_t* adj_ = nullptr;      ///< [num_arcs] sorted destinations
-  const float* embeddings_ = nullptr;  ///< [num_arcs × dimensions] row-major
-  const double* weights_ = nullptr;    ///< [dimensions] D-Step w
-  double bias_ = 0.0;                  ///< D-Step b
+  const double* scores_ = nullptr;     ///< [num_arcs] d(e), in [+0, 1]
 
   // unique_ptr keeps ServableModel movable (the cache holds mutexes) and
   // the cache reference stable across moves.

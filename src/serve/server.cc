@@ -1,8 +1,11 @@
 #include "serve/server.h"
 
+#include <array>
+#include <bit>
 #include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -42,9 +45,61 @@ std::optional<graph::NodeId> ParseNodeId(std::string_view token) {
   return static_cast<graph::NodeId>(value);
 }
 
+__extension__ typedef unsigned __int128 Uint128;
+
+constexpr uint64_t kOneBits = std::bit_cast<uint64_t>(1.0);
+/// Below 2^-30 a value rounds to 0.000000, and from it up to 1 the shift
+/// of RenderUnit stays within [52, 82].
+constexpr uint64_t kTinyBits = std::bit_cast<uint64_t>(0x1.0p-30);
+constexpr uint64_t kFractionBits = (uint64_t{1} << 52) - 1;
+constexpr uint64_t kMillion = 1000000;
+
+/// "00" through "99", two characters each.
+constexpr std::array<char, 200> kDigitPairs = [] {
+  std::array<char, 200> pairs{};
+  for (int i = 0; i < 100; ++i) {
+    pairs[2 * i] = static_cast<char>('0' + i / 10);
+    pairs[2 * i + 1] = static_cast<char>('0' + i % 10);
+  }
+  return pairs;
+}();
+
+/// printf("%.6f") of the double with bit pattern `bits`, which must lie in
+/// [+0, 1]. The value is m·2^-s exactly, with m its 53-bit significand and
+/// s = 1075 − its biased exponent; p = m·10^6 < 2^73 is exact in 128 bits,
+/// and p / 2^s rounded half to even is the millionths printf prints (it
+/// rounds the exact binary value in the default rounding mode).
+char* RenderUnit(uint64_t bits, char* out) {
+  uint64_t millionths = 0;
+  if (bits >= kTinyBits) {
+    const unsigned shift = 1075 - static_cast<unsigned>(bits >> 52);
+    const Uint128 scaled =
+        static_cast<Uint128>((bits & kFractionBits) | (kFractionBits + 1)) *
+        kMillion;
+    millionths = static_cast<uint64_t>(scaled >> shift);
+    const Uint128 rest = scaled - (static_cast<Uint128>(millionths) << shift);
+    const Uint128 half = static_cast<Uint128>(1) << (shift - 1);
+    // No branch on the remainder, which is as good as random.
+    millionths += static_cast<uint64_t>(rest > half) |
+                  (static_cast<uint64_t>(rest == half) & millionths & 1);
+  }
+  const bool one = millionths == kMillion;
+  if (one) millionths = 0;
+  out[0] = one ? '1' : '0';
+  out[1] = '.';
+  std::memcpy(out + 2, &kDigitPairs[2 * (millionths / 10000)], 2);
+  std::memcpy(out + 4, &kDigitPairs[2 * (millionths / 100 % 100)], 2);
+  std::memcpy(out + 6, &kDigitPairs[2 * (millionths % 100)], 2);
+  return out + 8;
+}
+
 }  // namespace
 
 char* RenderValue(double value, char* out) {
+  // Non-negative doubles order as their bit patterns; a set sign bit, NaN
+  // and +inf all compare above 1.0's.
+  const uint64_t bits = std::bit_cast<uint64_t>(value);
+  if (bits <= kOneBits) return RenderUnit(bits, out);
   if (std::isnan(value)) {
     out[0] = 'N';
     out[1] = 'A';
@@ -114,14 +169,17 @@ ServeLoopStats RunServeLoop(const ServableModel& model, std::istream& in,
     }
 
     values.resize(ties.size());
-    const Clock::time_point start = Clock::now();
+    // Decided once per request, so with telemetry off no clock is read.
+    const bool timed = obs::Enabled();
+    Clock::time_point start;
+    if (timed) start = Clock::now();
     // kNan cannot fail for span-matched inputs; unknown pairs become NA.
     model.QueryBatch(ties, values, MissingPolicy::kNan);
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (obs::Enabled()) {
+    if (timed) {
       // One observation per request line, of the mean per-query latency,
       // keeps histogram cost independent of batch size.
+      const double elapsed =
+          std::chrono::duration<double>(Clock::now() - start).count();
       query_seconds->Observe(elapsed / static_cast<double>(ties.size()));
     }
     stats.queries += ties.size();

@@ -15,20 +15,23 @@
 // Anything else answers "ERR parse ..." and the loop continues — a
 // malformed request never kills the server.
 //
-// Wire contract: a value is std::to_chars(chars_format::fixed, 6), which
-// the standard defines as printf("%.6f") in the C locale. That is the
+// Wire contract: a value is printf("%.6f") in the C locale. That is the
 // rendering std::to_string gives the quantify CSV, so offline and served
-// predictions diff byte for byte.
+// predictions diff byte for byte. Every score a model serves lies in
+// [+0, 1] (ServableModel::Open checks it), and RenderValue prints those
+// with exact integer arithmetic; any other double goes through
+// std::to_chars(chars_format::fixed, 6), which the standard defines as the
+// same printf conversion.
 //
 // The loop tokenizes each line in place as string_views and reuses its
 // line, pair, value and response buffers, so once they have grown to the
 // largest request seen it does no per-request allocation. Each response
 // goes out as one write followed by one flush.
 //
-// Each request line is timed; per-query latency lands in the
-// serve.query.seconds histogram (surfaced by tdl_cli --metrics-out)
+// With telemetry on, each request line is timed; per-query latency lands
+// in the serve.query.seconds histogram (surfaced by tdl_cli --metrics-out)
 // alongside the serve.queries counter and serve.batch.size histogram the
-// model records.
+// model records. With it off, the loop reads no clock.
 
 #ifndef DEEPDIRECT_SERVE_SERVER_H_
 #define DEEPDIRECT_SERVE_SERVER_H_

@@ -1,13 +1,14 @@
 // Lock-free hot-tie cache for directionality values.
 //
 // Query traffic over social ties is heavily skewed (a Zipf-like head of
-// celebrity ties absorbs most lookups), so a small cache in front of the
-// mmap'd model turns the common query into a handful of atomic loads — no
-// CSR binary search, no dot product, no page faults on cold embedding
-// rows. The design leans on one property of the values: they are PURE
-// functions of the immutable model, so a cache race can only change *when*
-// a value is recomputed, never *what* a query answers. That licenses a
-// read path with no locks at all:
+// celebrity ties absorbs most lookups), so a small cache sits in front of
+// the mmap'd model. Since DDS1 version 2 stores each arc's score, a hit
+// saves one CSR binary search and one load of the stored score: the
+// common query becomes a handful of atomic loads. The design leans on one
+// property of the values: they are PURE functions of the immutable model,
+// so a cache race can only change *when* a value is looked up again,
+// never *what* a query answers. That licenses a read path with no locks
+// at all:
 //
 //   * arena storage, struct-of-arrays — the cache is four flat,
 //     preallocated parallel arrays (keys, values, versions, reference
@@ -18,7 +19,7 @@
 //   * seqlock entries — each way carries an atomic version counter (odd =
 //     write in progress). Readers are wait-free: version, key re-check,
 //     value, version re-check, and any interleaved write reads as a miss
-//     (recomputing a pure value is always safe). Writers claim a way with
+//     (looking a pure value up again is always safe). Writers claim a way with
 //     one CAS and skip the insert when they lose a race — inserts are an
 //     optimization, never an obligation. Every access is an atomic
 //     operation, so the scheme is data-race-free under the C++ memory
@@ -82,7 +83,7 @@ class ShardedTieCache {
       for (size_t w = base; w < base + ways_; ++w) {
         if (keys_[w].load(std::memory_order_relaxed) != key) continue;
         const uint32_t v1 = versions_[w].load(std::memory_order_acquire);
-        if (v1 & 1u) continue;  // writer mid-update: recompute instead
+        if (v1 & 1u) continue;  // writer mid-update: look it up instead
         if (keys_[w].load(std::memory_order_relaxed) != key) continue;
         const double got = values_[w].load(std::memory_order_relaxed);
         // Seqlock re-check: the key/value loads above are ordered before
@@ -103,7 +104,7 @@ class ShardedTieCache {
 
   /// Inserts `key`, evicting a not-recently-used way when its set is
   /// full. Best-effort: a lost race with another writer skips the insert
-  /// (the value can always be recomputed).
+  /// (the value can always be looked up again).
   void Insert(uint64_t key, double value) const;
 
   /// Merged counters across threads.

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include "core/servable_format.h"
 #include "data/generators.h"
 #include "graph/algorithms.h"
+#include "obs/metrics.h"
 #include "serve/mmap_file.h"
 #include "serve/servable_model.h"
 #include "serve/server.h"
@@ -135,7 +137,6 @@ TEST(ServableModelTest, OpenReadsBackTheModelShape) {
   const ServableModel& servable = opened.value();
   EXPECT_EQ(servable.num_nodes(), fixture.model->index().num_nodes());
   EXPECT_EQ(servable.num_arcs(), fixture.model->index().num_arcs());
-  EXPECT_EQ(servable.dimensions(), fixture.model->embeddings().cols());
   // No temp file left behind by the atomic export.
   std::ifstream tmp(fixture.path + ".tmp");
   EXPECT_FALSE(tmp.good()) << "temp file left behind";
@@ -368,29 +369,101 @@ TEST(ServableModelTest, CorruptionSweepEveryByteNeverOpens) {
   std::remove(path.c_str());
 }
 
-TEST(ServableModelTest, WrappingDimensionsAreRejected) {
-  // A zero-arc model whose dimensions x 8 wraps 64 bits to the 8-byte
-  // dstep_w section it carries. Every CRC is consistent, so only the
-  // checked size arithmetic can reject it.
+/// Writes a DDS1 file over 3 nodes with the given meta arc count, CSR
+/// destinations and scores, with every CRC consistent, and opens it.
+util::Result<ServableModel> OpenForged(uint64_t num_arcs,
+                                       const std::vector<uint32_t>& adj,
+                                       const std::vector<double>& scores) {
   fmt::Meta meta{};
   meta.num_nodes = 3;
-  meta.num_arcs = 0;
-  meta.dimensions = (uint64_t{1} << 61) + 1;
-  const uint64_t offsets[4] = {0, 0, 0, 0};
-  const double weight = 0.5;
-  const double bias = 0.25;
+  meta.num_arcs = num_arcs;
+  // Node 0's row holds every destination.
+  const uint64_t offsets[4] = {0, adj.size(), adj.size(), adj.size()};
   const container::Payload payloads[fmt::kSectionCount] = {
-      {&meta, sizeof(meta)}, {offsets, sizeof(offsets)}, {nullptr, 0},
-      {nullptr, 0},          {&weight, sizeof(weight)},  {&bias, sizeof(bias)},
+      {&meta, sizeof(meta)},
+      {offsets, sizeof(offsets)},
+      {adj.data(), adj.size() * sizeof(uint32_t)},
+      {scores.data(), scores.size() * sizeof(double)},
   };
-  const std::string path = ProcessPath("deepdirect_serve_wrap");
+  const std::string path = ProcessPath("deepdirect_serve_forged");
   const RemoveAtExit cleanup{path};
-  ASSERT_TRUE(container::WriteFile(fmt::kFormat, payloads, path).ok());
+  const util::Status written =
+      container::WriteFile(fmt::kFormat, payloads, path);
+  if (!written.ok()) return written;
+  return ServableModel::Open(path);
+}
+
+TEST(ServableModelTest, WrappingArcCountIsRejected) {
+  // num_arcs = 2^62 + 1 wraps num_arcs x 4 to the one-destination adj
+  // section and num_arcs x 8 to the one-score scores section the file
+  // carries, and the CSR and the score are valid: only the checked size
+  // arithmetic can reject it. At 2^61 + 1 only num_arcs x 8 wraps.
+  struct Case {
+    uint64_t num_arcs;
+    std::vector<uint32_t> adj;
+  };
+  for (const Case& c : {Case{(uint64_t{1} << 62) + 1, {1}},
+                        Case{(uint64_t{1} << 61) + 1, {}}}) {
+    auto opened = OpenForged(c.num_arcs, c.adj, {0.5});
+    ASSERT_FALSE(opened.ok()) << "opened with num_arcs "
+                              << opened.value().num_arcs();
+    EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().message().find("'num_arcs'"), std::string::npos)
+        << opened.status().ToString();
+  }
+}
+
+TEST(ServableModelTest, OutOfRangeScoresAreRejected) {
+  // A score that is NaN would serve as NA, the answer for an unknown tie;
+  // the reader rejects every score outside [+0, 1] (−0.0 too, which would
+  // print with a sign), naming the first bad arc. Arc 0 holds a valid
+  // score, so the named arc is 1.
+  using Limits = std::numeric_limits<double>;
+  for (const double bad : {Limits::quiet_NaN(), -0.5, 1.5,
+                           Limits::infinity(), -Limits::infinity(), -0.0}) {
+    auto opened = OpenForged(3, {0, 1, 2}, {0.25, bad, bad});
+    ASSERT_FALSE(opened.ok()) << "opened with score " << bad;
+    EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
+    EXPECT_NE(opened.status().message().find("score of arc 1 "),
+              std::string::npos)
+        << opened.status().ToString();
+  }
+  for (const double edge : {0.0, 1.0}) {
+    auto opened = OpenForged(2, {1, 2}, {edge, 0.5});
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const auto got = opened.value().Query(0, 1);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), edge);
+  }
+}
+
+TEST(ServableModelTest, VersionOneFileIsRejected) {
+  // A file in the version 1 layout (embedding matrix and D-Step head in
+  // place of scores) with every CRC consistent fails on its version.
+  static constexpr const char* kVersionOneSections[] = {
+      "meta", "offsets", "adj", "embeddings", "dstep_w", "dstep_b",
+  };
+  const container::Format version_one{fmt::kMagic, 1, 0, kVersionOneSections};
+  // num_nodes, num_arcs, dimensions, arc_hash.
+  const uint64_t meta[4] = {3, 1, 2, 0};
+  const uint64_t offsets[4] = {0, 1, 1, 1};
+  const uint32_t adj[1] = {1};
+  const float embeddings[2] = {0.5f, -0.5f};
+  const double weights[2] = {0.25, 0.75};
+  const double bias = 0.125;
+  const container::Payload payloads[6] = {
+      {meta, sizeof(meta)},       {offsets, sizeof(offsets)},
+      {adj, sizeof(adj)},         {embeddings, sizeof(embeddings)},
+      {weights, sizeof(weights)}, {&bias, sizeof(bias)},
+  };
+  const std::string path = ProcessPath("deepdirect_serve_v1");
+  const RemoveAtExit cleanup{path};
+  ASSERT_TRUE(container::WriteFile(version_one, payloads, path).ok());
   auto opened = ServableModel::Open(path);
-  ASSERT_FALSE(opened.ok()) << "opened with dimensions "
-                            << opened.value().dimensions();
+  ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(opened.status().message().find("'dimensions'"), std::string::npos)
+  EXPECT_NE(opened.status().message().find("unsupported version 1"),
+            std::string::npos)
       << opened.status().ToString();
 }
 
@@ -521,6 +594,45 @@ TEST(ServeLoopTest, EdgeCasesAnswerByteForByte) {
   }
 }
 
+TEST(ServeLoopTest, QueryLatencyRecordedOnlyWhenTelemetryIsOn) {
+  // With telemetry on, each query line records one serve.query.seconds
+  // observation and the stats and malformed lines record none; with it
+  // off, nothing is recorded. The responses are the same bytes either way.
+  const Exported& fixture = Parity();
+  auto opened = ServableModel::Open(fixture.path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  const std::vector<TiePair> ties = AllTies(*fixture.model);
+  const TiePair unknown = UnknownTie(*fixture.model);
+  std::ostringstream request;
+  request << ties[0].u << ' ' << ties[0].v << '\n'
+          << ties[1].u << ' ' << ties[1].v << ' ' << unknown.u << ' '
+          << unknown.v << '\n'
+          << "stats\n"
+          << "x y\n"
+          << ties[2].u << ' ' << ties[2].v << '\n';
+
+  obs::Registry& registry = obs::Registry::Default();
+  obs::Histogram* latency = registry.GetHistogram("serve.query.seconds");
+  const bool was_enabled = registry.enabled();
+  std::string responses[2];
+  uint64_t observations[2] = {0, 0};
+  for (const bool on : {true, false}) {
+    registry.set_enabled(on);
+    latency->Reset();
+    std::istringstream in(request.str());
+    std::ostringstream out;
+    RunServeLoop(opened.value(), in, out);
+    responses[on] = out.str();
+    observations[on] = latency->Stats().count;
+  }
+  registry.set_enabled(was_enabled);
+  EXPECT_EQ(observations[true], 3u);
+  EXPECT_EQ(observations[false], 0u);
+  EXPECT_EQ(responses[true], responses[false]);
+  EXPECT_EQ(std::count(responses[true].begin(), responses[true].end(), '\n'),
+            5);
+}
+
 TEST(ServeLoopTest, RenderValueMatchesPrintfFixed6) {
   // The wire contract: RenderValue is byte-for-byte printf("%.6f"). The
   // sweep covers a dense dyadic grid over [0, 1], where d(u, v) lives (it
@@ -540,6 +652,18 @@ TEST(ServeLoopTest, RenderValueMatchesPrintfFixed6) {
     }
   };
   for (uint32_t k = 0; k <= (1u << 20); ++k) check(k * 0x1.0p-20);
+  // Every power of two in [denorm_min, 1] and both its neighbours: every
+  // shift of the integer path and both sides of its 2^-30 cut-off.
+  for (int k = 0; k <= 1074; ++k) {
+    const double power = std::ldexp(1.0, -k);
+    check(power);
+    check(std::nextafter(power, 0.0));
+    check(std::nextafter(power, 2.0));
+  }
+  // Every six-decimal value, and the largest double below 1, which
+  // carries into 1.000000.
+  for (uint32_t k = 0; k <= 1000000; ++k) check(k / 1e6);
+  check(std::nextafter(1.0, 0.0));
   for (uint32_t k = 0; k < 1000000; ++k) {
     const double halfway = (k + 0.5) / 1e6;
     check(halfway);
