@@ -31,8 +31,8 @@
 //   tdl_cli serve --model model.dds [--cache N] [--ways N]
 //       Answers d(u, v) queries over stdin/stdout against a servable model
 //       exported with --save-model (accepted by discover, quantify, and
-//       embed when the method is deepdirect). See serve/server.h for the
-//       line protocol.
+//       embed when the method is deepdirect, in RAM or with --shards). See
+//       serve/server.h for the line protocol.
 //
 // Methods: deepdirect (default), hf, line, redirect-n, redirect-t.
 //
@@ -123,8 +123,9 @@ int Usage() {
                " in Perfetto or\n  chrome://tracing); accepted by every"
                " command\n"
                "--save-model: after training (discover/quantify/embed with"
-               " the\n  deepdirect method), export the model in the"
-               " mmap-friendly servable\n  format `tdl_cli serve` consumes\n"
+               " the\n  deepdirect method, in RAM or with --shards), export"
+               " the model in the\n  mmap-friendly servable format"
+               " `tdl_cli serve` consumes\n"
                "serve: one request per stdin line — `u v [u v ...]` answers"
                " one\n  d(u,v) per pair (NA for unknown ties), `stats` prints"
                " cache counters,\n  `quit` exits; --cache sets the hot-tie"
@@ -138,7 +139,7 @@ int Usage() {
                " shard files under\n  --shard-dir with at most --shard-ram-mb"
                " MB (default 256) of parameter\n  pages resident;"
                " single-threaded sharded runs are bit-identical to\n"
-               "  in-RAM training\n"
+               "  in-RAM training; sharded runs cannot checkpoint yet\n"
                "--epochs: override the E-step epoch count τ"
                " (discover/quantify)\n"
                "update: --batch is a comma-separated list of delta files in"
@@ -345,15 +346,18 @@ struct CheckpointFlags {
 };
 
 // Parses the checkpoint flags; nullopt after printing an error when a value
-// is malformed or --resume is given without --checkpoint-dir.
+// is malformed or --resume, --checkpoint-every or --checkpoint-keep is given
+// without --checkpoint-dir.
 std::optional<CheckpointFlags> ParseCheckpointFlags(
     const Flags& flags) {
   CheckpointFlags out;
   if (flags.contains("checkpoint-dir")) out.dir = flags.at("checkpoint-dir");
   out.resume = flags.contains("resume");
-  if (out.resume && out.dir.empty()) {
-    std::fprintf(stderr, "error: --resume requires --checkpoint-dir\n");
-    return std::nullopt;
+  for (const char* name : {"resume", "checkpoint-every", "checkpoint-keep"}) {
+    if (flags.contains(name) && out.dir.empty()) {
+      std::fprintf(stderr, "error: --%s requires --checkpoint-dir\n", name);
+      return std::nullopt;
+    }
   }
   // A cadence of 0 would write no checkpoint at all, not even the final
   // state promised below.
@@ -377,10 +381,10 @@ std::optional<uint64_t> ThreadsFlag(const Flags& flags) {
   return IntFlag(flags, "threads", 1, 0, kMaxThreads);
 }
 
-// Checks --save-model before any input is read: only an in-RAM DeepDirect
-// model has a servable export. False after printing an error.
-bool SaveModelAllowed(const Flags& flags, core::Method method,
-                      uint64_t shards) {
+// Checks --save-model before any input is read: only a DeepDirect model,
+// in RAM or out of core, has a servable export. False after printing an
+// error.
+bool SaveModelAllowed(const Flags& flags, core::Method method) {
   if (!flags.contains("save-model")) return true;
   const char* error = nullptr;
   if (flags.at("save-model").empty()) {
@@ -388,9 +392,6 @@ bool SaveModelAllowed(const Flags& flags, core::Method method,
   } else if (method != core::Method::kDeepDirect) {
     error = "--save-model requires --method deepdirect (other methods have "
             "no servable form)";
-  } else if (shards > 0) {
-    error = "--save-model cannot be combined with --shards (the out-of-core "
-            "model has no servable export)";
   }
   if (error != nullptr) std::fprintf(stderr, "error: %s\n", error);
   return error == nullptr;
@@ -491,7 +492,7 @@ int RunDiscoverOrQuantify(const std::string& command, const Flags& flags,
   if (!threads.has_value() || !seed.has_value() || !hide.has_value() ||
       !epochs.has_value() || !shards.has_value() ||
       !shard_ram_mb.has_value() || !ckpt.has_value() ||
-      !SaveModelAllowed(flags, *method, *shards)) {
+      !SaveModelAllowed(flags, *method)) {
     return 1;
   }
   // The seed only draws the hidden split; the trainers keep their own.
@@ -506,9 +507,23 @@ int RunDiscoverOrQuantify(const std::string& command, const Flags& flags,
                    "error: --shards requires --method deepdirect\n");
       return 1;
     }
+    if (!ckpt->dir.empty()) {
+      std::fprintf(stderr, "error: --shards cannot be combined with "
+                           "--checkpoint-dir (sharded runs cannot "
+                           "checkpoint yet)\n");
+      return 1;
+    }
     if (!flags.contains("shard-dir") || flags.at("shard-dir").empty()) {
       std::fprintf(stderr, "error: --shards requires --shard-dir\n");
       return 1;
+    }
+  } else {
+    for (const char* name : {"shard-dir", "shard-ram-mb"}) {
+      if (flags.contains(name)) {
+        std::fprintf(stderr, "error: --%s requires --shards above 0\n",
+                     name);
+        return 1;
+      }
     }
   }
   if (!StartTimeline(timeline)) return 1;
@@ -616,7 +631,7 @@ int RunEmbed(const Flags& flags, obs::TimelineWriter* timeline) {
   const auto dims = IntFlag(flags, "dims", config.dimensions, 1, 4096);
   const auto ckpt = ParseCheckpointFlags(flags);
   if (!threads.has_value() || !dims.has_value() || !ckpt.has_value() ||
-      !SaveModelAllowed(flags, core::Method::kDeepDirect, 0) ||
+      !SaveModelAllowed(flags, core::Method::kDeepDirect) ||
       !StartTimeline(timeline)) {
     return 1;
   }
@@ -689,7 +704,7 @@ int RunUpdate(const Flags& flags, obs::TimelineWriter* timeline) {
   const auto seed = IntFlag(flags, "seed", config.seed, 0, UINT64_MAX);
   if (!threads.has_value() || !epochs_per_batch.has_value() ||
       !seed.has_value() ||
-      !SaveModelAllowed(flags, core::Method::kDeepDirect, 0) ||
+      !SaveModelAllowed(flags, core::Method::kDeepDirect) ||
       !StartTimeline(timeline)) {
     return 1;
   }

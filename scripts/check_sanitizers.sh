@@ -40,8 +40,10 @@ cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
 # loop's in-place tokenizer and value renderer over request bytes), the
 # streaming-update layer (Hogwild incremental E-step over the affected
 # arc set, warm-start state load/save), the out-of-core trainer
-# (shard-affine Hogwild over mmap'd shard rows, and the page CLOCK's
-# concurrent admission and eviction under one mutex), every reader sweep of
+# (shard-affine Hogwild over mmap'd shard rows, the page CLOCK's
+# concurrent admission and eviction under one mutex, and the DDS1 export
+# of a store-backed model, which reads every row of M back through the
+# mapping under a budget below the footprint), every reader sweep of
 # the aligned section container (the shared reader's truncation, corruption
 # and structure-aware mutation sweeps, and the DDS1 and DDSH sweeps through
 # their public Open, the forged DDS1 files (wrapping arc count, scores
@@ -66,7 +68,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}"
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0}"
 
-FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*:ShardedTrainerTest.Hogwild*:ContainerTest.*:ServableModelTest.*Sweep*:ServableModelTest.Wrapping*:ServableModelTest.OutOfRangeScoresAreRejected:ServableModelTest.VersionOneFileIsRejected:ShardedStoreTest.*:IncrementalTest.EStepStateRoundTrips:IncrementalTest.LoadSkipsCorruptNewestCheckpoint:*EStepGradientTest.*:EStepListTest.*'
+FILTER='*MultiThreaded*:*Deterministic*:*Concurrent*:*Resume*:CheckpointTest.*:SgdDriverTest.*:ThreadPoolTest.*:ObsCounterTest.*:ObsHistogramTest.*:ObsTraceTest.*:ObsEndToEndTest.*:ObsTimelineTest.*:TraceBufferTest.*:TraceSpanTest.*:TraceEndToEndTest.*:KernelsTest.*:ServeLoopTest.*:ShardedTrainerTest.Hogwild*:ShardedTrainerTest.ExportMatchesTheInRamFile:ContainerTest.*:ServableModelTest.*Sweep*:ServableModelTest.Wrapping*:ServableModelTest.OutOfRangeScoresAreRejected:ServableModelTest.VersionOneFileIsRejected:ShardedStoreTest.*:IncrementalTest.EStepStateRoundTrips:IncrementalTest.LoadSkipsCorruptNewestCheckpoint:*EStepGradientTest.*:EStepListTest.*'
 for target in "${TARGETS[@]}"; do
   echo "=== $target ($SANITIZER) ==="
   "$BUILD_DIR/tests/$target" --gtest_filter="$FILTER"

@@ -6,12 +6,17 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "core/estep_body.h"
+#include "core/sharded_trainer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "train/parallel.h"
 #include "train/sgd_driver.h"
+#include "train/sharded_store.h"
 #include "util/random.h"
 
 namespace deepdirect::core {
@@ -118,8 +123,19 @@ PatternPrecompute PrecomputePatterns(const MixedSocialNetwork& g,
   return out;
 }
 
-std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
+DeepDirectModel::DeepDirectModel(TieIndex index, size_t rows,
+                                 size_t dimensions)
+    : index_(std::move(index)),
+      embeddings_(rows, dimensions),
+      d_step_(dimensions) {}
+
+template <typename Model>
+util::Result<std::unique_ptr<Model>> DeepDirectModel::Fit(
     const MixedSocialNetwork& g, const DeepDirectConfig& config) {
+  // The row backend is all that differs. It decides how M and N are made,
+  // the checkpointer (in RAM), and the shard plan, Seal() and the store
+  // counters (out of core).
+  constexpr bool kSharded = std::is_same_v<Model, ShardedDeepDirectModel>;
   DD_CHECK_GT(g.num_directed_ties(), 0u);
   DD_CHECK_GT(config.dimensions, 0u);
   DD_CHECK_GE(config.epochs, 0.0);
@@ -131,8 +147,8 @@ std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
   TieIndex index(g);
   const size_t num_arcs = index.num_arcs();
   const size_t l = config.dimensions;
-  std::unique_ptr<DeepDirectModel> model(
-      new DeepDirectModel(std::move(index), l));
+  std::unique_ptr<Model> model(
+      new Model(std::move(index), kSharded ? 0 : num_arcs, l));
   const TieIndex& idx = model->index_;
 
   util::Rng rng(config.seed);
@@ -143,18 +159,44 @@ std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
   // thread count (per-arc counter-based RNG instead of a shared stream).
   const PatternPrecompute patterns = PrecomputePatterns(g, idx, config);
 
+  // M starts uniform in ±0.5/l and N at zero (skip-gram output-layer
+  // convention). The store fills M in the ml::Matrix::FillUniform draw
+  // order — the same draws at the same point in the stream as on the heap,
+  // the first leg of the bit-identity contract.
+  const float init = 0.5f / static_cast<float>(l);
+  if constexpr (kSharded) {
+    phase.emplace("deepdirect.sharded.create_store");
+    const train::ShardedStoreOptions store_options{
+        .dir = config.sharding.dir,
+        .num_shards = config.sharding.num_shards,
+        .ram_budget_bytes =
+            static_cast<uint64_t>(config.sharding.ram_budget_mb) << 20};
+    auto created = train::ShardedStore::Create(
+        store_options, {num_arcs, HashTieIndex(idx), l}, rng, -init, init);
+    if (!created.ok()) return created.status();
+    model->store_ = std::move(created).value();
+  }
+
   // --- E-Step --------------------------------------------------------------
   phase.emplace("deepdirect.estep");
-  ml::Matrix& m = model->embeddings_;
-  ml::Matrix n(num_arcs, l);  // connection matrix N
-  const float init = 0.5f / static_cast<float>(l);
-  m.FillUniform(rng, -init, init);
-  // N starts at zero (skip-gram output-layer convention).
+  ml::Matrix n(kSharded ? 0 : num_arcs, l);  // connection matrix N
+  if constexpr (!kSharded) model->embeddings_.FillUniform(rng, -init, init);
+  // The rows both steps train: the store by reference, or the two heap
+  // matrices by value (EStepEnv then reads them without an indirection).
+  using Rows =
+      std::conditional_t<kSharded, train::ShardedStore&, internal::MatrixRows>;
+  Rows rows = [&]() -> Rows {
+    if constexpr (kSharded) {
+      return *model->store_;
+    } else {
+      return {model->embeddings_, n};
+    }
+  }();
 
   // The joint classifier (w′, b′) as the driver's dense block: w′ in the
   // first l slots, b′ in the last.
   std::vector<double> classifier(l + 1, 0.0);
-  const internal::Samplers samplers(idx, config.uniform_negative_sampling);
+  internal::Samplers samplers(idx, config.uniform_negative_sampling);
 
   // One epoch is |C(G)| iterations (τ epochs total; the last may be
   // partial when τ is fractional).
@@ -164,41 +206,55 @@ std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
       config, iterations, config.seed, classifier, "train.deepdirect.estep");
   options.steps_per_epoch = idx.NumConnectedTiePairs();
 
-  train::CheckpointOptions ckpt_options = config.checkpoint;
-  if (ckpt_options.trainer.empty()) ckpt_options.trainer = "deepdirect.estep";
-  // Only a checkpointed run hashes its input: every closure arc with its
-  // class, which a new hidden split changes even where HashTieIndex does
-  // not. The tie hash binds the state to the network's closure arcs for a
-  // warm-start consumer (train/incremental.h).
-  train::InputHash input;
   uint64_t tie_hash = 0;
-  if (!ckpt_options.dir.empty()) {
-    for (size_t e = 0; e < num_arcs; ++e) {
-      const auto [u, v] = idx.ArcAt(e);
-      input.Add(u);
-      input.Add(v);
-      input.Add(idx.Class(e));
+  std::optional<train::Checkpointer> checkpointer;
+  if constexpr (kSharded) {
+    // Hogwild samples each step's source from its worker's shard. The
+    // serial path never consults the plan (global sampling), so nt=1
+    // output does not depend on the shard count.
+    if (config.num_threads != 1 && rows.num_shards() > 1) {
+      options.shard_plan = samplers.PlanShards(idx, rows);
     }
-    tie_hash = HashTieIndex(idx);
+  } else {
+    train::CheckpointOptions ckpt_options = config.checkpoint;
+    if (ckpt_options.trainer.empty()) ckpt_options.trainer = "deepdirect.estep";
+    // Only a checkpointed run hashes its input: every closure arc with its
+    // class, which a new hidden split changes even where HashTieIndex does
+    // not. The tie hash binds the state to the network's closure arcs for
+    // a warm-start consumer (train/incremental.h).
+    train::InputHash input;
+    if (!ckpt_options.dir.empty()) {
+      for (size_t e = 0; e < num_arcs; ++e) {
+        const auto [u, v] = idx.ArcAt(e);
+        input.Add(u);
+        input.Add(v);
+        input.Add(idx.Class(e));
+      }
+      tie_hash = HashTieIndex(idx);
+    }
+    const std::span<double> w_and_b(classifier);
+    checkpointer.emplace(
+        ckpt_options,
+        train::RunShape{iterations, options.steps_per_epoch, config.seed,
+                        options.lr, input.value()},
+        train::kEStepCheckpoint,
+        std::vector<std::span<std::byte>>{
+            std::as_writable_bytes(std::span(model->embeddings_.data())),
+            std::as_writable_bytes(std::span(n.data())),
+            std::as_writable_bytes(w_and_b.first(l)),
+            std::as_writable_bytes(w_and_b.subspan(l)),
+            std::as_writable_bytes(std::span(&tie_hash, 1))});
+    options.start_epoch = checkpointer->Resume(rng);
+    options.checkpointer = &*checkpointer;
   }
-  const std::span<double> w_and_b(classifier);
-  train::Checkpointer checkpointer(
-      ckpt_options,
-      train::RunShape{iterations, options.steps_per_epoch, config.seed,
-                      options.lr, input.value()},
-      train::kEStepCheckpoint,
-      {std::as_writable_bytes(std::span(m.data())),
-       std::as_writable_bytes(std::span(n.data())),
-       std::as_writable_bytes(w_and_b.first(l)),
-       std::as_writable_bytes(w_and_b.subspan(l)),
-       std::as_writable_bytes(std::span(&tie_hash, 1))});
-  options.start_epoch = checkpointer.Resume(rng);
-  options.checkpointer = &checkpointer;
 
-  internal::MatrixRows rows{m, n};
-  internal::RunEStep(
-      internal::EStepEnv<internal::MatrixRows>{idx, patterns, rows, samplers},
-      options, config, rng);
+  internal::RunEStep(internal::EStepEnv<Rows>{idx, patterns, rows, samplers},
+                     options, config, rng);
+  if constexpr (kSharded) {
+    // Seal the store: stamps CRCs and the sealed flag so the trained
+    // parameters validate byte-for-byte and the directory can be reopened.
+    DD_RETURN_NOT_OK(rows.Seal());
+  }
   model->e_step_weights_.assign(classifier.begin(), classifier.begin() + l);
   model->e_step_bias_ = classifier[l];
 
@@ -206,15 +262,58 @@ std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
   // would never have reached the D-Step, so return the partial model here
   // — running (and checkpointing) the D-Step on a half-trained embedding
   // would poison a later resume.
-  if (checkpointer.stopped()) return model;
+  if (checkpointer.has_value() && checkpointer->stopped()) return model;
 
+  // Out of core, the D-step reads the labeled rows back out of the store,
+  // admitting their pages under the budget.
   phase.emplace("deepdirect.dstep");
   model->d_step_ = internal::TrainDStep(rows, idx, classifier, config.d_step);
+
+  if constexpr (kSharded) {
+    // Residency over the whole run, in pages: the E-step, the Seal()
+    // release and the D-step's re-admissions. Reads no Rng.
+    if (obs::Enabled()) {
+      const train::ShardedStore::Stats stats = rows.GetStats();
+      obs::Registry& registry = obs::Registry::Default();
+      registry.GetCounter("train.store.admissions")->Add(stats.admissions);
+      registry.GetCounter("train.store.evictions")->Add(stats.evictions);
+      registry.GetGauge("train.store.resident_bytes")
+          ->Set(static_cast<double>(stats.resident_bytes));
+      registry.GetGauge("train.store.max_resident_bytes")
+          ->Set(static_cast<double>(stats.max_resident_bytes));
+      registry.GetGauge("train.store.budget_bytes")
+          ->Set(static_cast<double>(stats.budget_bytes));
+    }
+  }
   return model;
 }
 
+std::unique_ptr<DeepDirectModel> DeepDirectModel::Train(
+    const MixedSocialNetwork& g, const DeepDirectConfig& config) {
+  return std::move(Fit<DeepDirectModel>(g, config)).value();
+}
+
+util::Result<std::unique_ptr<ShardedDeepDirectModel>>
+ShardedDeepDirectModel::Train(const MixedSocialNetwork& g,
+                              const DeepDirectConfig& config) {
+  if (config.sharding.num_shards == 0 || config.sharding.dir.empty()) {
+    return util::Status::InvalidArgument(
+        "sharded training requires sharding.num_shards > 0 and a store "
+        "directory");
+  }
+  if (!config.checkpoint.dir.empty()) {
+    return util::Status::InvalidArgument(
+        "sharded runs cannot checkpoint yet");
+  }
+  return Fit<ShardedDeepDirectModel>(g, config);
+}
+
+std::span<const float> DeepDirectModel::Row(size_t e) const {
+  return store_ != nullptr ? store_->EmbRow(e) : embeddings_.Row(e);
+}
+
 double DeepDirectModel::Directionality(NodeId u, NodeId v) const {
-  return d_step_.PredictRow(embeddings_.Row(index_.IndexOf(u, v)));
+  return d_step_.PredictRow(Row(index_.IndexOf(u, v)));
 }
 
 util::Result<double> DeepDirectModel::TryDirectionality(NodeId u,

@@ -46,8 +46,9 @@
 #include "train/lr_schedule.h"
 
 namespace deepdirect::train {
-struct TieBatch;    // train/incremental.h
-struct EStepState;  // train/incremental.h
+struct TieBatch;     // train/incremental.h
+struct EStepState;   // train/incremental.h
+class ShardedStore;  // train/sharded_store.h
 }  // namespace deepdirect::train
 
 namespace deepdirect::core {
@@ -55,11 +56,11 @@ namespace deepdirect::core {
 struct IncrementalOptions;  // core/incremental.h
 struct IncrementalUpdate;   // core/incremental.h
 
-/// Out-of-core training (core/sharded_trainer.h). When num_shards > 0,
-/// ShardedDeepDirectModel::Train spills the embedding matrix M and the
-/// connection matrix N to a mmap-backed ShardedStore under `dir`, keeping
-/// at most `ram_budget_mb` of their pages resident. Ignored by the in-RAM
-/// DeepDirectModel::Train.
+/// Out-of-core training (core/sharded_trainer.h). The sharded Train keeps
+/// the embedding matrix M and the connection matrix N in a mmap-backed
+/// ShardedStore of `num_shards` files under `dir`, with at most
+/// `ram_budget_mb` of their pages resident, and the trained model reads M
+/// from the store. Ignored by the in-RAM DeepDirectModel::Train.
 struct ShardingConfig {
   size_t num_shards = 0;       ///< 0 = in-RAM training only
   std::string dir;             ///< store directory (required when sharded)
@@ -166,7 +167,10 @@ PatternPrecompute PrecomputePatterns(const graph::MixedSocialNetwork& g,
                                      const DeepDirectConfig& config,
                                      std::span<const uint8_t> arc_mask = {});
 
-/// A trained DeepDirect model: embedding matrix + directionality head.
+/// A trained DeepDirect model: embedding matrix + directionality head. The
+/// rows of M live in the model's heap matrix or, for a model trained out
+/// of core (ShardedDeepDirectModel, core/sharded_trainer.h), in the
+/// ShardedStore it owns; every accessor below reads either.
 class DeepDirectModel : public DirectionalityModel {
  public:
   /// Hands the pages of M back to the kernel before freeing it, so a
@@ -174,9 +178,10 @@ class DeepDirectModel : public DirectionalityModel {
   /// keeps a freed block of M's size on its heap; DESIGN.md §3k).
   ~DeepDirectModel() override;
 
-  /// Runs preprocessing, E-Step and D-Step on `g` (Algorithm 1). The model
-  /// is self-contained; `g` may be destroyed afterwards. Requires at least
-  /// one directed tie (the TDL problem needs labeled data).
+  /// Runs preprocessing, E-Step and D-Step on `g` (Algorithm 1) with M and
+  /// N on the heap. The model is self-contained; `g` may be destroyed
+  /// afterwards. Requires at least one directed tie (the TDL problem needs
+  /// labeled data).
   static std::unique_ptr<DeepDirectModel> Train(
       const graph::MixedSocialNetwork& g, const DeepDirectConfig& config);
 
@@ -207,7 +212,9 @@ class DeepDirectModel : public DirectionalityModel {
       graph::NodeId u, graph::NodeId v) const override;
   std::string name() const override { return "DeepDirect"; }
 
-  /// The embedding matrix M (rows indexed by the TieIndex).
+  /// The heap embedding matrix M (rows indexed by the TieIndex). A model
+  /// trained out of core keeps M in its store alone, so this matrix has no
+  /// rows; TieEmbedding reads either.
   const ml::Matrix& embeddings() const { return embeddings_; }
 
   /// The closure-arc index the embedding rows follow.
@@ -216,7 +223,7 @@ class DeepDirectModel : public DirectionalityModel {
   /// Embedding row of the tie arc (u, v).
   std::span<const float> TieEmbedding(graph::NodeId u,
                                       graph::NodeId v) const {
-    return embeddings_.Row(index_.IndexOf(u, v));
+    return Row(index_.IndexOf(u, v));
   }
 
   /// The D-Step logistic regression (Eq. 26).
@@ -234,15 +241,31 @@ class DeepDirectModel : public DirectionalityModel {
   /// core/servable_format.h): the CSR tie index and each arc's d(e) as
   /// Directionality computes it, with 64-byte-aligned payloads so
   /// serve::ServableModel::Open answers d(u, v) zero-copy off one mmap —
-  /// no training network needed at query time. Written atomically
-  /// (temp file, fsync, rename).
+  /// no training network needed at query time. Reads each row of M once;
+  /// a store-backed model admits them under its budget. Written
+  /// atomically (temp file, fsync, rename).
   util::Status ExportServable(const std::string& path) const;
 
+ protected:
+  /// A model over `index` with a heap M of `rows` rows: num_arcs(), or 0
+  /// when the rows will live in `store_`.
+  DeepDirectModel(TieIndex index, size_t rows, size_t dimensions);
+
+  /// Algorithm 1, the one training pipeline of both row backends: M and N
+  /// on the heap for Model = DeepDirectModel, or in a ShardedStore under
+  /// `config.sharding` for Model = ShardedDeepDirectModel. Only the store
+  /// reports errors.
+  template <typename Model>
+  static util::Result<std::unique_ptr<Model>> Fit(
+      const graph::MixedSocialNetwork& g, const DeepDirectConfig& config);
+
+  /// Where M lives out of core; null when it is on the heap.
+  std::unique_ptr<train::ShardedStore> store_;
+
  private:
-  DeepDirectModel(TieIndex index, size_t dimensions)
-      : index_(std::move(index)),
-        embeddings_(index_.num_arcs(), dimensions),
-        d_step_(dimensions) {}
+  /// Row e of M: from the heap matrix, or from the store, which admits the
+  /// row's pages under its budget.
+  std::span<const float> Row(size_t e) const;
 
   TieIndex index_;
   ml::Matrix embeddings_;

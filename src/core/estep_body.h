@@ -1,9 +1,10 @@
-// The E-step (Algorithm 1, lines 10–16) and the D-step, shared by the
-// three trainers: DeepDirectModel::Train (core/deepdirect.cc), the
-// out-of-core ShardedDeepDirectModel::Train (core/sharded_trainer.cc) and
-// the streaming update DeepDirectModel::ApplyTieBatch (core/incremental.cc).
+// The E-step (Algorithm 1, lines 10–16) and the D-step, shared by the two
+// trainers: DeepDirectModel::Fit (core/deepdirect.cc), which trains with M
+// and N on the heap (DeepDirectModel::Train) or out of core in a
+// train::ShardedStore (ShardedDeepDirectModel::Train), and the streaming
+// update DeepDirectModel::ApplyTieBatch (core/incremental.cc).
 //
-// One pipeline serves all three:
+// One pipeline serves both:
 //   * EStepEnv<Rows> — the one storage environment. Topology, classes,
 //     labels and patterns come from the heap TieIndex and
 //     PatternPrecompute; rows of M and N come from `Rows`: two heap
@@ -13,13 +14,13 @@
 //   * EStepOptions/RunEStep — the SgdDriver set-up and the run with its
 //     per-worker scratch and sampler tallies.
 //   * TrainDStep — the D-step, warm-started from (w′, b′).
-// Each trainer keeps what only it has: checkpointing (in RAM), the shard
-// plan, Seal() and the store counters (out of core), and the splice, the
-// row remap and the affected set (update).
+// Each keeps what only it has: Fit its backend's checkpointing (in RAM),
+// and the shard plan, Seal() and the store counters (out of core); the
+// update its splice, row remap and affected set.
 //
 // EStepDraw and EStepTrain are templated over the environment so the
 // identical float arithmetic runs against heap matrices or mmap-backed
-// shard rows. Bit-identity between the in-RAM and sharded trainers at
+// shard rows. Bit-identity between the in-RAM and sharded backends at
 // num_threads = 1 rests on this file being the single definition of the
 // step: same kernel calls in the same order, same RNG draw sequence
 // (SampleSource → SampleConnectedTie → per-negative SampleNoise), same

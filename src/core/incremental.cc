@@ -138,7 +138,7 @@ util::Result<IncrementalUpdate> DeepDirectModel::ApplyTieBatch(
   TieIndex merged_index(merged);
   const size_t num_arcs = merged_index.num_arcs();
   std::unique_ptr<DeepDirectModel> model(
-      new DeepDirectModel(std::move(merged_index), l));
+      new DeepDirectModel(std::move(merged_index), num_arcs, l));
   const TieIndex& idx = model->index_;
 
   // --- Warm-start: remap surviving rows, init new ones. -----------------

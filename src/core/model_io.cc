@@ -4,7 +4,9 @@
 // arc), with every payload 64-byte aligned so serve::ServableModel::Open
 // can answer d(u, v) zero-copy off the mapping without the training
 // network or any deserialization pass. Written with the atomic
-// temp+fsync+rename primitive of train/container.h.
+// temp+fsync+rename primitive of train/container.h, from either row
+// backend: a serial out-of-core run writes the same file as the in-RAM
+// one.
 
 #include <vector>
 
@@ -21,10 +23,11 @@ util::Status DeepDirectModel::ExportServable(const std::string& path) const {
   meta.num_nodes = index_.num_nodes();
   meta.num_arcs = index_.num_arcs();
   meta.arc_hash = HashTieIndex(index_);
-  // The call Directionality makes, so a served value is bit-identical.
+  // The call Directionality makes, so a served value is bit-identical; one
+  // pass in arc order over the rows of M, on the heap or in the store.
   std::vector<double> scores(index_.num_arcs());
   for (size_t e = 0; e < scores.size(); ++e) {
-    scores[e] = d_step_.PredictRow(embeddings_.Row(e));
+    scores[e] = d_step_.PredictRow(Row(e));
   }
   const train::container::Payload payloads[servable::kSectionCount] = {
       {&meta, sizeof(meta)},

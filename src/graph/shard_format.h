@@ -21,8 +21,10 @@
 // Readers accept only sealed files.
 //
 // The store is not crash-atomic: a process killed mid-E-step leaves
-// unsealed shard files behind, and Open() rejects them. Checkpoint/resume
-// of sharded runs is recorded headroom (ROADMAP), not supported here.
+// unsealed shard files behind, and Open() rejects them. Nor is a sealed
+// store a checkpoint: the next epoch would rewrite its rows in place.
+// Sharded runs cannot checkpoint yet (ROADMAP); only the library's
+// ShardedStore::Open reopens a store, and no tdl_cli command does.
 //
 // Writer/reader: train/sharded_store.{h,cc}.
 

@@ -32,6 +32,7 @@
 #include "ml/matrix.h"
 #include "obs/metrics.h"
 #include "serve/mmap_file.h"
+#include "serve/servable_model.h"
 #include "train/container.h"
 #include "train/sharded_store.h"
 #include "util/random.h"
@@ -51,6 +52,16 @@ std::string FreshDir(const std::string& name) {
   fs::remove_all(dir);
   return dir.string();
 }
+
+/// Deletes a directory when it goes out of scope (or, held in a static,
+/// when the process exits).
+struct RemoveAllAtExit {
+  std::string dir;
+  ~RemoveAllAtExit() {
+    std::error_code ignored;
+    fs::remove_all(dir, ignored);
+  }
+};
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -93,9 +104,8 @@ DeepDirectConfig ShardedConfig(const DeepDirectConfig& base, size_t shards,
 
 /// Asserts two trained models agree bit-for-bit: classifier parameters,
 /// D-step predictions on every closure arc, and discovery accuracy.
-template <typename ModelA, typename ModelB>
 void ExpectBitIdentical(const graph::HiddenDirectionSplit& split,
-                        const ModelA& a, const ModelB& b) {
+                        const DeepDirectModel& a, const DeepDirectModel& b) {
   EXPECT_EQ(a.e_step_weights(), b.e_step_weights());
   EXPECT_EQ(a.e_step_bias(), b.e_step_bias());
   const TieIndex idx(split.network);
@@ -150,6 +160,42 @@ TEST(ShardedTrainerTest, TinyBudgetEvictsAndStaysBitIdentical) {
   EXPECT_GT(stats.evictions, 0u) << "budget never forced an eviction";
   EXPECT_GE(stats.admissions, stats.evictions);
   EXPECT_LE(stats.resident_bytes, stats.max_resident_bytes);
+  EXPECT_LE(stats.max_resident_bytes, stats.budget_bytes);
+}
+
+TEST(ShardedTrainerTest, ExportMatchesTheInRamFile) {
+  // The fixture of TinyBudgetEvictsAndStaysBitIdentical: the export reads
+  // every row of M back through the 1 MB budget, in one pass, and must
+  // write the in-RAM model's DDS1 file byte for byte.
+  const auto split = MakeSplit(800, 7);
+  const auto base = BaseConfig(64, 1.0);
+  const auto in_ram = DeepDirectModel::Train(split.network, base);
+  auto sharded = ShardedDeepDirectModel::Train(
+      split.network,
+      ShardedConfig(base, 8, FreshDir("dd_shard_export_store"), 1));
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  EXPECT_EQ(sharded.value()->embeddings().rows(), 0u);
+
+  const std::string dir = FreshDir("dd_shard_export");
+  fs::create_directories(dir);
+  const RemoveAllAtExit cleanup{dir};
+  const std::string in_ram_path = dir + "/in_ram.dds";
+  const std::string sharded_path = dir + "/sharded.dds";
+  ASSERT_TRUE(in_ram->ExportServable(in_ram_path).ok());
+  const util::Status exported =
+      sharded.value()->ExportServable(sharded_path);
+  ASSERT_TRUE(exported.ok()) << exported.ToString();
+
+  const std::string in_ram_bytes = ReadFile(in_ram_path);
+  ASSERT_FALSE(in_ram_bytes.empty());
+  EXPECT_TRUE(ReadFile(sharded_path) == in_ram_bytes)
+      << "the sharded export differs from the in-RAM file";
+  auto opened = serve::ServableModel::Open(sharded_path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened.value().num_arcs(), in_ram->index().num_arcs());
+
+  const auto stats = sharded.value()->store().GetStats();
+  EXPECT_GT(stats.evictions, 0u) << "budget never forced an eviction";
   EXPECT_LE(stats.max_resident_bytes, stats.budget_bytes);
 }
 
@@ -287,6 +333,9 @@ TEST(ShardedTrainerTest, RejectsUnsupportedConfigs) {
   EXPECT_FALSE(checkpointed.ok());
   EXPECT_EQ(checkpointed.status().code(),
             util::StatusCode::kInvalidArgument);
+  EXPECT_NE(checkpointed.status().ToString().find("checkpoint"),
+            std::string::npos)
+      << checkpointed.status().ToString();
 }
 
 TEST(ShardedTrainerTest, UnknownTieIsNotFound) {
@@ -312,15 +361,6 @@ TEST(ShardedTrainerTest, UnknownTieIsNotFound) {
 // Store lifecycle and fault injection. The fixture is deliberately tiny
 // (60 nodes, l = 4) so the every-byte sweeps stay fast under sanitizers.
 // ----------------------------------------------------------------------
-
-/// Deletes a per-process fixture directory when the process exits.
-struct RemoveAllAtExit {
-  std::string dir;
-  ~RemoveAllAtExit() {
-    std::error_code ignored;
-    fs::remove_all(dir, ignored);
-  }
-};
 
 /// Trains a tiny sharded model once per process and shares its sealed store
 /// directory with every fault-injection test (each test works on copies).
