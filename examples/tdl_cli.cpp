@@ -52,6 +52,7 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -89,10 +90,21 @@ int Usage() {
                " [--hide F [--seed N]] [--threads N] [--epochs E]\n"
                "                   [--shards N --shard-dir D"
                " [--shard-ram-mb M]]\n"
+               "                   [--checkpoint-dir D [--checkpoint-every N]"
+               " [--checkpoint-keep K] [--resume]]\n"
+               "                   [--save-model F] [--truth F]\n"
                "  tdl_cli quantify --input F [--method M] [--output F]"
-               " [--threads N]\n"
+               " [--threads N] [--epochs E]\n"
+               "                   [--shards N --shard-dir D"
+               " [--shard-ram-mb M]]\n"
+               "                   [--checkpoint-dir D [--checkpoint-every N]"
+               " [--checkpoint-keep K] [--resume]]\n"
+               "                   [--save-model F]\n"
                "  tdl_cli embed    --input F --output F [--dims N]"
                " [--threads N]\n"
+               "                   [--checkpoint-dir D [--checkpoint-every N]"
+               " [--checkpoint-keep K] [--resume]]\n"
+               "                   [--save-model F]\n"
                "  tdl_cli update   --input F --batch F[,F...]"
                " --checkpoint-dir D\n"
                "                   [--epochs-per-batch E] [--threads N]"
@@ -135,11 +147,12 @@ int Usage() {
                " network in\n  RAM (the path for 10M+-tie graphs feeding"
                " out-of-core training)\n"
                "--shards/--shard-dir/--shard-ram-mb: train DeepDirect"
-               " out-of-core —\n  the embedding matrices live in mmap-backed"
-               " shard files under\n  --shard-dir with at most --shard-ram-mb"
-               " MB (default 256) of parameter\n  pages resident;"
-               " single-threaded sharded runs are bit-identical to\n"
-               "  in-RAM training; sharded runs cannot checkpoint yet\n"
+               " out-of-core —\n  the embedding matrices live in one mmap'd"
+               " file under --shard-dir with\n  at most --shard-ram-mb MB"
+               " (default 256) of its pages resident;\n  --shards sets how"
+               " many arc ranges two or more workers split it into;\n"
+               "  single-threaded sharded runs are bit-identical to in-RAM"
+               " training;\n  sharded runs cannot checkpoint yet\n"
                "--epochs: override the E-step epoch count τ"
                " (discover/quantify)\n"
                "update: --batch is a comma-separated list of delta files in"
@@ -213,7 +226,7 @@ std::optional<double> RealFlag(const Flags& flags, const char* name,
 }
 
 // Upper bounds of the size flags: far above any useful value, low enough
-// that no typo spawns a million threads or shard files.
+// that no typo spawns a million threads or a million arc ranges.
 constexpr uint64_t kMaxThreads = 1024;
 constexpr uint64_t kMaxShards = 1 << 16;
 
@@ -436,13 +449,24 @@ int ReportTruthAccuracy(const std::string& path,
     ++line_no;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty() || line[0] == '#') continue;
-    unsigned long long u = 0;
-    unsigned long long v = 0;
-    char trailing = '\0';
-    if (std::sscanf(line.c_str(), "%llu %llu %c", &u, &v, &trailing) != 2) {
+    std::istringstream fields(line);
+    long long u = -1;
+    long long v = -1;
+    std::string trailing;
+    if (!(fields >> u >> v) || fields >> trailing) {
       std::fprintf(stderr, "error: %s line %zu: expected 'u v', got '%s'\n",
                    path.c_str(), line_no, line.c_str());
       return 1;
+    }
+    // As in graph::ParseTieLine: an id that a NodeId cannot hold would
+    // wrap onto another node.
+    for (const long long id : {u, v}) {
+      if (id < 0 || static_cast<unsigned long long>(id) >= graph::kMaxNodes) {
+        std::fprintf(stderr,
+                     "error: %s line %zu: node id %lld is not in [0, %zu)\n",
+                     path.c_str(), line_no, id, graph::kMaxNodes);
+        return 1;
+      }
     }
     const auto d_uv = model.TryDirectionality(static_cast<graph::NodeId>(u),
                                               static_cast<graph::NodeId>(v));
@@ -450,7 +474,7 @@ int ReportTruthAccuracy(const std::string& path,
                                               static_cast<graph::NodeId>(u));
     if (!d_uv.ok() || !d_vu.ok()) {
       std::fprintf(stderr,
-                   "error: %s line %zu: tie %llu %llu is not evaluable by "
+                   "error: %s line %zu: tie %lld %lld is not evaluable by "
                    "this model (%s)\n",
                    path.c_str(), line_no, u, v,
                    (d_uv.ok() ? d_vu : d_uv).status().ToString().c_str());

@@ -40,16 +40,15 @@ cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
 # loop's in-place tokenizer and value renderer over request bytes), the
 # streaming-update layer (Hogwild incremental E-step over the affected
 # arc set, warm-start state load/save), the out-of-core trainer
-# (shard-affine Hogwild over mmap'd shard rows, the page CLOCK's
+# (shard-affine Hogwild over the mmap'd row file, the page CLOCK's
 # concurrent admission and eviction under one mutex, and the DDS1 export
 # of a store-backed model, which reads every row of M back through the
 # mapping under a budget below the footprint), every reader sweep of
 # the aligned section container (the shared reader's truncation, corruption
-# and structure-aware mutation sweeps, and the DDS1 and DDSH sweeps through
-# their public Open, the forged DDS1 files (wrapping arc count, scores
-# outside [0, 1], the version 1 layout), and the checkpoint sweeps over a
-# real file of each
-# DDCK table through Checkpointer::Check), where an over-read on a
+# and structure-aware mutation sweeps, the DDS1 sweeps through its public
+# Open, the forged DDS1 files (wrapping arc count, scores outside [0, 1],
+# the version 1 layout), and the checkpoint sweeps over a real file of
+# each DDCK table through Checkpointer::Check), where an over-read on a
 # malformed file is a finding even when a check rejects the file
 # afterwards, and the writers that gather payloads from caller memory:
 # checkpoint writes from the trainers' live views (CheckpointTest.*, and

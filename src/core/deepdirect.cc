@@ -133,7 +133,7 @@ template <typename Model>
 util::Result<std::unique_ptr<Model>> DeepDirectModel::Fit(
     const MixedSocialNetwork& g, const DeepDirectConfig& config) {
   // The row backend is all that differs. It decides how M and N are made,
-  // the checkpointer (in RAM), and the shard plan, Seal() and the store
+  // the checkpointer (in RAM), and the shard plan, Release() and the store
   // counters (out of core).
   constexpr bool kSharded = std::is_same_v<Model, ShardedDeepDirectModel>;
   DD_CHECK_GT(g.num_directed_ties(), 0u);
@@ -171,8 +171,8 @@ util::Result<std::unique_ptr<Model>> DeepDirectModel::Fit(
         .num_shards = config.sharding.num_shards,
         .ram_budget_bytes =
             static_cast<uint64_t>(config.sharding.ram_budget_mb) << 20};
-    auto created = train::ShardedStore::Create(
-        store_options, {num_arcs, HashTieIndex(idx), l}, rng, -init, init);
+    auto created = train::ShardedStore::Create(store_options, {num_arcs, l},
+                                               rng, -init, init);
     if (!created.ok()) return created.status();
     model->store_ = std::move(created).value();
   }
@@ -251,9 +251,10 @@ util::Result<std::unique_ptr<Model>> DeepDirectModel::Fit(
   internal::RunEStep(internal::EStepEnv<Rows>{idx, patterns, rows, samplers},
                      options, config, rng);
   if constexpr (kSharded) {
-    // Seal the store: stamps CRCs and the sealed flag so the trained
-    // parameters validate byte-for-byte and the directory can be reopened.
-    DD_RETURN_NOT_OK(rows.Seal());
+    // Drop the E-step's pages before the D-step, so that the D-step's
+    // heap meets only the labeled rows it admits, not a whole budget of
+    // E-step pages, and the run's peak RSS stays at the E-step's.
+    rows.Release();
   }
   model->e_step_weights_.assign(classifier.begin(), classifier.begin() + l);
   model->e_step_bias_ = classifier[l];
@@ -270,8 +271,8 @@ util::Result<std::unique_ptr<Model>> DeepDirectModel::Fit(
   model->d_step_ = internal::TrainDStep(rows, idx, classifier, config.d_step);
 
   if constexpr (kSharded) {
-    // Residency over the whole run, in pages: the E-step, the Seal()
-    // release and the D-step's re-admissions. Reads no Rng.
+    // Residency over the whole run, in pages: the E-step, the release
+    // and the D-step's re-admissions. Reads no Rng.
     if (obs::Enabled()) {
       const train::ShardedStore::Stats stats = rows.GetStats();
       obs::Registry& registry = obs::Registry::Default();

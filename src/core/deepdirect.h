@@ -57,10 +57,11 @@ struct IncrementalOptions;  // core/incremental.h
 struct IncrementalUpdate;   // core/incremental.h
 
 /// Out-of-core training (core/sharded_trainer.h). The sharded Train keeps
-/// the embedding matrix M and the connection matrix N in a mmap-backed
-/// ShardedStore of `num_shards` files under `dir`, with at most
-/// `ram_budget_mb` of their pages resident, and the trained model reads M
-/// from the store. Ignored by the in-RAM DeepDirectModel::Train.
+/// the embedding matrix M and the connection matrix N in a ShardedStore,
+/// one mmap-backed row file under `dir`, with at most `ram_budget_mb` of
+/// their pages resident, and the trained model reads M from the store.
+/// Shard-affine Hogwild splits the arcs into `num_shards` ranges. Ignored
+/// by the in-RAM DeepDirectModel::Train.
 struct ShardingConfig {
   size_t num_shards = 0;       ///< 0 = in-RAM training only
   std::string dir;             ///< store directory (required when sharded)

@@ -15,7 +15,7 @@
 //     per-worker scratch and sampler tallies.
 //   * TrainDStep — the D-step, warm-started from (w′, b′).
 // Each keeps what only it has: Fit its backend's checkpointing (in RAM),
-// and the shard plan, Seal() and the store counters (out of core); the
+// and the shard plan, Release() and the store counters (out of core); the
 // update its splice, row remap and affected set.
 //
 // EStepDraw and EStepTrain are templated over the environment so the

@@ -4,8 +4,8 @@
 // pipeline trains both (DeepDirectModel::Fit, core/deepdirect.cc: the same
 // preprocessing and the same E-step and D-step of core/estep_body.h), but
 // here the |E|×l embedding matrix M and connection matrix N never live on
-// the heap. They live in mmap-backed DDSH shard files
-// (graph/shard_format.h), and a fixed resident budget
+// the heap. They live in one mmap-backed row file under the store
+// directory (train/sharded_store.h), and a fixed resident budget
 // (`config.sharding.ram_budget_mb`) bounds how many parameter pages stay
 // mapped in at once, so graphs whose matrices dwarf RAM still train. The
 // closure TieIndex, the pattern arena and the sampling tables stay on the
@@ -27,7 +27,7 @@
 //
 // A run reports under the in-RAM trainer's phase names and metrics prefix,
 // plus its own `deepdirect.sharded.create_store` phase and `train.store.*`
-// counters. The trained model reads M straight off the (sealed) store —
+// counters. The trained model reads M straight off the store —
 // Directionality, TieEmbedding and ExportServable admit each row's pages
 // under the budget, and nothing materializes the full matrix. Sharded runs
 // cannot checkpoint yet; `config.checkpoint.dir` must be empty.
@@ -50,7 +50,7 @@ class ShardedDeepDirectModel : public DeepDirectModel {
   /// directory are required; checkpointing is not supported). A shard
   /// count that would leave a shard without arcs shrinks to the shards
   /// that receive some (store().num_shards()). Returns the model reading
-  /// from the sealed store.
+  /// from the store.
   static util::Result<std::unique_ptr<ShardedDeepDirectModel>> Train(
       const graph::MixedSocialNetwork& g, const DeepDirectConfig& config);
 

@@ -5,20 +5,21 @@
 //                   file; pages fault in on first touch and the kernel
 //                   shares clean pages between processes mapping the same
 //                   model file.
-//   * MmapRwFile  — read-write PROT_READ|PROT_WRITE/MAP_SHARED mapping
-//                   used by the sharded training store: stores land in the
-//                   page cache (never lost before msync), Sync() makes
-//                   them durable, and DropResident() releases a range's
+//   * MmapRwFile  — read-write PROT_READ|PROT_WRITE/MAP_SHARED mapping of
+//                   a new file, the shard store's row file: stores land in
+//                   the page cache, DropResident() releases a range's
 //                   resident pages without losing data — the primitive
-//                   behind the --shard-ram-mb budget's page evictions.
+//                   behind the --shard-ram-mb budget's page evictions —
+//                   and Populate() faults a range in writable. Nothing is
+//                   synced: the row file is working memory that no later
+//                   run reads.
 //
 // Both classes take an MmapAdvice so callers can tell the kernel the
-// access pattern up front: serve handles issue MADV_RANDOM (point queries
-// over the CSR index must not trigger readahead thrash), shard sweep
-// handles issue MADV_SEQUENTIAL (CRC validation and export sweeps want
-// aggressive readahead). mmap failing with ENOMEM returns a typed
-// ResourceExhausted so callers can degrade (drop a cache, shrink a
-// budget) instead of treating it like an unreadable file.
+// access pattern up front: serve handles and the shard store issue
+// MADV_RANDOM (point queries and row touches must not trigger readahead
+// thrash). mmap failing with ENOMEM returns a typed ResourceExhausted so
+// callers can degrade (drop a cache, shrink a budget) instead of treating
+// it like an unreadable file.
 
 #ifndef DEEPDIRECT_SERVE_MMAP_FILE_H_
 #define DEEPDIRECT_SERVE_MMAP_FILE_H_
@@ -35,9 +36,8 @@ namespace deepdirect::serve {
 
 /// Access-pattern hint forwarded to madvise() right after mapping.
 enum class MmapAdvice {
-  kNone = 0,    ///< kernel default readahead
-  kRandom,      ///< MADV_RANDOM — point lookups (serve handles)
-  kSequential,  ///< MADV_SEQUENTIAL — linear sweeps (shard validation)
+  kNone = 0,  ///< kernel default readahead
+  kRandom,    ///< MADV_RANDOM — point lookups and row touches
 };
 
 /// An immutable byte view backed by mmap. Move-only; unmaps on
@@ -73,8 +73,8 @@ class MmapFile {
 };
 
 /// A mutable byte range backed by a MAP_SHARED read-write mapping. Stores
-/// go to the page cache and survive DropResident(); Sync() makes them
-/// durable on disk. Move-only; unmaps (but does not sync) on destruction.
+/// go to the page cache and survive DropResident(). Move-only; unmaps on
+/// destruction.
 class MmapRwFile {
  public:
   /// Creates (or truncates) `path` at exactly `size` bytes and maps it
@@ -84,16 +84,11 @@ class MmapRwFile {
                                          uint64_t size,
                                          MmapAdvice advice = MmapAdvice::kNone);
 
-  /// Maps an existing file read-write at its current size (> 0 required).
-  static util::Result<MmapRwFile> Open(const std::string& path,
-                                       MmapAdvice advice = MmapAdvice::kNone);
-
   MmapRwFile() = default;
   ~MmapRwFile();
   MmapRwFile(MmapRwFile&& other) noexcept
       : data_(std::exchange(other.data_, nullptr)),
-        size_(std::exchange(other.size_, 0)),
-        fd_(std::exchange(other.fd_, -1)) {}
+        size_(std::exchange(other.size_, 0)) {}
   MmapRwFile& operator=(MmapRwFile&& other) noexcept;
   MmapRwFile(const MmapRwFile&) = delete;
   MmapRwFile& operator=(const MmapRwFile&) = delete;
@@ -102,10 +97,6 @@ class MmapRwFile {
   const void* data() const { return data_; }
   size_t size() const { return size_; }
   bool valid() const { return data_ != nullptr; }
-
-  /// msync(MS_SYNC) over the whole mapping, then fsync(fd): all stores so
-  /// far are on disk when this returns OK.
-  util::Status Sync();
 
   /// Tells the kernel to release the resident pages of [offset,
   /// offset+length) (madvise MADV_DONTNEED on a MAP_SHARED mapping drops
@@ -126,28 +117,17 @@ class MmapRwFile {
   void Populate(uint64_t offset, uint64_t length);
 
   /// The system page size, sysconf(_SC_PAGESIZE): the granularity of
-  /// DropResident, Populate and Advise.
+  /// DropResident and Populate.
   static uint64_t PageSize();
 
-  /// Applies an access-pattern hint to [offset, offset+length), rounded
-  /// inward to page boundaries.
-  void Advise(uint64_t offset, uint64_t length, MmapAdvice advice);
-
  private:
-  MmapRwFile(void* data, size_t size, int fd)
-      : data_(data), size_(size), fd_(fd) {}
+  MmapRwFile(void* data, size_t size) : data_(data), size_(size) {}
 
   /// madvise(`advice`) over the pages holding [offset, offset+length).
   void AdviseOutward(uint64_t offset, uint64_t length, int advice);
 
-  /// Maps `fd` read-write shared at `size` bytes; owns (and on failure
-  /// closes) the descriptor.
-  static util::Result<MmapRwFile> MapFd(int fd, const std::string& path,
-                                        uint64_t size, MmapAdvice advice);
-
   void* data_ = nullptr;
   size_t size_ = 0;
-  int fd_ = -1;
 };
 
 }  // namespace deepdirect::serve

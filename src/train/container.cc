@@ -41,11 +41,10 @@ std::array<char, kSectionNameSize> PaddedName(const char* name) {
   return padded;
 }
 
-/// Writes the header with `flags`, the table with the payload CRCs
-/// `crcs`, and the meta CRC over both into the TableEnd bytes at `head`.
+/// Writes the header, the table with the payload CRCs `crcs`, and the
+/// meta CRC over both into the TableEnd bytes at `head`.
 void StampHead(const Format& format, const Layout& layout,
-               std::span<const uint32_t> crcs, uint32_t flags,
-               unsigned char* head) {
+               std::span<const uint32_t> crcs, unsigned char* head) {
   const size_t count = format.sections.size();
   DD_CHECK_EQ(layout.sizes.size(), count);
   DD_CHECK_EQ(crcs.size(), count);
@@ -54,7 +53,7 @@ void StampHead(const Format& format, const Layout& layout,
   header.version = format.version;
   header.section_count = count;
   header.file_size = layout.file_size;
-  header.flags = flags;
+  header.flags = format.flags;
   std::memcpy(head, &header, sizeof(header));
   for (size_t i = 0; i < count; ++i) {
     SectionEntry entry{};
@@ -133,19 +132,6 @@ Layout MakeLayout(std::span<const uint64_t> sizes) {
   return layout;
 }
 
-void Stamp(const Format& format, const Layout& layout, void* image,
-           size_t size, bool live) {
-  DD_CHECK_EQ(size, layout.file_size);
-  auto* base = static_cast<unsigned char*>(image);
-  std::vector<uint32_t> crcs(layout.sizes.size(), 0);
-  if (!live) {
-    for (size_t i = 0; i < crcs.size(); ++i) {
-      crcs[i] = Crc32(base + layout.offsets[i], layout.sizes[i]);
-    }
-  }
-  StampHead(format, layout, crcs, live ? 0 : format.flags, base);
-}
-
 util::Status WriteFile(const Format& format, std::span<const Payload> payloads,
                        const std::string& path) {
   DD_CHECK_EQ(payloads.size(), format.sections.size());
@@ -157,7 +143,7 @@ util::Status WriteFile(const Format& format, std::span<const Payload> payloads,
   }
   const Layout layout = MakeLayout(sizes);
   std::string head(TableEnd(sizes.size()), '\0');
-  StampHead(format, layout, crcs, format.flags,
+  StampHead(format, layout, crcs,
             reinterpret_cast<unsigned char*>(head.data()));
   // Every gap is shorter than kAlignment, so one block of zeros pads them
   // all.
@@ -209,8 +195,7 @@ util::Result<Reader> Reader::Open(const Format& format,
   }
   if (header.flags != format.flags) {
     return defect("header flags " + std::to_string(header.flags) +
-                  ", expected " + std::to_string(format.flags) +
-                  " (bit 0: sealed)");
+                  ", expected " + std::to_string(format.flags));
   }
   if (header.file_size != file_size) {
     return defect("header says " + std::to_string(header.file_size) +

@@ -1,6 +1,5 @@
 // The aligned section container shared by the DDS1 servable model
-// (core/servable_format.h), the DDSH shard store (graph/shard_format.h) and
-// the DDCK checkpoints (train/checkpoint.h):
+// (core/servable_format.h) and the DDCK checkpoints (train/checkpoint.h):
 //
 //   Header (32 bytes)             magic, version, section count, total file
 //                                 size, meta CRC, flags
@@ -16,13 +15,14 @@
 // page-aligned mapping makes every section pointer naturally aligned for its
 // element type, so readers use the mapping in place.
 //
-// A format is a table (Format): magic, version, the flags word of a finished
-// file, and its section names in payload order. Section 0 is the format's
-// meta struct; the expected size of every section follows from it and is the
-// format's business (Reader::CheckSizes compares, CheckedMul computes).
+// A format is a table (Format): magic, version, the flags word of its files
+// (0 for DDS1 and DDCK), and its section names in payload order. Section 0
+// is the format's meta struct; the expected size of every section follows
+// from it and is the format's business (Reader::CheckSizes compares,
+// CheckedMul computes).
 //
-// DDCK checkpoints are read into a buffer rather than mapped: Reader::Open
-// checks any byte buffer.
+// Every file is written whole by WriteFile. DDCK checkpoints are read into
+// a buffer rather than mapped: Reader::Open checks any byte buffer.
 
 #ifndef DEEPDIRECT_TRAIN_CONTAINER_H_
 #define DEEPDIRECT_TRAIN_CONTAINER_H_
@@ -60,11 +60,6 @@ inline constexpr uint64_t kAlignment = 64;
 /// Fixed-width section names (NUL-padded).
 inline constexpr size_t kSectionNameSize = 16;
 
-/// Flags bit: the payload CRCs are stamped and the file is final. Formats
-/// whose files are mutated in place before they are final (DDSH shards)
-/// require it; DDS1, written in one piece, carries flags 0.
-inline constexpr uint32_t kFlagSealed = 1u << 0;
-
 struct Header {
   char magic[4];
   uint32_t version;
@@ -84,7 +79,7 @@ struct SectionEntry {
 };
 static_assert(sizeof(SectionEntry) == 40);
 
-/// What a reader requires of a finished file of one format.
+/// What a reader requires of a file of one format.
 struct Format {
   std::array<char, 4> magic;
   uint32_t version;
@@ -112,24 +107,15 @@ struct Layout {
 };
 Layout MakeLayout(std::span<const uint64_t> sizes);
 
-/// Stamps the header, the section table and the meta CRC into the `size`
-/// bytes at `image` (layout.file_size of them), which hold the payloads in
-/// place and zero gaps. A finished stamp writes format.flags and every
-/// payload CRC. A `live` stamp writes flags 0 and zero payload CRCs, for a
-/// file that is mutated in place and restamped finished once its payloads
-/// are final.
-void Stamp(const Format& format, const Layout& layout, void* image,
-           size_t size, bool live);
-
 /// One payload of a file WriteFile assembles.
 struct Payload {
   const void* data;
   uint64_t size;
 };
 
-/// Writes a finished file with one payload per format section: checksums
-/// each payload where it lies, stamps the header and table into a small
-/// buffer, and gathers them, the zero padding and the payloads into
+/// Writes a file with one payload per format section: checksums each
+/// payload where it lies, stamps the header and table into a small buffer,
+/// and gathers them, the zero padding and the payloads into
 /// AtomicWriteFile. No image of the file is built.
 util::Status WriteFile(const Format& format, std::span<const Payload> payloads,
                        const std::string& path);

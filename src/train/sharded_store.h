@@ -1,33 +1,36 @@
 // ShardedStore: out-of-core storage for the E-step's parameter rows.
 //
-// A store is a directory in the DDSH container format (graph/shard_format.h)
-// holding one file per shard: that shard's contiguous slice of the embedding
-// matrix M and the connection matrix N. That is all it holds — the closure
-// index, the pattern arena and the sampling tables stay on the trainer's
-// heap, because they are small next to M and N, which are what the budget
-// is for. The rows are served through MAP_SHARED mmap, so the heap never
-// holds the |E|×l parameter matrices — the kernel's page cache does, and a
-// fixed resident budget (`ram_budget_bytes`) bounds how much of it stays
-// mapped in at once:
+// A store is one raw file, kFileName under the store directory, holding
+// the |E|×l embedding matrix M and then the connection matrix N: row e of
+// M at byte e·l·4 and row e of N at |E|·l·4 + e·l·4, with no header, meta
+// or checksums. The file is working memory, not an artifact: nothing
+// reads it back after the run (a model exports DDS1, a checkpoint would
+// write DDCK from the rows), so a crash mid-run leaves a file that the
+// next run truncates and refills. The closure index, the pattern arena
+// and the sampling tables stay on the trainer's heap, because they are
+// small next to M and N, which are what the budget is for. The rows are
+// served through one MAP_SHARED mapping, so the heap never holds the
+// parameter matrices — the kernel's page cache does, and a fixed
+// resident budget (`ram_budget_bytes`) bounds how much of it stays mapped
+// in at once:
 //
-//   * The unit of residency is one page (sysconf(_SC_PAGESIZE)). A shard's
-//     budgeted range runs from the page holding its first emb byte to the
-//     end of the file, so every page a row can touch is exactly one unit.
-//   * EmbRow/ConnRow admit every page the row spans (rows are l·4 bytes
-//     and only 64-byte aligned, so a row can straddle a page boundary)
-//     and mark resident ones referenced: one acquire load per page, and a
-//     store of the reference byte only when it is clear. Admission faults
-//     the page in writable at once (MADV_POPULATE_WRITE): a write fault
-//     maps that page alone, while the first read of an unmapped page would
-//     also map up to 16 of its neighbours from the page cache (fault-
-//     around), pages the budget does not count. Admission over
-//     budget runs a CLOCK under one mutex: a hand advances over the pages
-//     of all shards, clears each reference byte it passes, and drops the
-//     first unreferenced resident page (MADV_DONTNEED on a MAP_SHARED
-//     mapping releases RSS without losing data — the page faults back in
-//     from the page cache / disk on the next touch). A page starts
-//     unreferenced, so a page touched once goes first and the hot head of
-//     the noise distribution stays resident on its own.
+//   * The unit of residency is one page (sysconf(_SC_PAGESIZE)); the
+//     CLOCK's page p is the file's bytes [p·page, (p+1)·page).
+//   * EmbRow/ConnRow admit every page the row spans (rows are l·4 bytes,
+//     so a row can straddle a page boundary) and mark resident ones
+//     referenced: one acquire load per page, and a store of the reference
+//     byte only when it is clear. Admission faults the page in writable at
+//     once (MADV_POPULATE_WRITE): a write fault maps that page alone,
+//     while the first read of an unmapped page would also map up to 16 of
+//     its neighbours from the page cache (fault-around), pages the budget
+//     does not count. Admission over budget runs a CLOCK under one mutex:
+//     a hand advances over the pages, clears each reference byte it
+//     passes, and drops the first unreferenced resident page
+//     (MADV_DONTNEED on a MAP_SHARED mapping releases RSS without losing
+//     data — the page faults back in from the page cache / disk on the
+//     next touch). A page starts unreferenced, so a page touched once goes
+//     first and the hot head of the noise distribution stays resident on
+//     its own.
 //   * Readers may announce the rows they will read (StartReadAhead,
 //     Announce*/Retire*): the E-step draws its steps ahead and announces
 //     each row read of a drawn step until that step has trained it. The
@@ -43,24 +46,25 @@
 //     eviction (the mapping is never unmapped mid-run), so Hogwild workers
 //     can race on rows exactly as they do on in-RAM matrices.
 //
+// Shards are only the contiguous arc ranges that shard-affine Hogwild
+// samples from (ShardArcBegin/ShardArcEnd); they do not change where a
+// row lives.
+//
 // State is two bytes per page (resident, referenced), plus, while readers
 // announce, four bytes per page per reader: a count of its announced uses,
 // which only that reader writes, with a plain relaxed load and store (no
 // read-modify-write), so announcing costs a step no atomic operation. The
-// accounting is exact (GetStats). Seal() releases every page before its
-// CRC pass and drops each shard file after stamping it, so it holds the
-// budget too.
-// Create() fills the embedding sections with the caller's Rng in global
-// row-major arc order — the exact draw order of ml::Matrix::FillUniform —
-// which is what makes an nt=1 sharded run bit-identical to the in-RAM
-// trainer regardless of the shard count.
-//
-// Not crash-atomic: shard files are live (unsealed) during training and
-// Seal() must run before Open() will accept them again.
+// accounting is exact (GetStats).
+// Create() fills M with the caller's Rng in row-major arc order — the
+// exact draw order of ml::Matrix::FillUniform — which is what makes an
+// nt=1 sharded run bit-identical to the in-RAM trainer regardless of the
+// shard count. It writes a budget's worth of pages at a time and releases
+// each chunk, so creation holds the budget too.
 
 #ifndef DEEPDIRECT_TRAIN_SHARDED_STORE_H_
 #define DEEPDIRECT_TRAIN_SHARDED_STORE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -70,7 +74,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/shard_format.h"
 #include "kernels/kernels.h"
 #include "serve/mmap_file.h"
 #include "util/random.h"
@@ -81,42 +84,31 @@ namespace deepdirect::train {
 /// Placement parameters of a new store.
 struct ShardedStoreOptions {
   std::string dir;            ///< store directory (created if missing)
-  size_t num_shards = 1;      ///< contiguous arc-range shards
-  /// Resident emb+conn budget across shards, counted in whole pages.
+  size_t num_shards = 1;      ///< contiguous arc ranges for Hogwild
+  /// Resident M+N budget, counted in whole pages.
   uint64_t ram_budget_bytes = uint64_t{256} << 20;
 };
 
-/// The geometry of a new store: what every shard's meta records.
+/// The geometry of a new store.
 struct ShardedStoreInit {
   uint64_t num_arcs = 0;
-  /// Fingerprint of the network the rows belong to (core::HashTieIndex).
-  uint64_t arc_hash = 0;
   size_t dimensions = 0;
 };
 
-/// See the file comment. Not movable (holds atomics and a mutex); factory
-/// functions hand back a unique_ptr.
+/// See the file comment. Not movable (holds atomics and a mutex); the
+/// factory hands back a unique_ptr.
 class ShardedStore {
  public:
-  /// Creates a store under `options.dir`: lays out one file per shard and
-  /// fills the embedding sections with uniform draws from `rng` in
-  /// [init_lo, init_hi), consuming draws in global row-major arc order (the
-  /// ml::Matrix::FillUniform order). The connection sections start zero.
-  /// Shard files of an earlier store beyond the new shard count are
-  /// removed; files of any other name stay. Shard files are left unsealed
-  /// for training; call Seal() when the parameters are final.
+  /// The row file's name within the store directory.
+  static constexpr const char* kFileName = "rows.f32";
+
+  /// Creates (or truncates) the row file under `options.dir` and fills M
+  /// with uniform draws from `rng` in [init_lo, init_hi), consuming draws
+  /// in row-major arc order (the ml::Matrix::FillUniform order). N starts
+  /// zero. Nothing is resident on return.
   static util::Result<std::unique_ptr<ShardedStore>> Create(
       const ShardedStoreOptions& options, const ShardedStoreInit& init,
       util::Rng& rng, float init_lo, float init_hi);
-
-  /// Opens an existing, fully sealed store. Every file passes the shared
-  /// container reader, train::container::Reader (header, meta CRC,
-  /// per-section CRCs, canonical offsets, zero padding), and then its meta
-  /// and section-size checks before any of it is trusted. Shard 0 names
-  /// the store geometry; a shard that disagrees with it, or whose arc range
-  /// is not its place in the partition, is an InvalidArgument.
-  static util::Result<std::unique_ptr<ShardedStore>> Open(
-      const std::string& dir, uint64_t ram_budget_bytes);
 
   ShardedStore(const ShardedStore&) = delete;
   ShardedStore& operator=(const ShardedStore&) = delete;
@@ -124,12 +116,13 @@ class ShardedStore {
   // --- Geometry ---------------------------------------------------------
   size_t num_arcs() const { return static_cast<size_t>(num_arcs_); }
   size_t dimensions() const { return static_cast<size_t>(dimensions_); }
+  /// The shards that receive arcs when the requested count cuts the arcs
+  /// into contiguous ranges of ⌈num_arcs/count⌉; none is empty.
   size_t num_shards() const { return static_cast<size_t>(num_shards_); }
-
-  /// Shard owning global arc `e` (contiguous uniform partition).
-  size_t ShardOf(size_t e) const { return e / arcs_per_shard_; }
-  uint64_t ShardArcBegin(size_t s) const { return shards_[s].arc_begin; }
-  uint64_t ShardArcEnd(size_t s) const { return shards_[s].arc_end; }
+  uint64_t ShardArcBegin(size_t s) const { return s * arcs_per_shard_; }
+  uint64_t ShardArcEnd(size_t s) const {
+    return std::min(num_arcs_, (s + 1) * arcs_per_shard_);
+  }
 
   // --- Parameter rows (budget-managed) ----------------------------------
   /// Row e of the embedding matrix M. Admits every page the row spans
@@ -169,14 +162,10 @@ class ShardedStore {
   void RetireEmbRow(size_t worker, size_t e) { Mark(worker, e, false, -1); }
   void RetireConnRow(size_t worker, size_t e) { Mark(worker, e, true, -1); }
 
-  // --- Lifecycle --------------------------------------------------------
-  /// Syncs every shard file and stamps section CRCs, the meta CRC, and the
-  /// sealed flag — after which the files validate byte-for-byte and Open()
-  /// accepts the store again. Releases every admitted page first (not an
-  /// eviction) and drops each shard file once it is stamped, so the CRC
-  /// pass maps one shard at a time and nothing is resident on return; the
-  /// next row access admits afresh. Idempotent.
-  util::Status Seal();
+  /// Drops every admitted page and clears every reference byte (a
+  /// release, not an eviction): nothing is resident on return, no data is
+  /// lost, and the next row access admits afresh.
+  void Release();
 
   /// Residency accounting in pages, exact (updated under the admit mutex).
   struct Stats {
@@ -190,25 +179,6 @@ class ShardedStore {
   Stats GetStats() const;
 
  private:
-  struct Shard {
-    serve::MmapRwFile file;
-    uint64_t arc_begin = 0;
-    uint64_t arc_end = 0;
-    float* emb = nullptr;
-    float* conn = nullptr;
-    container::Layout layout;  ///< what Seal() restamps
-    /// The budgeted range: whole pages from the one holding the first emb
-    /// byte to the end of the file, numbered from first_page among the
-    /// CLOCK's pages.
-    uint64_t page_offset = 0;   ///< file offset of the range's first page
-    uintptr_t page_origin = 0;  ///< its address in the mapping
-    size_t first_page = 0;
-
-    /// Points the section fields into `file`, laid out as `file_layout`.
-    void Wire(const graph::shard::ShardMeta& meta,
-              container::Layout file_layout);
-  };
-
   /// Residency state of one page; two bytes.
   struct Page {
     std::atomic<uint8_t> resident{0};
@@ -222,50 +192,33 @@ class ShardedStore {
     size_t pages = 0;  ///< pages with a nonzero count; the reader's own
   };
 
-  explicit ShardedStore(uint64_t ram_budget_bytes);
+  ShardedStore(uint64_t ram_budget_bytes, const ShardedStoreInit& init,
+               size_t num_shards, serve::MmapRwFile file);
 
-  /// Records the store geometry that every shard's meta repeats: the
-  /// shard count, arc count, dimensions and arc hash of `meta`.
-  void SetGeometry(const graph::shard::ShardMeta& meta);
-
-  /// The meta of shard `index` under the store geometry.
-  graph::shard::ShardMeta MetaOf(size_t index) const;
-
-  /// Maps sealed shard file `index`, validates every byte, checks its meta
-  /// against the geometry (which shard 0 sets), and appends it to shards_.
-  util::Status AttachShard(size_t index, const std::string& path);
-
-  /// Lays the shards' budgeted ranges end to end as the CLOCK's pages,
-  /// all non-resident. Runs once every shard is wired.
-  void InitPages();
-
-  /// Row e of M (conn = false) or N, and the shard that holds it.
-  std::pair<const Shard*, float*> Locate(size_t e, bool conn) const {
-    const Shard& s = shards_[ShardOf(e)];
-    return {&s, (conn ? s.conn : s.emb) + (e - s.arc_begin) * dimensions_};
+  /// Row e of M (conn = false) or N.
+  float* Locate(size_t e, bool conn) const {
+    return (conn ? conn_ : emb_) + e * dimensions_;
   }
 
   /// The first and last of the CLOCK's pages that the row at `row` spans.
-  std::pair<size_t, size_t> PagesOf(const Shard& s, const float* row) const {
-    const uintptr_t at = reinterpret_cast<uintptr_t>(row) - s.page_origin;
-    return {s.first_page + (at >> page_shift_),
-            s.first_page + ((at + row_bytes_ - 1) >> page_shift_)};
+  std::pair<size_t, size_t> PagesOf(const float* row) const {
+    const uint64_t at = static_cast<uint64_t>(row - emb_) * sizeof(float);
+    return {at >> page_shift_, (at + row_bytes_ - 1) >> page_shift_};
   }
 
   std::span<float> Row(size_t e, bool conn) {
-    const auto [s, row] = Locate(e, conn);
-    Touch(*s, row);
+    float* row = Locate(e, conn);
+    Touch(row);
     return {row, static_cast<size_t>(dimensions_)};
   }
 
   void Prefetch(size_t e, bool conn) const {
-    kernels::PrefetchRow(
-        {Locate(e, conn).second, static_cast<size_t>(dimensions_)});
+    kernels::PrefetchRow({Locate(e, conn), static_cast<size_t>(dimensions_)});
   }
 
   /// Admits or marks referenced every page of the row at `row`.
-  void Touch(const Shard& s, const float* row) {
-    const auto [first, last] = PagesOf(s, row);
+  void Touch(const float* row) {
+    const auto [first, last] = PagesOf(row);
     for (size_t p = first; p <= last; ++p) {
       Page& page = pages_[p];
       if (page.resident.load(std::memory_order_acquire) == 0) {
@@ -281,8 +234,7 @@ class ShardedStore {
   void Mark(size_t worker, size_t e, bool conn, int delta) {
     if (readers_.empty()) return;
     Reader& reader = readers_[worker];
-    const auto [s, row] = Locate(e, conn);
-    const auto [first, last] = PagesOf(*s, row);
+    const auto [first, last] = PagesOf(Locate(e, conn));
     for (size_t p = first; p <= last; ++p) {
       const uint32_t uses = reader.uses[p].load(std::memory_order_relaxed);
       const uint32_t now = uses + static_cast<uint32_t>(delta);
@@ -307,20 +259,18 @@ class ShardedStore {
   /// faults it in writable.
   void Admit(size_t p);
 
-  /// The shard whose budgeted range holds page `p`, and p's file offset.
-  std::pair<Shard*, uint64_t> LocatePage(size_t p);
-
   uint64_t num_arcs_ = 0;
   uint64_t dimensions_ = 0;
   uint64_t num_shards_ = 0;
-  uint64_t arc_hash_ = 0;
-  size_t arcs_per_shard_ = 1;
+  uint64_t arcs_per_shard_ = 1;
   uint64_t budget_bytes_ = 0;
   uint64_t page_bytes_ = 0;
   unsigned page_shift_ = 0;
   uint64_t row_bytes_ = 0;
 
-  std::vector<Shard> shards_;
+  serve::MmapRwFile file_;
+  float* emb_ = nullptr;   ///< M, at the start of the mapping
+  float* conn_ = nullptr;  ///< N, right after M
   std::unique_ptr<Page[]> pages_;
   size_t num_pages_ = 0;
 

@@ -1,12 +1,12 @@
 // Tests for the aligned section container (train/container.h) that the
-// DDS1 servable model and the DDSH shard store share: a round trip with an
-// empty section, the live-then-finished stamp that DDSH sealing relies on,
-// every-length truncation and every-byte corruption sweeps, a seeded
-// structure-aware mutation loop that re-stamps CRCs so only the structural
-// checks can reject, the gathering writer against a stamped image and at a
+// DDS1 servable model and the DDCK checkpoints share: a round trip with an
+// empty section, an image whose CRCs were never stamped, every-length
+// truncation and every-byte corruption sweeps, a seeded structure-aware
+// mutation loop that re-stamps CRCs so only the structural checks can
+// reject, the gathering writer against an image stamped here and at a
 // failed write, and the CSR, size and checked-multiply helpers. The
 // formats' own meta and CSR checks are swept through their public Open in
-// serve_test and sharded_store_test.
+// serve_test and checkpoint_test.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -34,6 +34,10 @@ constexpr const char* kNames[] = {"meta", "empty", "rows", "tail"};
 constexpr uint64_t kSizes[] = {40, 0, 128, 21};
 constexpr size_t kCount = sizeof(kNames) / sizeof(kNames[0]);
 
+/// A flags word other than the 0 that DDS1 and DDCK carry, so the sweeps
+/// cover a format whose reader requires a nonzero one.
+constexpr uint32_t kFlagSealed = 1u << 0;
+
 constexpr Format kOpenFormat{{'T', 'E', 'S', 'T'}, 3, 0, kNames};
 constexpr Format kSealedFormat{{'T', 'E', 'S', 'T'}, 3, kFlagSealed, kNames};
 constexpr const Format* kFormats[] = {&kOpenFormat, &kSealedFormat};
@@ -49,6 +53,40 @@ util::Result<Reader> Open(const Format& format, const std::string& bytes) {
 char PayloadByte(size_t s, size_t b) {
   if (s == 0 && b < 8) return 0;
   return static_cast<char>(1 + (s * 37 + b * 11) % 255);
+}
+
+/// Stamps the header, the section table and the meta CRC into the `size`
+/// bytes at `image` (layout.file_size of them), which hold the payloads in
+/// place and zero gaps: the on-disk format written out field by field,
+/// apart from the container's own writer. A finished stamp writes
+/// format.flags and every payload CRC; a `live` one writes flags 0 and
+/// zero payload CRCs, as a file mutated in place before its CRCs are
+/// stamped would hold.
+void Stamp(const Format& format, const Layout& layout, void* image,
+           size_t size, bool live) {
+  ASSERT_EQ(size, layout.file_size);
+  auto* base = static_cast<char*>(image);
+  const size_t count = format.sections.size();
+  Header header{};
+  std::memcpy(header.magic, format.magic.data(), sizeof(header.magic));
+  header.version = format.version;
+  header.section_count = count;
+  header.file_size = layout.file_size;
+  header.flags = live ? 0 : format.flags;
+  std::memcpy(base, &header, sizeof(header));
+  for (size_t i = 0; i < count; ++i) {
+    SectionEntry entry{};
+    std::strncpy(entry.name, format.sections[i], kSectionNameSize - 1);
+    entry.offset = layout.offsets[i];
+    entry.size = layout.sizes[i];
+    entry.crc = live ? 0 : Crc32(base + entry.offset, entry.size);
+    std::memcpy(base + sizeof(Header) + i * sizeof(entry), &entry,
+                sizeof(entry));
+  }
+  // The meta CRC covers the header, its own field still zero, and the
+  // table.
+  const uint32_t meta_crc = Crc32(base, TableEnd(count));
+  std::memcpy(base + offsetof(Header, meta_crc), &meta_crc, sizeof(meta_crc));
 }
 
 /// The synthetic container, payloads in place, stamped live or finished.
@@ -98,7 +136,7 @@ TEST(ContainerTest, LiveStampNeverOpensAndRestampsToTheFinishedBytes) {
     std::string live = Build(*format, /*live=*/true);
     EXPECT_EQ(OpenStatus(*format, live).code(),
               util::StatusCode::kInvalidArgument);
-    // Sealing a DDSH shard restamps its live image in place.
+    // Stamping the CRCs in place gives the finished file.
     Stamp(*format, MakeLayout(kSizes), live.data(), live.size(),
           /*live=*/false);
     EXPECT_EQ(live, Build(*format, /*live=*/false));

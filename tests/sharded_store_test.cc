@@ -1,10 +1,8 @@
-// Tests for out-of-core training: the DDSH shard store round-trip,
-// every-length truncation and every-byte corruption sweeps over a sealed
-// store, forged shards that disagree on geometry, the bit-identity goldens
-// (sharded nt=1 vs in-RAM, every shard count vs 1 shard, tiny-budget
-// eviction churn), the page CLOCK's accounting, second chance, data
-// safety, Seal() release and concurrent admission, and the shard-affine
-// Hogwild path.
+// Tests for out-of-core training: the bit-identity goldens (sharded nt=1
+// vs in-RAM, every shard count vs 1 shard, tiny-budget eviction churn, the
+// exported DDS1 file), the store's one-file row layout and chunked fill,
+// the page CLOCK's accounting, second chance, read-ahead, data safety,
+// Release() and concurrent admission, and the shard-affine Hogwild path.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -16,7 +14,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <set>
 #include <string>
 #include <thread>
@@ -28,12 +25,10 @@
 #include "core/tie_index.h"
 #include "data/generators.h"
 #include "graph/algorithms.h"
-#include "graph/shard_format.h"
 #include "ml/matrix.h"
 #include "obs/metrics.h"
 #include "serve/mmap_file.h"
 #include "serve/servable_model.h"
-#include "train/container.h"
 #include "train/sharded_store.h"
 #include "util/random.h"
 
@@ -46,7 +41,7 @@ namespace fs = std::filesystem;
 constexpr uint64_t kAmpleBudget = uint64_t{256} << 20;
 
 /// A clean store directory under /tmp (leftovers from a previous run are
-/// removed so stale shard files can never satisfy an Open).
+/// removed).
 std::string FreshDir(const std::string& name) {
   const fs::path dir = fs::temp_directory_path() / name;
   fs::remove_all(dir);
@@ -69,9 +64,36 @@ std::string ReadFile(const std::string& path) {
           std::istreambuf_iterator<char>()};
 }
 
-void WriteFile(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+/// The names of the files in `dir`, sorted.
+std::vector<std::string> FilesIn(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Resident KiB of this process's mappings of files under `dir`, summed
+/// from the Rss lines of /proc/self/smaps; -1 when smaps is unreadable.
+int64_t MappedKiBUnder(const std::string& dir) {
+  std::ifstream smaps("/proc/self/smaps");
+  if (!smaps) return -1;
+  int64_t total = 0;
+  bool inside = false;
+  std::string line;
+  while (std::getline(smaps, line)) {
+    // A mapping's header line starts with its address range, "lo-hi".
+    const size_t dash = line.find('-');
+    if (dash != std::string::npos && dash > 0 &&
+        std::isxdigit(static_cast<unsigned char>(line[0])) &&
+        line.find(':') > dash) {
+      inside = line.find(dir) != std::string::npos;
+    } else if (inside && line.rfind("Rss:", 0) == 0) {
+      total += std::stoll(line.substr(4));
+    }
+  }
+  return total;
 }
 
 graph::HiddenDirectionSplit MakeSplit(size_t num_nodes = 250,
@@ -199,10 +221,10 @@ TEST(ShardedTrainerTest, ExportMatchesTheInRamFile) {
   EXPECT_LE(stats.max_resident_bytes, stats.budget_bytes);
 }
 
-TEST(ShardedTrainerTest, EveryShardCountTrainsSealsAndReopens) {
+TEST(ShardedTrainerTest, EveryShardCountTrainsOnShardsWithArcs) {
   // ⌈N/S⌉ arcs per shard leaves the last shards of some S ≤ N without arcs
   // (or starting past the last one). Every S must train the model of
-  // S = 1 on shards that all hold arcs, and reopen with the same count.
+  // S = 1 on shards that all hold arcs, in the one row file.
   const auto split = MakeSplit(14, 11);
   const auto base = BaseConfig(4, 0.5);
   auto one = ShardedDeepDirectModel::Train(
@@ -223,9 +245,8 @@ TEST(ShardedTrainerTest, EveryShardCountTrainsSealsAndReopens) {
     }
     ASSERT_EQ(store.ShardArcEnd(store.num_shards() - 1), num_arcs);
     ExpectBitIdentical(split, *one.value(), *model.value());
-    auto reopened = train::ShardedStore::Open(dir, kAmpleBudget);
-    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-    EXPECT_EQ(reopened.value()->num_shards(), store.num_shards());
+    EXPECT_EQ(FilesIn(dir),
+              std::vector<std::string>{train::ShardedStore::kFileName});
   }
 }
 
@@ -358,227 +379,14 @@ TEST(ShardedTrainerTest, UnknownTieIsNotFound) {
 }
 
 // ----------------------------------------------------------------------
-// Store lifecycle and fault injection. The fixture is deliberately tiny
-// (60 nodes, l = 4) so the every-byte sweeps stay fast under sanitizers.
+// The store on its own, built with ShardedStore::Create.
 // ----------------------------------------------------------------------
-
-/// Trains a tiny sharded model once per process and shares its sealed store
-/// directory with every fault-injection test (each test works on copies).
-/// ctest runs every TEST in its own process and each one retrains this
-/// fixture, so the directory name carries the pid.
-const std::string& TinySealedStoreDir() {
-  static const std::string* dir = [] {
-    auto* path = new std::string(
-        FreshDir("dd_shard_tiny_store_" + std::to_string(::getpid())));
-    const auto split = MakeSplit(60, 11);
-    auto sharded = ShardedDeepDirectModel::Train(
-        split.network, ShardedConfig(BaseConfig(4, 0.5), 2, *path));
-    EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
-    return path;
-  }();
-  static const RemoveAllAtExit cleanup{*dir};
-  return *dir;
-}
-
-std::vector<std::string> StoreFiles(const std::string& dir) {
-  std::vector<std::string> names;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    names.push_back(entry.path().filename().string());
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-/// Copies the tiny sealed store into a scratch directory the test may
-/// mutilate freely.
-std::string CopyStore(const std::string& name) {
-  const std::string src = TinySealedStoreDir();
-  const std::string dst = FreshDir(name);
-  fs::create_directories(dst);
-  for (const auto& file : StoreFiles(src)) {
-    fs::copy_file(src + "/" + file, dst + "/" + file);
-  }
-  return dst;
-}
-
-TEST(ShardedStoreTest, SealedStoreReopensWithSameGeometryAndRows) {
-  const std::string dir = TinySealedStoreDir();
-  auto reopened = train::ShardedStore::Open(dir, kAmpleBudget);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  train::ShardedStore& store = *reopened.value();
-  EXPECT_EQ(store.num_shards(), 2u);
-  EXPECT_EQ(store.dimensions(), 4u);
-  EXPECT_GT(store.num_arcs(), 0u);
-
-  auto again = train::ShardedStore::Open(dir, kAmpleBudget);
-  ASSERT_TRUE(again.ok()) << again.status().ToString();
-  for (size_t e = 0; e < store.num_arcs(); ++e) {
-    const auto row = store.EmbRow(e);
-    const auto other = again.value()->EmbRow(e);
-    ASSERT_EQ(0, std::memcmp(row.data(), other.data(),
-                             row.size() * sizeof(float)))
-        << "emb row " << e << " differs between two opens";
-  }
-}
-
-TEST(ShardedStoreTest, LayoutIsOneFilePerShard) {
-  const auto files = StoreFiles(TinySealedStoreDir());
-  EXPECT_EQ(files,
-            (std::vector<std::string>{"shard-0000.dds", "shard-0001.dds"}));
-}
-
-TEST(ShardedStoreTest, TruncationSweepEveryLengthNeverOpens) {
-  const std::string dir = CopyStore("dd_shard_trunc");
-  for (const auto& file : StoreFiles(dir)) {
-    const std::string path = dir + "/" + file;
-    const std::string pristine = ReadFile(path);
-    ASSERT_FALSE(pristine.empty());
-    for (size_t len = 0; len < pristine.size(); ++len) {
-      WriteFile(path, pristine.substr(0, len));
-      auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
-      ASSERT_FALSE(opened.ok())
-          << file << " truncated to " << len << " bytes still opened";
-    }
-    WriteFile(path, pristine);  // restore for the next file's sweep
-  }
-}
-
-TEST(ShardedStoreTest, CorruptionSweepEveryByteNeverOpens) {
-  const std::string dir = CopyStore("dd_shard_corrupt");
-  for (const auto& file : StoreFiles(dir)) {
-    const std::string path = dir + "/" + file;
-    const std::string pristine = ReadFile(path);
-    ASSERT_FALSE(pristine.empty());
-    std::string corrupted = pristine;
-    for (size_t k = 0; k < pristine.size(); ++k) {
-      corrupted[k] = static_cast<char>(corrupted[k] ^ 0x5A);
-      WriteFile(path, corrupted);
-      auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
-      ASSERT_FALSE(opened.ok())
-          << file << " byte " << k << " corrupted but the store opened";
-      corrupted[k] = pristine[k];
-    }
-    WriteFile(path, pristine);
-  }
-}
-
-TEST(ShardedStoreTest, MissingShardFileNeverOpens) {
-  const std::string dir = CopyStore("dd_shard_missing");
-  fs::remove(dir + "/shard-0001.dds");
-  auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
-  EXPECT_FALSE(opened.ok());
-}
-
-/// Rewrites one store file: `edit` changes its section payloads, then the
-/// file is laid out again and sealed with consistent CRCs.
-void Reforge(const std::string& path, const train::container::Format& format,
-             const std::function<void(std::vector<std::string>&)>& edit) {
-  const std::string bytes = ReadFile(path);
-  auto read =
-      train::container::Reader::Open(format, path, bytes.data(), bytes.size());
-  ASSERT_TRUE(read.ok()) << read.status().ToString();
-  std::vector<std::string> sections;
-  for (size_t i = 0; i < format.sections.size(); ++i) {
-    const auto section = read.value().Array<char>(i);
-    sections.emplace_back(section.data(), section.size());
-  }
-  edit(sections);
-  std::vector<train::container::Payload> payloads;
-  for (const std::string& section : sections) {
-    payloads.push_back({section.data(), section.size()});
-  }
-  ASSERT_TRUE(train::container::WriteFile(format, payloads, path).ok());
-}
-
-/// Applies `edit` to the meta struct held in `section`.
-template <typename Meta, typename Edit>
-void EditMeta(std::string& section, Edit edit) {
-  Meta meta;
-  ASSERT_EQ(section.size(), sizeof(meta));
-  std::memcpy(&meta, section.data(), sizeof(meta));
-  edit(meta);
-  std::memcpy(section.data(), &meta, sizeof(meta));
-}
-
-TEST(ShardedStoreTest, WrappingSectionSizesAreRejected) {
-  namespace shard = graph::shard;
-  // The forged store has consistent CRCs, so only the checked size
-  // arithmetic can reject it: arcs x 2^62 x 4 wraps to 0, which empty emb
-  // and conn sections match.
-  const std::string dir = CopyStore("dd_shard_wrap_dims");
-  const uint64_t dims = uint64_t{1} << 62;
-  for (const char* file : {"shard-0000.dds", "shard-0001.dds"}) {
-    Reforge(dir + "/" + file, shard::kShardFormat, [&](auto& sections) {
-      EditMeta<shard::ShardMeta>(
-          sections[0], [&](shard::ShardMeta& m) { m.dimensions = dims; });
-      sections[1].clear();
-      sections[2].clear();
-    });
-  }
-  auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
-  ASSERT_FALSE(opened.ok())
-      << "opened with dimensions " << opened.value()->dimensions();
-  EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
-  EXPECT_NE(opened.status().message().find("'dimensions'"), std::string::npos)
-      << opened.status().ToString();
-}
-
-TEST(ShardedStoreTest, ShardsThatDisagreeOnGeometryAreRejected) {
-  namespace shard = graph::shard;
-  // Each forged store has consistent CRCs and section sizes that match its
-  // own meta, so only the cross-shard check can reject it.
-  const std::vector<std::pair<const char*,
-                              std::function<void(shard::ShardMeta&)>>>
-      forgeries = {
-          {"arc hash", [](shard::ShardMeta& m) { m.arc_hash ^= 1; }},
-          {"arc count", [](shard::ShardMeta& m) { ++m.num_arcs; }},
-          {"shard count", [](shard::ShardMeta& m) { ++m.num_shards; }},
-          {"shard index", [](shard::ShardMeta& m) { m.shard_index = 0; }},
-          {"arc range",
-           [](shard::ShardMeta& m) {
-             ++m.arc_begin;
-             ++m.arc_end;
-           }},
-      };
-  for (const auto& [what, forge] : forgeries) {
-    SCOPED_TRACE(what);
-    const std::string dir = CopyStore("dd_shard_disagree");
-    Reforge(dir + "/shard-0001.dds", shard::kShardFormat,
-            [&](auto& sections) {
-              EditMeta<shard::ShardMeta>(sections[0], forge);
-            });
-    auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
-    ASSERT_FALSE(opened.ok());
-    EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
-    EXPECT_NE(opened.status().message().find("disagrees"), std::string::npos)
-        << opened.status().ToString();
-  }
-  {
-    // Dimensions too, with emb and conn resized to match the forged width.
-    const std::string dir = CopyStore("dd_shard_disagree");
-    Reforge(dir + "/shard-0001.dds", shard::kShardFormat,
-            [](auto& sections) {
-              uint64_t dims = 0;
-              EditMeta<shard::ShardMeta>(sections[0], [&](shard::ShardMeta& m) {
-                dims = ++m.dimensions;
-                sections[1].assign((m.arc_end - m.arc_begin) * dims * 4, '\0');
-              });
-              sections[2] = sections[1];
-            });
-    auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
-    ASSERT_FALSE(opened.ok());
-    EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
-    EXPECT_NE(opened.status().message().find("disagrees"), std::string::npos)
-        << opened.status().ToString();
-  }
-}
 
 /// Everything ShardedStore::Create reads, built from one split.
 struct StoreInputs {
   StoreInputs(graph::HiddenDirectionSplit from, size_t dimensions)
       : split(std::move(from)), idx(split.network) {
     init.num_arcs = idx.num_arcs();
-    init.arc_hash = HashTieIndex(idx);
     init.dimensions = dimensions;
   }
 
@@ -587,7 +395,7 @@ struct StoreInputs {
   train::ShardedStoreInit init;
 };
 
-/// A new, unsealed store in `dir`, filled from `Rng(seed)`.
+/// A new store in `dir`, filled from `Rng(seed)`.
 std::unique_ptr<train::ShardedStore> CreateStore(
     const StoreInputs& inputs, const std::string& dir, size_t num_shards,
     uint64_t budget_bytes = kAmpleBudget, uint64_t seed = 3) {
@@ -602,55 +410,60 @@ std::unique_ptr<train::ShardedStore> CreateStore(
   return created.ok() ? std::move(created).value() : nullptr;
 }
 
-TEST(ShardedStoreTest, UnsealedStoreIsRejected) {
+TEST(ShardedStoreTest, LayoutIsOneRowFile) {
+  // The store directory holds one file: M's rows and then N's, l·4 bytes
+  // each, with nothing before, between or after them.
   const StoreInputs inputs(MakeSplit(60, 11), 4);
-  const std::string dir = FreshDir("dd_shard_unsealed");
-  // Dropped without Seal(): the shard files stay live/unsealed.
-  ASSERT_NE(CreateStore(inputs, dir, 2), nullptr);
-  auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
-  EXPECT_FALSE(opened.ok())
-      << "an unsealed (mid-training) store must not validate";
-}
-
-TEST(ShardedStoreTest, CreateRemovesStaleShardFiles) {
-  // A store directory reused with fewer shards must not keep the earlier
-  // store's extra shard files; files of any other name stay.
-  const StoreInputs inputs(MakeSplit(60, 11), 4);
-  const std::string dir = FreshDir("dd_shard_stale");
-  ASSERT_NE(CreateStore(inputs, dir, 8), nullptr);
-  ASSERT_EQ(StoreFiles(dir).size(), 8u);
-  {
-    auto store = CreateStore(inputs, dir, 2);
-    ASSERT_NE(store, nullptr);
-    ASSERT_TRUE(store->Seal().ok());
+  const std::string dir =
+      FreshDir("dd_shard_layout_" + std::to_string(::getpid()));
+  const RemoveAllAtExit cleanup{dir};
+  auto store = CreateStore(inputs, dir, 3);
+  ASSERT_NE(store, nullptr);
+  const size_t n = store->num_arcs();
+  const size_t row_bytes = store->dimensions() * sizeof(float);
+  for (size_t e = 0; e < n; ++e) {
+    const auto conn = store->ConnRow(e);
+    for (size_t k = 0; k < conn.size(); ++k) {
+      conn[k] = static_cast<float>(e * conn.size() + k) + 0.5f;
+    }
   }
-  EXPECT_EQ(StoreFiles(dir),
-            (std::vector<std::string>{"shard-0000.dds", "shard-0001.dds"}));
-  {
-    auto opened = train::ShardedStore::Open(dir, kAmpleBudget);
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    EXPECT_EQ(opened.value()->num_shards(), 2u);
+  ASSERT_EQ(FilesIn(dir),
+            std::vector<std::string>{train::ShardedStore::kFileName});
+  // The mapping is shared, so a read of the file sees every store.
+  const std::string bytes =
+      ReadFile(dir + "/" + train::ShardedStore::kFileName);
+  ASSERT_EQ(bytes.size(), 2 * n * row_bytes);
+  for (size_t e = 0; e < n; ++e) {
+    ASSERT_EQ(0, std::memcmp(bytes.data() + e * row_bytes,
+                             store->EmbRow(e).data(), row_bytes))
+        << "M row " << e;
+    ASSERT_EQ(0, std::memcmp(bytes.data() + (n + e) * row_bytes,
+                             store->ConnRow(e).data(), row_bytes))
+        << "N row " << e;
   }
-
-  for (const char* name : {"notes.txt", "shard-2.dds", "shard-0002.dds.bak"}) {
-    WriteFile(dir + "/" + name, "x");
-  }
-  ASSERT_NE(CreateStore(inputs, dir, 1), nullptr);
-  EXPECT_EQ(StoreFiles(dir),
-            (std::vector<std::string>{"notes.txt", "shard-0000.dds",
-                                      "shard-0002.dds.bak", "shard-2.dds"}));
-  fs::remove_all(dir);
 }
 
 TEST(ShardedStoreTest, CreateFillsEmbeddingsInFillUniformOrder) {
   // The store's init fill must consume the Rng exactly like
   // ml::Matrix::FillUniform — the first leg of the bit-identity contract.
-  const StoreInputs inputs(MakeSplit(60, 11), 4);
-  auto store =
-      CreateStore(inputs, FreshDir("dd_shard_fill"), 3, kAmpleBudget, 17);
+  // Create fills a budget's worth of pages at a time, so a two-page budget
+  // makes the fill cross many chunk boundaries, and it releases each
+  // chunk, so nothing stays mapped in.
+  const StoreInputs inputs(MakeSplit(), 16);
+  const uint64_t budget = 2 * serve::MmapRwFile::PageSize();
+  const std::string dir =
+      FreshDir("dd_shard_fill_" + std::to_string(::getpid()));
+  const RemoveAllAtExit cleanup{dir};
+  auto store = CreateStore(inputs, dir, 3, budget, 17);
   ASSERT_NE(store, nullptr);
+  ASSERT_GT(inputs.idx.num_arcs() * 16 * sizeof(float), 4 * budget)
+      << "fixture too small to cross chunk boundaries";
+  const int64_t mapped = MappedKiBUnder(dir);
+  if (mapped >= 0) {
+    EXPECT_EQ(mapped, 0);
+  }
 
-  ml::Matrix reference(inputs.idx.num_arcs(), 4);
+  ml::Matrix reference(inputs.idx.num_arcs(), 16);
   util::Rng matrix_rng(17);
   reference.FillUniform(matrix_rng, -0.125f, 0.125f);
   for (size_t e = 0; e < inputs.idx.num_arcs(); ++e) {
@@ -660,6 +473,7 @@ TEST(ShardedStoreTest, CreateFillsEmbeddingsInFillUniformOrder) {
           << "fill order diverges at arc " << e << " dim " << j;
     }
   }
+  EXPECT_LE(store->GetStats().max_resident_bytes, budget);
 }
 
 // ----------------------------------------------------------------------
@@ -769,7 +583,7 @@ TEST(ShardedStoreTest, ClockGivesAHotPageASecondChance) {
   const auto sweep = OneRowPerPage(*store, hot_pages);
   ASSERT_GT(sweep.size(), 6u);
 
-  ASSERT_TRUE(store->Seal().ok());  // nothing resident, nothing referenced
+  store->Release();  // nothing resident, nothing referenced
   const uint64_t before = store->GetStats().admissions;
   store->EmbRow(hot);
   for (const auto& [conn, e] : sweep) {
@@ -803,7 +617,7 @@ TEST(ShardedStoreTest, AnnouncedPageSurvivesWhileAnUnannouncedOneIsResident) {
 
   for (const bool announce : {false, true}) {
     SCOPED_TRACE(announce ? "announced" : "not announced");
-    ASSERT_TRUE(store->Seal().ok());  // nothing resident, nothing referenced
+    store->Release();  // nothing resident, nothing referenced
     if (announce) store->AnnounceEmbRow(0, kept);
     store->EmbRow(kept);
     for (const auto& [conn, e] : sweep) {
@@ -904,7 +718,10 @@ TEST(ShardedStoreTest, NoPageStaysAnnouncedAfterAShardedTrain) {
 
 TEST(ShardedStoreTest, EvictedPagesLoseNoData) {
   // Under a three-page budget every page is evicted between its write and
-  // its read; MADV_DONTNEED on the shared mapping must keep the data.
+  // its read; MADV_DONTNEED on the shared mapping must keep the data. Rows
+  // are written and read back in file order, every row of M and then
+  // every row of N, so a whole pass over the file lies between a page's
+  // last write and its first read, also for the page M and N share.
   const StoreInputs inputs(MakeSplit(), 16);
   const uint64_t page = serve::MmapRwFile::PageSize();
   auto store = CreateStore(inputs, FreshDir("dd_page_no_loss"), 2, 3 * page);
@@ -914,11 +731,11 @@ TEST(ShardedStoreTest, EvictedPagesLoseNoData) {
     const float v = static_cast<float>(e * 16 + k) + 0.25f;
     return conn ? -v : v;
   };
-  for (size_t e = 0; e < n; ++e) {
-    auto emb = store->EmbRow(e);
-    for (size_t k = 0; k < emb.size(); ++k) emb[k] = value(e, k, false);
-    auto conn = store->ConnRow(e);
-    for (size_t k = 0; k < conn.size(); ++k) conn[k] = value(e, k, true);
+  for (const bool conn : {false, true}) {
+    for (size_t e = 0; e < n; ++e) {
+      const auto row = conn ? store->ConnRow(e) : store->EmbRow(e);
+      for (size_t k = 0; k < row.size(); ++k) row[k] = value(e, k, conn);
+    }
   }
   // Reading a page's first row must fault it back in: it was evicted
   // after its last write.
@@ -934,38 +751,62 @@ TEST(ShardedStoreTest, EvictedPagesLoseNoData) {
           << (conn ? "N" : "M") << " row " << e << " dim " << k;
     }
   };
-  for (size_t e = 0; e < n; ++e) {
-    check(false, e);
-    check(true, e);
+  for (const bool conn : {false, true}) {
+    for (size_t e = 0; e < n; ++e) check(conn, e);
   }
   EXPECT_EQ(refaulted, seen.size()) << "a page was never evicted";
   ExpectExactAccounting(store->GetStats());
 }
 
-TEST(ShardedStoreTest, SealReleasesEveryPage) {
-  // l = 24: 96-byte rows on a 64-byte-aligned section, so some straddle a
+TEST(ShardedStoreTest, ReleaseDropsEveryPageAndLosesNoData) {
+  // l = 24: 96-byte rows from the file's first byte, so some straddle a
   // page boundary.
   const StoreInputs inputs(MakeSplit(), 24);
   const uint64_t page = serve::MmapRwFile::PageSize();
-  auto store = CreateStore(inputs, FreshDir("dd_page_seal"), 2);
+  const std::string dir =
+      FreshDir("dd_page_release_" + std::to_string(::getpid()));
+  const RemoveAllAtExit cleanup{dir};
+  auto store = CreateStore(inputs, dir, 2);
   ASSERT_NE(store, nullptr);
-  TouchEveryRow(*store);
-  const auto trained = store->GetStats();
-  ASSERT_GT(trained.resident_bytes, 0u);
-
-  ASSERT_TRUE(store->Seal().ok());
-  const auto sealed = store->GetStats();
-  EXPECT_EQ(sealed.resident_bytes, 0u);
-  EXPECT_EQ(sealed.evictions, trained.evictions) << "a release is no eviction";
-  EXPECT_EQ(sealed.admissions, trained.admissions);
-
-  size_t straddler = store->num_arcs();
-  for (size_t e = 0; e < store->num_arcs() && straddler == store->num_arcs();
-       ++e) {
-    if (PagesOf(store->EmbRow(e)).size() == 2) straddler = e;
+  const size_t n = store->num_arcs();
+  const auto value = [](size_t e, size_t k, bool conn) {
+    const float v = static_cast<float>(e * 24 + k) + 0.75f;
+    return conn ? -v : v;
+  };
+  for (size_t e = 0; e < n; ++e) {
+    const auto emb = store->EmbRow(e);
+    const auto conn = store->ConnRow(e);
+    for (size_t k = 0; k < emb.size(); ++k) {
+      emb[k] = value(e, k, false);
+      conn[k] = value(e, k, true);
+    }
   }
-  ASSERT_LT(straddler, store->num_arcs()) << "no row straddles a page";
-  ASSERT_TRUE(store->Seal().ok());
+  const auto written = store->GetStats();
+  ASSERT_GT(written.resident_bytes, 0u);
+
+  store->Release();
+  const auto released = store->GetStats();
+  EXPECT_EQ(released.resident_bytes, 0u);
+  EXPECT_EQ(released.evictions, written.evictions)
+      << "a release is no eviction";
+  EXPECT_EQ(released.admissions, written.admissions);
+  const int64_t mapped = MappedKiBUnder(dir);
+  if (mapped >= 0) {
+    EXPECT_EQ(mapped, 0) << "a released page stayed mapped";
+  }
+
+  size_t straddler = n;
+  for (size_t e = 0; e < n; ++e) {
+    const auto emb = store->EmbRow(e);
+    const auto conn = store->ConnRow(e);
+    for (size_t k = 0; k < emb.size(); ++k) {
+      ASSERT_EQ(emb[k], value(e, k, false)) << "M row " << e << " dim " << k;
+      ASSERT_EQ(conn[k], value(e, k, true)) << "N row " << e << " dim " << k;
+    }
+    if (straddler == n && PagesOf(emb).size() == 2) straddler = e;
+  }
+  ASSERT_LT(straddler, n) << "no row straddles a page";
+  store->Release();
   const uint64_t before = store->GetStats().admissions;
   store->EmbRow(straddler);
   const auto after = store->GetStats();
@@ -1014,28 +855,6 @@ TEST(ShardedStoreTest, ConcurrentWritersUnderThreePagesKeepAccountingAndData) {
           << "N row " << n - 1 - e << " dim " << k;
     }
   }
-}
-
-/// Resident KiB of this process's mappings of files under `dir`, summed
-/// from the Rss lines of /proc/self/smaps; -1 when smaps is unreadable.
-int64_t MappedKiBUnder(const std::string& dir) {
-  std::ifstream smaps("/proc/self/smaps");
-  if (!smaps) return -1;
-  int64_t total = 0;
-  bool inside = false;
-  std::string line;
-  while (std::getline(smaps, line)) {
-    // A mapping's header line starts with its address range, "lo-hi".
-    const size_t dash = line.find('-');
-    if (dash != std::string::npos && dash > 0 &&
-        std::isxdigit(static_cast<unsigned char>(line[0])) &&
-        line.find(':') > dash) {
-      inside = line.find(dir) != std::string::npos;
-    } else if (inside && line.rfind("Rss:", 0) == 0) {
-      total += std::stoll(line.substr(4));
-    }
-  }
-  return total;
 }
 
 TEST(ShardedStoreTest, MappedPagesStayWithinTheBudget) {
