@@ -41,12 +41,11 @@ int main() {
 
   for (size_t d = 0; d < datasets.size(); ++d) {
     const auto net = data::MakeDataset(datasets[d], scale);
+    const double holdout_fraction = 0.2;
     core::LinkPredictionConfig link_config;
-    link_config.holdout_fraction = 0.2;
     link_config.seed = 97;
     util::Rng rng(link_config.seed);
-    const auto holdout =
-        graph::HoldOutTies(net, link_config.holdout_fraction, rng);
+    const auto holdout = graph::HoldOutTies(net, holdout_fraction, rng);
 
     const auto original =
         core::RunLinkPrediction(holdout, nullptr, link_config);

@@ -34,12 +34,12 @@ int main() {
                   static_cast<double>(network.num_ties()));
 
   // Sec. 6.3 protocol: keep 80% of ties as the training network G'.
+  const double holdout_fraction = 0.2;
   core::LinkPredictionConfig link_config;
-  link_config.holdout_fraction = 0.2;
   link_config.seed = 207;
   util::Rng rng(link_config.seed);
   const graph::TieHoldout holdout =
-      graph::HoldOutTies(network, link_config.holdout_fraction, rng);
+      graph::HoldOutTies(network, holdout_fraction, rng);
 
   // Baseline: original binary adjacency matrix.
   const core::LinkPredictionResult baseline =

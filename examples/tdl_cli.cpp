@@ -150,7 +150,9 @@ int Usage() {
                " out-of-core —\n  the embedding matrices live in one mmap'd"
                " file under --shard-dir with\n  at most --shard-ram-mb MB"
                " (default 256) of its pages resident;\n  --shards sets how"
-               " many arc ranges two or more workers split it into;\n"
+               " many arc ranges two or more workers split it into\n"
+               "  (each worker keeps to its own ranges when there are at"
+               " least as\n  many ranges as workers);\n"
                "  single-threaded sharded runs are bit-identical to in-RAM"
                " training;\n  sharded runs cannot checkpoint yet\n"
                "--epochs: override the E-step epoch count τ"
@@ -169,9 +171,8 @@ int Usage() {
                " format\n"
                "--kernels: inner-loop dispatch — auto (default: SIMD when"
                " the CPU\n  supports it), scalar (bit-identical to the"
-               " historical serial\n  trainers), or simd (force the"
-               " vectorized path); the DD_KERNELS\n  env var sets the"
-               " default\n");
+               " historical serial\n  trainers), or simd (the same as"
+               " auto); the DD_KERNELS env var\n  sets the default\n");
   return 2;
 }
 

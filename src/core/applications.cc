@@ -1,7 +1,6 @@
 #include "core/applications.h"
 
 #include <algorithm>
-#include <cmath>
 #include <unordered_set>
 
 #include "ml/metrics.h"
@@ -142,47 +141,14 @@ double WeightedAdjacency::JaccardScore(NodeId u, NodeId v) const {
   return PathWeight(u, v) / denom;
 }
 
-const char* LinkScoreTypeToString(LinkScoreType type) {
-  switch (type) {
-    case LinkScoreType::kJaccard:
-      return "jaccard";
-    case LinkScoreType::kCommonNeighbors:
-      return "common-neighbors";
-    case LinkScoreType::kAdamicAdar:
-      return "adamic-adar";
-    case LinkScoreType::kResourceAllocation:
-      return "resource-allocation";
-  }
-  return "unknown";
-}
-
-double LinkScore(const WeightedAdjacency& adjacency, LinkScoreType type,
-                 NodeId u, NodeId v) {
-  switch (type) {
-    case LinkScoreType::kJaccard:
-      return adjacency.JaccardScore(u, v);
-    case LinkScoreType::kCommonNeighbors:
-      return adjacency.PathWeight(u, v);
-    case LinkScoreType::kAdamicAdar:
-      return adjacency.WeightedPathSum(u, v, [&adjacency](NodeId k) {
-        return 1.0 / std::log(2.0 + adjacency.Strength(k));
-      });
-    case LinkScoreType::kResourceAllocation:
-      return adjacency.WeightedPathSum(u, v, [&adjacency](NodeId k) {
-        return 1.0 / (1.0 + adjacency.Strength(k));
-      });
-  }
-  return 0.0;
-}
-
 LinkPredictionResult RunLinkPrediction(const graph::TieHoldout& holdout,
                                        const DirectionalityModel* model,
                                        const LinkPredictionConfig& config) {
   const MixedSocialNetwork& reduced = holdout.network;
   WeightedAdjacency adjacency(reduced, model);
 
-  // Removed ties keyed two ways: the unordered pair, and the oriented pair
-  // for the ordered protocol.
+  // Removed ties keyed by oriented pair; candidates are deduplicated by
+  // unordered pair.
   auto pair_key = [](NodeId a, NodeId b) {
     const NodeId lo = std::min(a, b);
     const NodeId hi = std::max(a, b);
@@ -191,15 +157,12 @@ LinkPredictionResult RunLinkPrediction(const graph::TieHoldout& holdout,
   auto ordered_key = [](NodeId a, NodeId b) {
     return (static_cast<uint64_t>(a) << 32) | b;
   };
-  std::unordered_set<uint64_t> positive_pairs;       // unordered
   std::unordered_set<uint64_t> positive_oriented;    // oriented positives
   std::unordered_set<uint64_t> excluded_oriented;    // reverse of directed
-  positive_pairs.reserve(holdout.removed_ties.size() * 2);
   for (const Arc& removed : holdout.removed_ties) {
-    positive_pairs.insert(pair_key(removed.src, removed.dst));
     if (removed.type == TieType::kDirected) {
-      // Ordered protocol: the true orientation is the positive; the
-      // reverse is excluded (the pair does connect, just not that way).
+      // The true orientation is the positive; the reverse is excluded
+      // (the pair does connect, just not that way).
       positive_oriented.insert(ordered_key(removed.src, removed.dst));
       excluded_oriented.insert(ordered_key(removed.dst, removed.src));
     } else {
@@ -225,25 +188,13 @@ LinkPredictionResult RunLinkPrediction(const graph::TieHoldout& holdout,
         if (u > v) continue;  // visit each unordered pair once
         if (reduced.HasArc(u, v) || reduced.HasArc(v, u)) continue;
         if (!seen_pairs.insert(pair_key(u, v)).second) continue;
-        if (config.ordered) {
-          // Both orientations, each a separate candidate (unless excluded
-          // as the reverse of a removed directed tie).
-          for (const auto& [a, b] :
-               {std::pair<NodeId, NodeId>{u, v}, {v, u}}) {
-            if (excluded_oriented.contains(ordered_key(a, b))) continue;
-            const int label =
-                positive_oriented.contains(ordered_key(a, b)) ? 1 : 0;
-            scores.push_back(LinkScore(adjacency, config.score, a, b));
-            labels.push_back(label);
-            num_positive_labels += static_cast<size_t>(label);
-          }
-        } else {
-          const int label = positive_pairs.contains(pair_key(u, v)) ? 1 : 0;
-          // Unordered: score by the better orientation.
-          const double score =
-              std::max(LinkScore(adjacency, config.score, u, v),
-                       LinkScore(adjacency, config.score, v, u));
-          scores.push_back(score);
+        // Both orientations, each a separate candidate (unless excluded as
+        // the reverse of a removed directed tie).
+        for (const auto& [a, b] : {std::pair<NodeId, NodeId>{u, v}, {v, u}}) {
+          if (excluded_oriented.contains(ordered_key(a, b))) continue;
+          const int label =
+              positive_oriented.contains(ordered_key(a, b)) ? 1 : 0;
+          scores.push_back(adjacency.JaccardScore(a, b));
           labels.push_back(label);
           num_positive_labels += static_cast<size_t>(label);
         }

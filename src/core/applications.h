@@ -65,40 +65,8 @@ class WeightedAdjacency {
   /// Σ_k A[u][k] · A[k][v] — the numerator of Eq. 29.
   double PathWeight(graph::NodeId u, graph::NodeId v) const;
 
-  /// Σ_k A[u][k] · A[k][v] · mid(k) for a caller-supplied middle-node
-  /// weighting (powers the Adamic-Adar / resource-allocation variants).
-  template <typename MidFn>
-  double WeightedPathSum(graph::NodeId u, graph::NodeId v,
-                         MidFn&& mid) const {
-    DD_CHECK_LT(u, num_nodes());
-    DD_CHECK_LT(v, num_nodes());
-    size_t i = out_offsets_[u];
-    const size_t i_end = out_offsets_[u + 1];
-    size_t j = in_offsets_[v];
-    const size_t j_end = in_offsets_[v + 1];
-    double total = 0.0;
-    while (i < i_end && j < j_end) {
-      const graph::NodeId a = out_entries_[i].node;
-      const graph::NodeId b = in_entries_[j].node;
-      if (a < b) {
-        ++i;
-      } else if (b < a) {
-        ++j;
-      } else {
-        total += out_entries_[i].weight * in_entries_[j].weight * mid(a);
-        ++i;
-        ++j;
-      }
-    }
-    return total;
-  }
-
   /// The Jaccard-style score f(u → v) of Eq. 29.
   double JaccardScore(graph::NodeId u, graph::NodeId v) const;
-
-  /// Total weighted throughput of node k (OutSum + InSum), the "strength"
-  /// used by the Adamic-Adar and resource-allocation variants.
-  double Strength(graph::NodeId k) const { return OutSum(k) + InSum(k); }
 
  private:
   struct Entry {
@@ -114,41 +82,10 @@ class WeightedAdjacency {
   std::vector<double> in_sums_;
 };
 
-/// Scoring functions for candidate pairs (Eq. 29 is kJaccard; the rest are
-/// classic weighted neighborhood predictors, all of which consume the
-/// directionality adjacency matrix identically).
-enum class LinkScoreType {
-  kJaccard = 0,             ///< Eq. 29
-  kCommonNeighbors = 1,     ///< Σ_k A[u][k]·A[k][v]
-  kAdamicAdar = 2,          ///< middle nodes down-weighted by 1/log(1+strength)
-  kResourceAllocation = 3,  ///< middle nodes down-weighted by 1/strength
-};
-
-/// Short lowercase name of a score type.
-const char* LinkScoreTypeToString(LinkScoreType type);
-
-/// Computes the chosen score for the ordered pair (u, v).
-double LinkScore(const WeightedAdjacency& adjacency, LinkScoreType type,
-                 graph::NodeId u, graph::NodeId v);
-
 /// Configuration of the link-prediction experiment (Sec. 6.3).
 struct LinkPredictionConfig {
-  /// Fraction of ties removed to form the training network G'.
-  double holdout_fraction = 0.2;
   /// Cap on evaluated candidate pairs (uniformly subsampled beyond this).
   size_t max_candidates = 200000;
-  /// Scoring function over the (quantified) adjacency matrix.
-  LinkScoreType score = LinkScoreType::kJaccard;
-  /// Ordered protocol (default): candidates are *ordered* 2-hop pairs
-  /// scored by the directional Eq. 29, and the task is predicting new
-  /// *directed* ties with their orientation — a removed directed tie is
-  /// positive in its true orientation, its reverse is excluded, and
-  /// removed bidirectional ties are excluded entirely (no orientation
-  /// target). This is the reading under which quantifying directions can
-  /// matter at all: Eq. 29 itself is directional. With `ordered = false`,
-  /// unordered pairs are scored by the better orientation and every
-  /// removed tie is a positive (direction-agnostic baseline protocol).
-  bool ordered = true;
   uint64_t seed = 97;
 };
 
@@ -160,11 +97,16 @@ struct LinkPredictionResult {
 };
 
 /// Runs the Sec. 6.3 protocol on `holdout`: scores ordered 2-hop pairs of
-/// its reduced network G' with the (model-quantified or original)
-/// adjacency, and labels a pair positive iff it is one of the removed ties.
-/// `model` must be trained on G' (or pass nullptr for the original binary
-/// adjacency baseline). Scoring the same holdout with identical configs
-/// keeps methods comparable.
+/// its reduced network G' by Eq. 29 over the (model-quantified or
+/// original) adjacency. The task is predicting new *directed* ties with
+/// their orientation: a removed directed tie is positive in its true
+/// orientation, its reverse is excluded, and both orientations of a
+/// removed bidirectional or undirected tie are excluded (no orientation
+/// target). This is the reading under which quantifying directions can
+/// matter at all: Eq. 29 itself is directional. `model` must be trained
+/// on G' (or pass nullptr for the original binary adjacency baseline).
+/// Scoring the same holdout with identical configs keeps methods
+/// comparable.
 LinkPredictionResult RunLinkPrediction(const graph::TieHoldout& holdout,
                                        const DirectionalityModel* model,
                                        const LinkPredictionConfig& config);

@@ -20,7 +20,6 @@ TieIndex::TieIndex(const MixedSocialNetwork& g) {
   const size_t num_arcs = offsets_[n];
   adj_.reserve(num_arcs);
   src_.resize(num_arcs);
-  dst_.resize(num_arcs);
   classes_.resize(num_arcs);
 
   size_t idx = 0;
@@ -28,7 +27,6 @@ TieIndex::TieIndex(const MixedSocialNetwork& g) {
     for (NodeId v : g.UndirectedNeighbors(u)) {
       adj_.push_back(v);
       src_[idx] = u;
-      dst_[idx] = v;
       // Classify arc (u, v) against the original tie.
       const ArcId forward = g.FindArc(u, v);
       if (forward != kInvalidArc) {

@@ -52,7 +52,7 @@ class TieIndex {
   /// Endpoints of arc `idx` as (src, dst).
   std::pair<graph::NodeId, graph::NodeId> ArcAt(size_t idx) const {
     DD_CHECK_LT(idx, src_.size());
-    return {src_[idx], dst_[idx]};
+    return {src_[idx], adj_[idx]};
   }
 
   /// Index of the reverse arc (dst, src). O(log degree).
@@ -65,7 +65,7 @@ class TieIndex {
   /// arc, i.e. UndirectedDegree(dst) − 1.
   uint32_t TieDegree(size_t idx) const {
     DD_CHECK_LT(idx, src_.size());
-    return Degree(dst_[idx]) - 1;
+    return Degree(adj_[idx]) - 1;
   }
 
   /// Distinct neighbors of node u (sorted).
@@ -109,7 +109,7 @@ class TieIndex {
   template <typename RngT>
   size_t SampleConnectedTie(size_t idx, RngT& rng) const {
     const graph::NodeId u = src_[idx];
-    const graph::NodeId v = dst_[idx];
+    const graph::NodeId v = adj_[idx];
     const uint32_t deg = Degree(v);
     if (deg <= 1) return num_arcs();
     // Pick a neighbor of v other than u: draw from deg-1 slots, skipping
@@ -132,9 +132,8 @@ class TieIndex {
   size_t RankOf(graph::NodeId u, graph::NodeId w) const;
 
   std::vector<size_t> offsets_;          // per node, into adj_
-  std::vector<graph::NodeId> adj_;       // sorted neighbors (= dst_ grouped)
+  std::vector<graph::NodeId> adj_;       // sorted neighbors; arc -> dst
   std::vector<graph::NodeId> src_;       // arc -> src
-  std::vector<graph::NodeId> dst_;       // arc -> dst
   std::vector<ArcClass> classes_;        // arc -> label class
   uint64_t num_connected_pairs_ = 0;
 };

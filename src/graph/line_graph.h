@@ -29,8 +29,8 @@ struct LineGraph {
 /// PredictLineGraphSize first on large inputs.
 LineGraph BuildLineGraph(const MixedSocialNetwork& g);
 
-/// Predicted edge count of the line graph without materializing it
-/// (equals g.NumConnectedTiePairs()).
+/// Predicted edge count of the line graph without materializing it:
+/// |C(G)| = Σ_e |c(e)|, the sum of every arc's tie degree.
 uint64_t PredictLineGraphSize(const MixedSocialNetwork& g);
 
 }  // namespace deepdirect::graph

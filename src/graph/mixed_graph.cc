@@ -10,10 +10,9 @@ namespace deepdirect::graph {
 
 namespace {
 
-// Fixed shard sizes for the parallel assembly passes of GraphBuilder::Build.
+// Fixed shard size for the parallel assembly pass of GraphBuilder::Build.
 // The decomposition depends only on the problem size (never the worker
 // count), so the built indexes are bit-identical for every `num_threads`.
-constexpr size_t kArcBlock = 4096;
 constexpr size_t kNodeBlock = 1024;
 
 // Packs an unordered node pair into one key (smaller id in the high word so
@@ -80,13 +79,6 @@ uint32_t MixedSocialNetwork::TieDegree(ArcId e) const {
   uint32_t deg = OutArcCount(a.dst);
   if (HasArc(a.dst, a.src)) --deg;  // exclude the return arc (v, u)
   return deg;
-}
-
-std::vector<ArcId> MixedSocialNetwork::ConnectedTies(ArcId e) const {
-  std::vector<ArcId> out;
-  out.reserve(TieDegree(e));
-  ForEachConnectedTie(e, [&](ArcId c) { out.push_back(c); });
-  return out;
 }
 
 std::span<const NodeId> MixedSocialNetwork::UndirectedNeighbors(
@@ -192,21 +184,6 @@ MixedSocialNetwork GraphBuilder::Build() && {
     }
   }
 
-  // Twin resolution is a per-arc binary search with disjoint writes —
-  // shard it across workers. The per-type arc lists stay a serial append
-  // so their id order is invariant.
-  g.twin_.assign(num_arcs, kInvalidArc);
-  train::ParallelBlocks(
-      num_arcs, kArcBlock, num_threads_,
-      [&](size_t, size_t begin, size_t end) {
-        for (ArcId id = static_cast<ArcId>(begin); id < end; ++id) {
-          const Arc& a = g.arcs_[id];
-          if (a.type != TieType::kDirected) {
-            g.twin_[id] = g.FindArc(a.dst, a.src);
-            DD_CHECK_NE(g.twin_[id], kInvalidArc);
-          }
-        }
-      });
   for (ArcId id = 0; id < num_arcs; ++id) {
     switch (g.arcs_[id].type) {
       case TieType::kDirected:
@@ -267,25 +244,6 @@ MixedSocialNetwork GraphBuilder::Build() && {
           DD_CHECK_EQ(w, g.und_offsets_[u + 1]);
         }
       });
-
-  // |C(G)| = Σ_e |c(e)|: integer partial sums per block, reduced in block
-  // order (exact, so thread count cannot change the result).
-  {
-    const size_t blocks = train::NumBlocks(num_arcs, kArcBlock);
-    std::vector<uint64_t> partial(blocks, 0);
-    train::ParallelBlocks(
-        num_arcs, kArcBlock, num_threads_,
-        [&](size_t b, size_t begin, size_t end) {
-          uint64_t pairs = 0;
-          for (ArcId id = static_cast<ArcId>(begin); id < end; ++id) {
-            pairs += g.TieDegree(id);
-          }
-          partial[b] = pairs;
-        });
-    uint64_t pairs = 0;
-    for (uint64_t p : partial) pairs += p;
-    g.num_connected_tie_pairs_ = pairs;
-  }
 
   return g;
 }

@@ -51,12 +51,6 @@ class MixedSocialNetwork {
   /// All arcs, ordered by (src, dst).
   const std::vector<Arc>& arcs() const { return arcs_; }
 
-  /// The twin arc (v, u) of arc (u, v); kInvalidArc for directed arcs.
-  ArcId twin(ArcId id) const {
-    DD_CHECK_LT(id, twin_.size());
-    return twin_[id];
-  }
-
   /// Arc ids leaving `u`, sorted by destination.
   std::span<const ArcId> OutArcs(NodeId u) const;
 
@@ -99,12 +93,8 @@ class MixedSocialNetwork {
   /// which is the quantity every formula actually consumes.
   uint32_t TieDegree(ArcId e) const;
 
-  /// All connected ties of `e` (Definition 4): arcs (v, v') with v' != u for
-  /// e = (u, v).
-  std::vector<ArcId> ConnectedTies(ArcId e) const;
-
-  /// Calls `fn(ArcId)` for every connected tie of `e` without materializing
-  /// a vector.
+  /// Calls `fn(ArcId)` for every connected tie of `e` (Definition 4): the
+  /// arcs (v, v') with v' != u for e = (u, v).
   template <typename Fn>
   void ForEachConnectedTie(ArcId e, Fn&& fn) const {
     const Arc& a = arc(e);
@@ -112,25 +102,6 @@ class MixedSocialNetwork {
       if (arcs_[c].dst != a.src) fn(c);
     }
   }
-
-  /// Samples one connected tie of `e` uniformly; kInvalidArc when c(e) is
-  /// empty. O(1) expected (rejection over the out-span of the head node).
-  template <typename RngT>
-  ArcId SampleConnectedTie(ArcId e, RngT& rng) const {
-    const Arc& a = arc(e);
-    const auto span = OutArcs(a.dst);
-    const uint32_t deg = TieDegree(e);
-    if (deg == 0) return kInvalidArc;
-    // At most one arc in the span returns to a.src, so rejection terminates
-    // quickly (success probability >= 1/2 whenever span.size() >= 2).
-    for (;;) {
-      ArcId cand = span[rng.NextIndex(span.size())];
-      if (arcs_[cand].dst != a.src) return cand;
-    }
-  }
-
-  /// Total number of connected tie pairs |C(G)| = Σ_e |c(e)|.
-  uint64_t NumConnectedTiePairs() const { return num_connected_tie_pairs_; }
 
   /// Distinct neighbors of `u` under the undirected view (sorted ascending).
   std::span<const NodeId> UndirectedNeighbors(NodeId u) const;
@@ -151,12 +122,12 @@ class MixedSocialNetwork {
   /// Arc ids of all directed arcs (E_d), in (src, dst) order.
   const std::vector<ArcId>& directed_arcs() const { return directed_arcs_; }
 
-  /// Arc ids of all bidirectional arcs (both twins present).
+  /// Arc ids of all bidirectional arcs (both arcs of each tie).
   const std::vector<ArcId>& bidirectional_arcs() const {
     return bidirectional_arcs_;
   }
 
-  /// Arc ids of all undirected arcs (both twins present).
+  /// Arc ids of all undirected arcs (both arcs of each tie).
   const std::vector<ArcId>& undirected_arcs() const {
     return undirected_arcs_;
   }
@@ -170,10 +141,8 @@ class MixedSocialNetwork {
   size_t num_directed_ties_ = 0;
   size_t num_bidirectional_ties_ = 0;
   size_t num_undirected_ties_ = 0;
-  uint64_t num_connected_tie_pairs_ = 0;
 
   std::vector<Arc> arcs_;          // sorted by (src, dst)
-  std::vector<ArcId> twin_;        // twin arc per arc (kInvalidArc if none)
   std::vector<size_t> out_offsets_;  // CSR over arc ids (identity order)
   std::vector<ArcId> out_ids_;       // identity arc-id array backing OutArcs
   std::vector<size_t> in_offsets_;   // CSR offsets for in-adjacency

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 
 #include "kernels/simd_ops.h"
 
@@ -39,18 +38,18 @@ std::atomic<Mode>& ModeVar() {
 
 namespace detail {
 
-const Ops& ActiveOps() {
-  static const Ops& ops = []() -> const Ops& {
+const Ops* ActiveOps() {
+  static const Ops* const ops = []() -> const Ops* {
 #if defined(__x86_64__) || defined(__i386__)
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-      return Avx2Ops();
+      return &Avx2Ops();
     }
-    if (__builtin_cpu_supports("sse2")) return Sse2Ops();
-    return ScalarOps();
+    if (__builtin_cpu_supports("sse2")) return &Sse2Ops();
+    return nullptr;
 #elif defined(__aarch64__)
-    return NeonOps();
+    return &NeonOps();
 #else
-    return ScalarOps();
+    return nullptr;
 #endif
   }();
   return ops;
@@ -72,20 +71,13 @@ void SetMode(Mode mode) {
 Mode CurrentMode() { return ModeVar().load(std::memory_order_relaxed); }
 
 bool SimdEnabled() {
-  switch (CurrentMode()) {
-    case Mode::kScalar:
-      return false;
-    case Mode::kSimd:
-      return true;
-    case Mode::kAuto:
-      // Auto only takes the ops table when it carries real vector code;
-      // with just the portable fallback the exact scalar path wins.
-      return std::strcmp(detail::ActiveOps().isa, "scalar") != 0;
-  }
-  return false;
+  return CurrentMode() != Mode::kScalar && detail::ActiveOps() != nullptr;
 }
 
-const char* SimdIsaName() { return detail::ActiveOps().isa; }
+const char* SimdIsaName() {
+  const detail::Ops* ops = detail::ActiveOps();
+  return ops != nullptr ? ops->isa : "scalar";
+}
 
 const char* ActivePathName() {
   return SimdEnabled() ? SimdIsaName() : "scalar";

@@ -7,7 +7,7 @@
 //      environment at any time; the change applies to subsequent calls.
 //   3. default `kAuto`: SIMD when the CPU supports a vector ISA the build
 //      carries (AVX2 preferred, SSE2 fallback on x86-64, NEON on aarch64),
-//      scalar otherwise.
+//      scalar otherwise. `kSimd` picks the same.
 //
 // The scalar path is the compatibility contract: it reproduces the
 // historical trainer arithmetic bit-for-bit (see kernels.h). The SIMD
@@ -25,9 +25,8 @@ namespace deepdirect::kernels {
 enum class Mode {
   kAuto,    ///< SIMD when the host supports it (default)
   kScalar,  ///< force the exact scalar path
-  kSimd,    ///< force the SIMD path (scalar-shaped ops table on hosts
-            ///< without a vector ISA — numerics still follow the SIMD
-            ///< conventions, e.g. the sigmoid LUT)
+  kSimd,    ///< the same as kAuto: SIMD where the host has a vector
+            ///< table, the exact scalar path elsewhere
 };
 
 /// Parses and installs a mode: "auto", "scalar", or "simd". Returns false
@@ -40,12 +39,12 @@ void SetMode(Mode mode);
 /// The mode currently in force (env default until overridden).
 Mode CurrentMode();
 
-/// True when kernels should take the SIMD ops table: mode kSimd, or kAuto
-/// on a host with a supported vector ISA.
+/// True when kernels should take the SIMD ops table: the mode is not
+/// kScalar and the host has a vector table.
 bool SimdEnabled();
 
 /// Name of the ops table SIMD dispatch resolves to on this host:
-/// "avx2", "sse2", "neon", or "scalar" (portable fallback table).
+/// "avx2", "sse2", "neon", or "scalar" when the host has none.
 const char* SimdIsaName();
 
 /// Name of the path kernels actually take right now: SimdIsaName() when

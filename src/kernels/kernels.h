@@ -8,10 +8,11 @@
 //     argument order, sigmoid via kernels::Sigmoid. With A = SerialAccess
 //     this reproduces the historical trainer arithmetic bit-for-bit; the
 //     nt=1 resume goldens pin that contract.
-//   * SIMD — the raw-pointer ops table from dispatch (AVX2/SSE2/NEON, or
-//     the portable fallback). Lane-parallel double accumulation, FMA where
-//     the ISA has it, sigmoid via the ±6 LUT: tolerance-equal to scalar
-//     (tests/kernels_test.cc pins the bounds), never bit-equal.
+//   * SIMD — the raw-pointer ops table from dispatch (AVX2/SSE2/NEON),
+//     taken only on a host that has one. Lane-parallel double
+//     accumulation, FMA where the ISA has it, sigmoid via the ±6 LUT:
+//     tolerance-equal to scalar (tests/kernels_test.cc pins the bounds),
+//     never bit-equal.
 //
 // VectorizedPath<A>() gates the SIMD path. Vector loads cannot be tagged
 // atomic, so under HogwildAccess the SIMD kernels race on parameter rows —
@@ -85,7 +86,7 @@ inline size_t RunEnd(float* const* dst, size_t begin, size_t count) {
 template <typename A>
 inline double DotRows(std::span<const float> a, std::span<const float> b) {
   if (detail::UseSimd<A>()) {
-    return detail::ActiveOps().dot_f32(a.data(), b.data(), a.size());
+    return detail::ActiveOps()->dot_f32(a.data(), b.data(), a.size());
   }
   double acc = 0.0;
   for (size_t i = 0; i < a.size(); ++i) {
@@ -101,7 +102,7 @@ template <typename A>
 inline void AxpyRows(std::span<float> y, double alpha,
                      std::span<const float> x) {
   if (detail::UseSimd<A>()) {
-    detail::ActiveOps().axpy_f32(y.data(), alpha, x.data(), y.size());
+    detail::ActiveOps()->axpy_f32(y.data(), alpha, x.data(), y.size());
     return;
   }
   for (size_t i = 0; i < y.size(); ++i) {
@@ -143,7 +144,7 @@ inline void NegSamplingRows(std::span<double> grad, std::span<const float> src,
   for (size_t begin = 0, end = 0; begin < dst.size(); begin = end) {
     end = detail::RunEnd(dst.data(), begin, dst.size());
     if (simd) {
-      detail::ActiveOps().neg_sampling_rows(
+      detail::ActiveOps()->neg_sampling_rows(
           grad.data(), src.data(), dst.data() + begin, labels.data() + begin,
           end - begin, n, grad_scale, update_scale, scores.data() + begin);
       continue;
@@ -190,7 +191,7 @@ template <typename A>
 inline double DotF64F32(double init, std::span<const double> w,
                         std::span<const float> x) {
   if (detail::UseSimd<A>()) {
-    return detail::ActiveOps().dot_f64f32(init, w.data(), x.data(), w.size());
+    return detail::ActiveOps()->dot_f64f32(init, w.data(), x.data(), w.size());
   }
   double acc = init;
   for (size_t i = 0; i < w.size(); ++i) {
@@ -207,8 +208,8 @@ inline void DotPairF64F32(double init, std::span<const double> w,
                           std::span<const float> x2, double* out1,
                           double* out2) {
   if (detail::UseSimd<A>()) {
-    detail::ActiveOps().dot_pair_f64f32(init, w.data(), x1.data(), x2.data(),
-                                        w.size(), out1, out2);
+    detail::ActiveOps()->dot_pair_f64f32(init, w.data(), x1.data(),
+                                         x2.data(), w.size(), out1, out2);
     return;
   }
   double s1 = init;
@@ -228,7 +229,7 @@ template <typename A>
 inline double DotWeights(double init, std::span<const double> w,
                          std::span<const double> x) {
   if (detail::UseSimd<A>()) {
-    return detail::ActiveOps().dot_f64(init, w.data(), x.data(), w.size());
+    return detail::ActiveOps()->dot_f64(init, w.data(), x.data(), w.size());
   }
   double acc = init;
   for (size_t i = 0; i < w.size(); ++i) acc += A::Load(w[i]) * x[i];
@@ -240,7 +241,7 @@ inline double DotWeights(double init, std::span<const double> w,
 template <typename A>
 inline void ApplyGrad(std::span<float> row, std::span<const double> grad) {
   if (detail::UseSimd<A>()) {
-    detail::ActiveOps().apply_grad(row.data(), grad.data(), row.size());
+    detail::ActiveOps()->apply_grad(row.data(), grad.data(), row.size());
     return;
   }
   for (size_t i = 0; i < row.size(); ++i) {
@@ -254,8 +255,8 @@ template <typename A>
 inline void ApplyGradDecay(std::span<float> row, std::span<const double> grad,
                            double lr, double l2) {
   if (detail::UseSimd<A>()) {
-    detail::ActiveOps().apply_grad_decay(row.data(), grad.data(), lr, l2,
-                                         row.size());
+    detail::ActiveOps()->apply_grad_decay(row.data(), grad.data(), lr, l2,
+                                          row.size());
     return;
   }
   for (size_t i = 0; i < row.size(); ++i) {
@@ -273,8 +274,8 @@ inline void ClassifierUpdate(std::span<double> grad, std::span<double> w,
                              std::span<const float> x, double g, double lr,
                              double l2) {
   if (detail::UseSimd<A>()) {
-    detail::ActiveOps().classifier_update(grad.data(), w.data(), x.data(), g,
-                                          lr, l2, w.size());
+    detail::ActiveOps()->classifier_update(grad.data(), w.data(), x.data(), g,
+                                           lr, l2, w.size());
     return;
   }
   for (size_t i = 0; i < w.size(); ++i) {
@@ -291,8 +292,8 @@ template <typename A>
 inline void LogRegUpdate(std::span<double> w, std::span<const double> x,
                          double lr, double g, double l2) {
   if (detail::UseSimd<A>()) {
-    detail::ActiveOps().logreg_update(w.data(), x.data(), lr, g, l2,
-                                      w.size());
+    detail::ActiveOps()->logreg_update(w.data(), x.data(), lr, g, l2,
+                                       w.size());
     return;
   }
   for (size_t i = 0; i < w.size(); ++i) {

@@ -3,11 +3,10 @@
 //
 // Tables are produced by instantiating the generic bodies in
 // vec_kernels.h with an ISA wrapper type (simd_avx2.cc, simd_sse2.cc,
-// simd_neon.cc) or by the portable scalar-shaped fallback
-// (simd_scalar.cc, used when the build carries no vector ISA for the
-// host). Each ISA lives in its own translation unit so per-file target
-// flags (-mavx2 -mfma) never leak vector instructions into code that runs
-// before the CPU check.
+// simd_neon.cc). A host with none of these ISAs has no table and runs the
+// exact scalar path of kernels.h. Each ISA lives in its own translation
+// unit so per-file target flags (-mavx2 -mfma) never leak vector
+// instructions into code that runs before the CPU check.
 //
 // These functions take plain pointers — no access-policy tagging. On the
 // Hogwild path that makes the parameter updates benign data races in the
@@ -64,9 +63,6 @@ struct Ops {
                         double l2, size_t n);
 };
 
-/// Portable fallback table (plain loops, SIMD numeric conventions).
-const Ops& ScalarOps();
-
 #if defined(__x86_64__) || defined(__i386__)
 const Ops& Avx2Ops();
 const Ops& Sse2Ops();
@@ -75,8 +71,9 @@ const Ops& Sse2Ops();
 const Ops& NeonOps();
 #endif
 
-/// The best table for this host, resolved once (cpuid on x86).
-const Ops& ActiveOps();
+/// The best table for this host, resolved once (cpuid on x86); null when
+/// the host has no vector ISA the build carries.
+const Ops* ActiveOps();
 
 }  // namespace deepdirect::kernels::detail
 

@@ -12,16 +12,6 @@ namespace deepdirect::serve {
 
 namespace {
 
-int AdviceFlag(MmapAdvice advice) {
-  switch (advice) {
-    case MmapAdvice::kRandom:
-      return MADV_RANDOM;
-    case MmapAdvice::kNone:
-      break;
-  }
-  return MADV_NORMAL;
-}
-
 // ENOMEM means the mapping (not the file) was refused — address space or
 // overcommit pressure a caller may be able to relieve; everything else is
 // an I/O-shaped failure.
@@ -33,17 +23,15 @@ util::Status MmapError(const std::string& path) {
   return util::Status::IOError(detail);
 }
 
-void ApplyAdvice(void* data, size_t size, MmapAdvice advice) {
-  if (advice == MmapAdvice::kNone || size == 0) return;
+void AdviseRandom(void* data, size_t size) {
   // Purely a hint; a failure (e.g. an exotic filesystem) changes nothing
   // about correctness, so it is deliberately ignored.
-  ::madvise(data, size, AdviceFlag(advice));
+  ::madvise(data, size, MADV_RANDOM);
 }
 
 }  // namespace
 
-util::Result<MmapFile> MmapFile::Open(const std::string& path,
-                                      MmapAdvice advice) {
+util::Result<MmapFile> MmapFile::Open(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return util::Status::IOError("cannot open " + path + ": " +
@@ -64,7 +52,7 @@ util::Result<MmapFile> MmapFile::Open(const std::string& path,
   // The descriptor is only needed to establish the mapping.
   ::close(fd);
   if (data == MAP_FAILED) return MmapError(path);
-  ApplyAdvice(data, size, advice);
+  AdviseRandom(data, size);
   return MmapFile(data, size);
 }
 
@@ -82,7 +70,7 @@ MmapFile& MmapFile::operator=(MmapFile&& other) noexcept {
 }
 
 util::Result<MmapRwFile> MmapRwFile::Create(const std::string& path,
-                                            uint64_t size, MmapAdvice advice) {
+                                            uint64_t size) {
   if (size == 0) {
     return util::Status::InvalidArgument("cannot map zero bytes: " + path);
   }
@@ -104,7 +92,7 @@ util::Result<MmapRwFile> MmapRwFile::Create(const std::string& path,
   // The descriptor is only needed to establish the mapping.
   ::close(fd);
   if (data == MAP_FAILED) return MmapError(path);
-  ApplyAdvice(data, static_cast<size_t>(size), advice);
+  AdviseRandom(data, static_cast<size_t>(size));
   return MmapRwFile(data, static_cast<size_t>(size));
 }
 

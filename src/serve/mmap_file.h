@@ -14,12 +14,10 @@
 //                   synced: the row file is working memory that no later
 //                   run reads.
 //
-// Both classes take an MmapAdvice so callers can tell the kernel the
-// access pattern up front: serve handles and the shard store issue
-// MADV_RANDOM (point queries and row touches must not trigger readahead
-// thrash). mmap failing with ENOMEM returns a typed ResourceExhausted so
-// callers can degrade (drop a cache, shrink a budget) instead of treating
-// it like an unreadable file.
+// Both classes map with MADV_RANDOM: their readers make point queries and
+// row touches, which must not trigger readahead thrash. mmap failing with
+// ENOMEM returns a typed ResourceExhausted so callers can degrade (drop a
+// cache, shrink a budget) instead of treating it like an unreadable file.
 
 #ifndef DEEPDIRECT_SERVE_MMAP_FILE_H_
 #define DEEPDIRECT_SERVE_MMAP_FILE_H_
@@ -34,12 +32,6 @@
 
 namespace deepdirect::serve {
 
-/// Access-pattern hint forwarded to madvise() right after mapping.
-enum class MmapAdvice {
-  kNone = 0,  ///< kernel default readahead
-  kRandom,    ///< MADV_RANDOM — point lookups and row touches
-};
-
 /// An immutable byte view backed by mmap. Move-only; unmaps on
 /// destruction. A default-constructed instance views zero bytes.
 class MmapFile {
@@ -47,8 +39,7 @@ class MmapFile {
   /// Maps `path` read-only. Unreadable or unstat-able files yield IOError;
   /// mmap failing with ENOMEM yields ResourceExhausted; an empty file maps
   /// to a valid zero-length view.
-  static util::Result<MmapFile> Open(const std::string& path,
-                                     MmapAdvice advice = MmapAdvice::kNone);
+  static util::Result<MmapFile> Open(const std::string& path);
 
   MmapFile() = default;
   ~MmapFile();
@@ -81,8 +72,7 @@ class MmapRwFile {
   /// read-write. The file starts as a sparse hole — every byte reads zero
   /// and pages are only allocated when written. `size` must be > 0.
   static util::Result<MmapRwFile> Create(const std::string& path,
-                                         uint64_t size,
-                                         MmapAdvice advice = MmapAdvice::kNone);
+                                         uint64_t size);
 
   MmapRwFile() = default;
   ~MmapRwFile();

@@ -49,7 +49,7 @@ size_t FirstBadScore(std::span<const double> scores) {
 util::Result<ServableModel> ServableModel::Open(const std::string& path,
                                                 const ServeOptions& options) {
   obs::TraceSpan span("serve.open");
-  auto mapped = MmapFile::Open(path, MmapAdvice::kRandom);
+  auto mapped = MmapFile::Open(path);
   if (!mapped.ok()) return mapped.status();
   MmapFile file = std::move(mapped).value();
   auto read =

@@ -95,7 +95,6 @@ util::Result<TieBatch> ParseTieBatch(std::istream& in,
           std::to_string(v) + " at line " + std::to_string(line_number) +
           " (first declared at line " + std::to_string(it->second) + ")");
     }
-    batch.max_node_id = std::max({batch.max_node_id, u, v});
     batch.ties.push_back(
         {u, v, parsed.type, static_cast<uint32_t>(line_number)});
   }

@@ -57,9 +57,6 @@ struct TieDelta {
 /// A parsed batch of new ties.
 struct TieBatch {
   std::vector<TieDelta> ties;
-  /// Max endpoint id seen (0 when empty); new ids beyond the base
-  /// network's node count extend the merged network.
-  graph::NodeId max_node_id = 0;
   /// Node count from an optional `# nodes N` header (0 = none declared).
   size_t declared_nodes = 0;
 };

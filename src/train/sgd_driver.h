@@ -95,16 +95,20 @@ inline constexpr size_t kNoShard = static_cast<size_t>(-1);
 inline constexpr uint64_t kLossSampleSteps = 61;
 
 /// Shard-affinity plan for Hogwild runs over out-of-core storage. With
-/// `num_shards > 0` and more than one worker, each epoch chunk's step
-/// budget is apportioned across shards by weight (largest remainder) and
-/// shard s is pinned to worker s % num_workers: a worker executes its
-/// shards' steps in rounds of contiguous spans, so the resident pages it
-/// faults in stay hot instead of being re-faulted by every worker, while
-/// every shard still sweeps the whole learning-rate decay. The serial path
-/// ignores the plan entirely — nt=1 keeps the global (shard-free) sampling
-/// order, which is what makes nt=1 output independent of the shard count.
+/// more than one worker and at least as many shards as workers, each epoch
+/// chunk's step budget is apportioned across shards by weight (largest
+/// remainder) and shard s is pinned to worker s % num_workers: a worker
+/// executes its shards' steps in rounds of contiguous spans, so the
+/// resident pages it faults in stay hot instead of being re-faulted by
+/// every worker, while every shard still sweeps the whole learning-rate
+/// decay. With fewer shards than workers the pinning would leave workers
+/// without a shard, so the driver ignores the plan and runs the Hogwild
+/// strides. The serial path ignores the plan entirely — nt=1 keeps the
+/// global (shard-free) sampling order, which is what makes nt=1 output
+/// independent of the shard count.
 struct ShardPlan {
-  /// Number of storage shards; 0 disables shard affinity.
+  /// Number of storage shards; 0, or fewer than the workers, disables
+  /// shard affinity.
   size_t num_shards = 0;
   /// Per-shard sampling weight (e.g. connected-pair mass). Empty = uniform.
   std::vector<double> shard_weights;
@@ -161,7 +165,7 @@ struct SgdStep {
   double lr;       ///< learning rate at this step
   util::Rng& rng;  ///< this worker's RNG stream
   /// Storage shard this step should sample its source from; kNoShard on
-  /// the serial path and on runs without a ShardPlan.
+  /// the serial path and on runs that do not follow a ShardPlan.
   size_t shard = kNoShard;
   /// The dense block this step reads and writes: SgdOptions::dense itself
   /// on the serial path, this worker's private copy on the Hogwild paths.
@@ -271,16 +275,17 @@ class SgdDriver {
   /// a run whose whole budget is one epoch keeps the historical seeding
   /// (shard_seed directly).
   ///
-  /// Without a ShardPlan, worker w runs chunk-relative steps w, w+N, w+2N,
-  /// …. With one, the chunk's budget is apportioned across shards by
-  /// weight (ApportionSteps) and shard s runs on worker s % N. The worker
-  /// interleaves its shards in rounds of kShardRoundSteps of its own
-  /// steps: once it has run k steps, shard s has run ⌊quota_s·k/q_w⌋ of
-  /// them, each round's share of a shard as one contiguous span, and the
-  /// remainders run in the last round. Quotas follow shard mass, so a
-  /// worker's share q_w is not chunk/N: its k-th local step takes the
-  /// learning rate of chunk-relative step ⌊k·chunk/q_w⌋, which sweeps the
-  /// whole decay once whatever q_w is, and every shard sees all of it.
+  /// Without a ShardPlan of at least N shards, worker w runs
+  /// chunk-relative steps w, w+N, w+2N, …. With one, the chunk's budget is
+  /// apportioned across shards by weight (ApportionSteps) and shard s runs
+  /// on worker s % N. The worker interleaves its shards in rounds of
+  /// kShardRoundSteps of its own steps: once it has run k steps, shard s
+  /// has run ⌊quota_s·k/q_w⌋ of them, each round's share of a shard as one
+  /// contiguous span, and the remainders run in the last round. Quotas
+  /// follow shard mass, so a worker's share q_w is not chunk/N: its k-th
+  /// local step takes the learning rate of chunk-relative step
+  /// ⌊k·chunk/q_w⌋, which sweeps the whole decay once whatever q_w is, and
+  /// every shard sees all of it.
   template <typename Body>
   double RunChunkHogwild(uint64_t chunk_begin, uint64_t chunk_end,
                          uint64_t epoch, bool record, ThreadPool& pool,
@@ -292,8 +297,9 @@ class SgdDriver {
                                 : PerItemSeed(options_.shard_seed, epoch));
     const uint64_t chunk_steps = chunk_end - chunk_begin;
     const std::vector<uint64_t> quota =
-        options_.shard_plan.num_shards > 0 ? ApportionSteps(chunk_steps)
-                                           : std::vector<uint64_t>{};
+        options_.shard_plan.num_shards >= workers_
+            ? ApportionSteps(chunk_steps)
+            : std::vector<uint64_t>{};
     std::vector<double> worker_loss(workers_, 0.0);
     const bool trace_workers =
         !options_.metrics_prefix.empty() && obs::TraceEnabled();

@@ -61,8 +61,7 @@ util::Result<std::unique_ptr<ShardedStore>> ShardedStore::Create(
   DD_RETURN_NOT_OK(EnsureDir(options.dir));
   const uint64_t m_bytes = init.num_arcs * init.dimensions * sizeof(float);
   auto mapped =
-      serve::MmapRwFile::Create(options.dir + "/" + kFileName, 2 * m_bytes,
-                                serve::MmapAdvice::kRandom);
+      serve::MmapRwFile::Create(options.dir + "/" + kFileName, 2 * m_bytes);
   if (!mapped.ok()) return mapped.status();
   std::unique_ptr<ShardedStore> store(
       new ShardedStore(options.ram_budget_bytes, init, options.num_shards,

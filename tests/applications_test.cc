@@ -128,27 +128,12 @@ TEST(LinkScoreTest, FamilyOnHandBuiltPath) {
   const auto net = std::move(builder).Build();
   const WeightedAdjacency adjacency(net, nullptr);
 
-  EXPECT_DOUBLE_EQ(
-      LinkScore(adjacency, LinkScoreType::kCommonNeighbors, 0, 2), 1.0);
-  EXPECT_DOUBLE_EQ(LinkScore(adjacency, LinkScoreType::kJaccard, 0, 2), 0.5);
-  // Middle node 1 has strength 2 (one in + one out).
-  EXPECT_NEAR(LinkScore(adjacency, LinkScoreType::kAdamicAdar, 0, 2),
-              1.0 / std::log(4.0), 1e-12);
-  EXPECT_NEAR(
-      LinkScore(adjacency, LinkScoreType::kResourceAllocation, 0, 2),
-      1.0 / 3.0, 1e-12);
+  // Eq. 29's numerator and score over the one path 0 -> 1 -> 2.
+  EXPECT_DOUBLE_EQ(adjacency.PathWeight(0, 2), 1.0);
+  EXPECT_DOUBLE_EQ(adjacency.JaccardScore(0, 2), 0.5);
   // No reverse path.
-  for (auto type :
-       {LinkScoreType::kJaccard, LinkScoreType::kCommonNeighbors,
-        LinkScoreType::kAdamicAdar, LinkScoreType::kResourceAllocation}) {
-    EXPECT_DOUBLE_EQ(LinkScore(adjacency, type, 2, 0), 0.0);
-  }
-}
-
-TEST(LinkScoreTest, NamesAreDistinct) {
-  EXPECT_STREQ(LinkScoreTypeToString(LinkScoreType::kJaccard), "jaccard");
-  EXPECT_STREQ(LinkScoreTypeToString(LinkScoreType::kAdamicAdar),
-               "adamic-adar");
+  EXPECT_DOUBLE_EQ(adjacency.PathWeight(2, 0), 0.0);
+  EXPECT_DOUBLE_EQ(adjacency.JaccardScore(2, 0), 0.0);
 }
 
 TEST(LinkPredictionTest, OrderedProtocolRewardsDirectionality) {
@@ -166,7 +151,6 @@ TEST(LinkPredictionTest, OrderedProtocolRewardsDirectionality) {
   const auto statuses = data::GeneratorStatuses(gen);
 
   LinkPredictionConfig config;
-  config.ordered = true;
   config.seed = 31;
   util::Rng rng(config.seed);
   const auto holdout = graph::HoldOutTies(net, 0.2, rng);
@@ -187,10 +171,10 @@ TEST(LinkPredictionTest, OracleQuantificationBeatsRandomScores) {
   const auto net = data::GenerateStatusNetwork(gen);
 
   LinkPredictionConfig config;
-  config.holdout_fraction = 0.2;
   config.seed = 11;
+  const double holdout_fraction = 0.2;
   util::Rng rng(config.seed);
-  const auto holdout = graph::HoldOutTies(net, config.holdout_fraction, rng);
+  const auto holdout = graph::HoldOutTies(net, holdout_fraction, rng);
 
   const auto result = RunLinkPrediction(holdout, nullptr, config);
   // Jaccard on a clustered network must beat random ranking clearly.

@@ -277,14 +277,18 @@ class DatasetPropertyTest : public ::testing::TestWithParam<DatasetId> {};
 
 TEST_P(DatasetPropertyTest, StructuralInvariants) {
   const auto net = MakeDataset(GetParam(), /*scale=*/0.3);
-  // Twins are involutions; arc counts match tie counts.
+  // Arc counts match tie counts; only a directed arc lacks a reverse arc,
+  // and a reverse arc has its arc's type.
   EXPECT_EQ(net.num_arcs(), net.num_directed_ties() +
                                 2 * net.num_bidirectional_ties() +
                                 2 * net.num_undirected_ties());
   for (ArcId id = 0; id < net.num_arcs(); ++id) {
-    const ArcId twin = net.twin(id);
-    if (twin != graph::kInvalidArc) {
-      EXPECT_EQ(net.twin(twin), id);
+    const Arc& arc = net.arc(id);
+    const ArcId reverse = net.FindArc(arc.dst, arc.src);
+    if (reverse == graph::kInvalidArc) {
+      EXPECT_EQ(arc.type, TieType::kDirected);
+    } else {
+      EXPECT_EQ(net.arc(reverse).type, arc.type);
     }
   }
   // Clustering is nontrivial (social networks cluster).

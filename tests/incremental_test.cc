@@ -303,7 +303,7 @@ TEST_F(IncrementalTest, ParsesTheDeltaGrammar) {
   ASSERT_TRUE(batch.ok()) << batch.status().ToString();
   EXPECT_EQ(batch.value().ties.size(), 4u);
   EXPECT_EQ(batch.value().declared_nodes, 12u);
-  EXPECT_EQ(batch.value().max_node_id, 8u);
+  EXPECT_EQ(batch.value().ties[3].v, 8u);
   EXPECT_EQ(batch.value().ties[1].type, graph::TieType::kBidirectional);
   EXPECT_EQ(batch.value().ties[3].line, 5u);  // 1-based, after the header
 
@@ -311,7 +311,8 @@ TEST_F(IncrementalTest, ParsesTheDeltaGrammar) {
   std::istringstream widest("# nodes 4294967295\n4294967294 0 d\n");
   auto wide = train::ParseTieBatch(widest, "widest");
   ASSERT_TRUE(wide.ok()) << wide.status().ToString();
-  EXPECT_EQ(wide.value().max_node_id, 4294967294u);
+  ASSERT_EQ(wide.value().ties.size(), 1u);
+  EXPECT_EQ(wide.value().ties[0].u, 4294967294u);
   EXPECT_EQ(wide.value().declared_nodes, 4294967295u);
 }
 

@@ -56,7 +56,6 @@ TEST(IntegrationTest, QuantificationImprovesLinkPrediction) {
   const auto net =
       data::MakeDataset(data::DatasetId::kSlashdot, /*scale=*/0.5);
   core::LinkPredictionConfig link_config;
-  link_config.holdout_fraction = 0.2;
   link_config.seed = 97;
   util::Rng rng(link_config.seed);
   const auto holdout = graph::HoldOutTies(net, 0.2, rng);

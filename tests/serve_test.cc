@@ -801,7 +801,7 @@ TEST(MmapRwFileTest, CreateWriteSyncReopenRoundTrip) {
   std::remove(path.c_str());
   constexpr uint64_t kSize = 1 << 20;
   {
-    auto created = MmapRwFile::Create(path, kSize, MmapAdvice::kRandom);
+    auto created = MmapRwFile::Create(path, kSize);
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     MmapRwFile& file = created.value();
     ASSERT_TRUE(file.valid());
@@ -822,9 +822,9 @@ TEST(MmapRwFileTest, CreateWriteSyncReopenRoundTrip) {
     }
   }
   // The stores reach the file through the shared mapping: a read-only map
-  // of it, with either advice, sees them after the writable one is gone.
-  for (const MmapAdvice advice : {MmapAdvice::kNone, MmapAdvice::kRandom}) {
-    auto reopened = MmapFile::Open(path, advice);
+  // of it sees them after the writable one is gone.
+  {
+    auto reopened = MmapFile::Open(path);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     ASSERT_EQ(reopened.value().size(), kSize);
     const auto* bytes =

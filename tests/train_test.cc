@@ -497,6 +497,32 @@ TEST(SgdDriverTest, ShardedHogwildInterleavesEveryShardOverTheDecay) {
   }
 }
 
+TEST(SgdDriverTest, FewerShardsThanWorkersKeepsEveryWorkerBusy) {
+  // A plan with fewer shards than workers would pin both shards to two of
+  // the four workers and leave the other two idle. The driver runs the
+  // Hogwild strides instead: every worker runs a quarter of the steps, and
+  // every step runs once.
+  SgdOptions options;
+  options.steps = 1000;
+  options.num_threads = 4;
+  options.shard_plan.num_shards = 2;
+  options.shard_plan.shard_weights = {3.0, 1.0};
+  SgdDriver driver(options);
+  ASSERT_EQ(driver.num_workers(), 4u);
+
+  std::vector<std::atomic<int>> per_worker(4), hits(options.steps);
+  util::Rng rng(1);
+  driver.Run(rng, [&](auto, const SgdStep& ctx) -> double {
+    per_worker[ctx.worker].fetch_add(1, std::memory_order_relaxed);
+    hits[ctx.step].fetch_add(1, std::memory_order_relaxed);
+    return 0.0;
+  });
+  for (size_t w = 0; w < 4; ++w) {
+    EXPECT_EQ(per_worker[w].load(), 250) << "worker " << w;
+  }
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
 TEST(SgdDriverTest, SerialBodyGetsTheCallersDenseBlock) {
   std::vector<double> block(5, 0.0);
   SgdOptions options;
